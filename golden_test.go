@@ -158,6 +158,34 @@ func TestGoldenRunBatch(t *testing.T) {
 	checkGolden(t, "runbatch_residential.json", golden)
 }
 
+// TestGoldenRunStrategies pins the single-walk annealer and the exact
+// branch-and-bound placer on the residential roof (one shared field).
+func TestGoldenRunStrategies(t *testing.T) {
+	sc, err := Residential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []Config
+	for _, strat := range []Strategy{StrategyAnneal, StrategyBranchBound} {
+		cfgs = append(cfgs, Config{
+			Scenario: sc, Modules: 8,
+			Optimizer: OptimizerConfig{Strategy: strat, Seed: 1},
+		})
+	}
+	runs, err := RunBatch(cfgs, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []goldenRun
+	for _, br := range runs {
+		if br.Err != nil {
+			t.Fatalf("%s: %v", br.Name, br.Err)
+		}
+		golden = append(golden, goldenFromResult(br.Name, br.Config.Modules, br.Result))
+	}
+	checkGolden(t, "runstrategies_residential_n8.json", golden)
+}
+
 // goldenDistrict is the pinned outcome of a district sweep.
 type goldenDistrict struct {
 	GroundZ float64             `json:"ground_z"`
