@@ -24,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/anneal"
 	"repro/internal/blobstore"
 	"repro/internal/district"
 	"repro/internal/dsm"
@@ -34,7 +33,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gis"
 	"repro/internal/objective"
-	"repro/internal/opt"
 	"repro/internal/optimize"
 	"repro/internal/panel"
 	"repro/internal/pvmodel"
@@ -392,18 +390,19 @@ func BenchmarkOptimalityGap(b *testing.B) {
 			b.ReportAllocs()
 			var gap float64
 			for i := 0; i < b.N; i++ {
-				g, err := floorplan.Plan(sub, mask, floorplan.Options{
+				problem := optimize.Problem{Suit: sub, Mask: mask, Opts: floorplan.Options{
 					Shape:    st.sc.Shape,
 					Topology: panel.Topology{SeriesPerString: n, Strings: 1},
-				})
+				}}
+				g, err := optimize.Greedy{}.Place(problem)
 				if err != nil {
 					b.Fatal(err)
 				}
-				o, err := opt.Optimal(sub, mask, opt.Options{Shape: st.sc.Shape, N: n})
+				o, err := optimize.BranchBound{}.Place(problem)
 				if err != nil {
 					b.Fatal(err)
 				}
-				gap = (o.Score - g.SuitabilitySum) / o.Score * 100
+				gap = (o.SuitabilitySum - g.SuitabilitySum) / o.SuitabilitySum * 100
 			}
 			b.ReportMetric(gap, "gap%")
 		})
@@ -429,14 +428,22 @@ func BenchmarkAnnealRefine(b *testing.B) {
 		b.Fatal(err)
 	}
 	const iters = 10000
+	params := objective.Params{
+		Shape:        opts.Shape,
+		Topology:     opts.Topology,
+		WiringWeight: objective.DefaultWiringWeight,
+		Spec:         wiring.AWG10(scenario.CellSizeM),
+	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		var improve float64
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			refined, err := anneal.Refine(seed, st.suit, st.sc.Suitable, anneal.Options{
-				Seed: int64(i + 1), Iterations: anneal.Ptr(iters),
-			})
+			obj, err := objective.New(st.suit, st.sc.Suitable, params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			refined, err := optimize.Refine(obj, seed, int64(i+1), iters)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -447,21 +454,14 @@ func BenchmarkAnnealRefine(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
-		obj, err := objective.New(st.suit, st.sc.Suitable, objective.Params{
-			Shape:        opts.Shape,
-			Topology:     opts.Topology,
-			WiringWeight: objective.DefaultWiringWeight,
-			Spec:         wiring.AWG10(scenario.CellSizeM),
-		})
+		obj, err := objective.New(st.suit, st.sc.Suitable, params)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			if _, err := anneal.RefineWith(obj.Fork(), seed, anneal.Options{
-				Seed: int64(i + 1), Iterations: anneal.Ptr(iters),
-			}); err != nil {
+			if _, err := optimize.Refine(obj.Fork(), seed, int64(i+1), iters); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -476,8 +476,9 @@ func BenchmarkMultiStart(b *testing.B) {
 	b.ReportAllocs()
 	st := roofStates(b)[1]
 	opts := planOpts(b, st, 32)
-	problem := optimize.Problem{Suit: st.suit, Mask: st.sc.Suitable, Opts: opts}
-	iters := anneal.Ptr(10000)
+	problem := optimize.Problem{Suit: st.suit, Mask: st.sc.Suitable, Opts: opts,
+		WiringWeight: objective.DefaultWiringWeight}
+	const iters = 10000
 	for _, workers := range []int{1, 0} {
 		name := "serial"
 		if workers == 0 {

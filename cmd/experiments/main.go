@@ -22,9 +22,9 @@ import (
 	"time"
 
 	pvfloor "repro"
-	"repro/internal/anneal"
 	"repro/internal/floorplan"
-	"repro/internal/opt"
+	"repro/internal/objective"
+	"repro/internal/optimize"
 	"repro/internal/pvmodel"
 	"repro/internal/render"
 	"repro/internal/report"
@@ -421,18 +421,19 @@ func (h *harness) ablation() {
 	for _, n := range []int{2, 3, 4} {
 		sub := subSuitability(suit, sc.Suitable, 60, 24)
 		subMask := subMask(sc.Suitable, 60, 24)
-		g, err := floorplan.Plan(sub, subMask, floorplan.Options{
+		problem := optimize.Problem{Suit: sub, Mask: subMask, Opts: floorplan.Options{
 			Shape: sc.Shape, Topology: topoOf(n),
-		})
+		}}
+		g, err := optimize.Greedy{}.Place(problem)
 		if err != nil {
 			log.Fatal(err)
 		}
-		o, err := opt.Optimal(sub, subMask, opt.Options{Shape: sc.Shape, N: n})
+		o, err := optimize.BranchBound{}.Place(problem)
 		if err != nil {
 			log.Fatal(err)
 		}
-		gap := (o.Score - g.SuitabilitySum) / o.Score * 100
-		tb3.AddRowf("60x24|%d|%0.1f|%0.1f|%0.2f%%", n, g.SuitabilitySum, o.Score, gap)
+		gap := (o.SuitabilitySum - g.SuitabilitySum) / o.SuitabilitySum * 100
+		tb3.AddRowf("60x24|%d|%0.1f|%0.1f|%0.2f%%", n, g.SuitabilitySum, o.SuitabilitySum, gap)
 	}
 	fmt.Println(tb3)
 
@@ -445,7 +446,14 @@ func (h *harness) ablation() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	refined, err := anneal.Refine(plGreedy, suit, sc.Suitable, anneal.Options{Seed: 1, Iterations: anneal.Ptr(30000)})
+	obj, err := objective.New(suit, sc.Suitable, objective.Params{
+		Shape: opts.Shape, Topology: opts.Topology,
+		WiringWeight: objective.DefaultWiringWeight, Spec: spec,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	refined, err := optimize.Refine(obj, plGreedy, 1, 30000)
 	if err != nil {
 		log.Fatal(err)
 	}

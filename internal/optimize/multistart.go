@@ -5,9 +5,7 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/anneal"
 	"repro/internal/floorplan"
-	"repro/internal/objective"
 )
 
 // MultiStart is the parallel multi-start annealer: K independent
@@ -24,9 +22,8 @@ import (
 type MultiStart struct {
 	// Seed is the base seed the restart seeds derive from.
 	Seed int64
-	// Iterations is the per-restart move budget (nil = the annealer's
-	// default).
-	Iterations *int
+	// Iterations is the per-restart move budget (0 = 20000).
+	Iterations int
 	// Restarts is K, the number of independent annealing runs
 	// (default 8).
 	Restarts int
@@ -72,11 +69,7 @@ func (m MultiStart) Place(p Problem) (*floorplan.Placement, error) {
 	if restarts > 1<<16 {
 		return nil, fmt.Errorf("optimize: unreasonable restart count %d", restarts)
 	}
-	seedPl, err := floorplan.Plan(p.Suit, p.Mask, p.Opts)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := objective.New(p.Suit, p.Mask, p.objectiveParams())
+	seedPl, obj, err := p.greedySeed()
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +82,7 @@ func (m MultiStart) Place(p Problem) (*floorplan.Placement, error) {
 	results := make([]outcome, restarts)
 	run := func(i int) {
 		o := obj.Fork()
-		pl, err := anneal.RefineWith(o, seedPl, p.annealOptions(restartSeed(m.Seed, i), m.Iterations))
+		pl, err := Refine(o, seedPl, restartSeed(m.Seed, i), m.Iterations)
 		if err != nil {
 			results[i] = outcome{err: err}
 			return

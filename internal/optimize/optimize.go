@@ -16,14 +16,11 @@
 package optimize
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/anneal"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/objective"
-	"repro/internal/opt"
 	"repro/internal/wiring"
 )
 
@@ -40,37 +37,36 @@ type Problem struct {
 	// every strategy.
 	Opts floorplan.Options
 	// WiringWeight prices extra cable metres in the refinement
-	// objective (nil defaults to objective.DefaultWiringWeight; an
-	// explicit 0 disables the penalty).
-	WiringWeight *float64
+	// objective (0 disables the penalty; objective.DefaultWiringWeight
+	// is the standard price).
+	WiringWeight float64
 	// Spec prices the wiring (zero value defaults to AWG10 at 0.2 m
 	// cells).
 	Spec wiring.Spec
 }
 
-// objectiveParams resolves the problem's objective parameters.
-func (p Problem) objectiveParams() objective.Params {
-	w := objective.DefaultWiringWeight
-	if p.WiringWeight != nil {
-		w = *p.WiringWeight
-	}
-	return objective.Params{
+// newObjective builds the problem's shared objective.
+func (p Problem) newObjective() (*objective.Objective, error) {
+	return objective.New(p.Suit, p.Mask, objective.Params{
 		Shape:        p.Opts.Shape,
 		Topology:     p.Opts.Topology,
-		WiringWeight: w,
-		Spec:         p.Spec,
-	}
-}
-
-// annealOptions translates the problem's wiring terms into anneal
-// options rooted at the given seed and iteration budget.
-func (p Problem) annealOptions(seed int64, iterations *int) anneal.Options {
-	return anneal.Options{
-		Seed:         seed,
-		Iterations:   iterations,
 		WiringWeight: p.WiringWeight,
 		Spec:         p.Spec,
+	})
+}
+
+// greedySeed plans the greedy placement the annealers start from and
+// builds the objective they refine it against.
+func (p Problem) greedySeed() (*floorplan.Placement, *objective.Objective, error) {
+	pl, err := floorplan.Plan(p.Suit, p.Mask, p.Opts)
+	if err != nil {
+		return nil, nil, err
 	}
+	obj, err := p.newObjective()
+	if err != nil {
+		return nil, nil, err
+	}
+	return pl, obj, nil
 }
 
 // Placer is one placement strategy over the shared objective.
@@ -94,92 +90,10 @@ func (Greedy) Place(p Problem) (*floorplan.Placement, error) {
 	return floorplan.Plan(p.Suit, p.Mask, p.Opts)
 }
 
-// Annealed runs the greedy placer and refines its placement by
-// simulated annealing against the shared objective.
-type Annealed struct {
-	// Seed fixes the random walk.
-	Seed int64
-	// Iterations is the move budget (nil = the annealer's default).
-	Iterations *int
-}
-
-// Name implements Placer.
-func (Annealed) Name() string { return "anneal" }
-
-// Place implements Placer.
-func (a Annealed) Place(p Problem) (*floorplan.Placement, error) {
-	seed, err := floorplan.Plan(p.Suit, p.Mask, p.Opts)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := objective.New(p.Suit, p.Mask, p.objectiveParams())
-	if err != nil {
-		return nil, err
-	}
-	return anneal.RefineWith(obj, seed, p.annealOptions(a.Seed, a.Iterations))
-}
-
-// BranchBound is the exact reference placer: branch and bound over
-// the shared score table, maximising the pure suitability sum
-// (wiring-blind, like the greedy objective it bounds — ablation A3).
-// Exponential beyond reduced instances; Place fails with
-// opt.ErrBudgetExhausted rather than returning an unproven answer.
-type BranchBound struct {
-	// MaxNodes caps the search (0 = opt's default).
-	MaxNodes int
-}
-
-// Name implements Placer.
-func (BranchBound) Name() string { return "bnb" }
-
-// Place implements Placer.
-func (b BranchBound) Place(p Problem) (*floorplan.Placement, error) {
-	res, err := opt.Optimal(p.Suit, p.Mask, opt.Options{
-		Shape:    p.Opts.Shape,
-		N:        p.Opts.Topology.Modules(),
-		MaxNodes: b.MaxNodes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// res.Anchors come back sorted row-major, which serialises the
-	// order-free optimum into series strings with consecutive modules
-	// spatially adjacent — as wiring-coherent as an exact search that
-	// ignores wiring gets.
-	pl := &floorplan.Placement{
-		Topology:       p.Opts.Topology,
-		Shape:          p.Opts.Shape,
-		SuitabilitySum: res.Score,
-	}
-	for _, a := range res.Anchors {
-		pl.Rects = append(pl.Rects, p.Opts.Shape.Rect(a))
-	}
-	return pl, nil
-}
-
-// ByStrategy returns the Placer for a strategy name: "greedy" (or
-// ""), "anneal", "multistart", "bnb". Seed, iterations, restarts and
-// workers parameterise the stochastic strategies and are ignored by
-// the deterministic ones; maxNodes bounds bnb.
-func ByStrategy(strategy string, seed int64, iterations *int, restarts, workers, maxNodes int) (Placer, error) {
-	switch strategy {
-	case "", "greedy":
-		return Greedy{}, nil
-	case "anneal":
-		return Annealed{Seed: seed, Iterations: iterations}, nil
-	case "multistart":
-		return MultiStart{Seed: seed, Iterations: iterations, Restarts: restarts, Workers: workers}, nil
-	case "bnb", "branchbound":
-		return BranchBound{MaxNodes: maxNodes}, nil
-	default:
-		return nil, fmt.Errorf("optimize: unknown strategy %q (want greedy, anneal, multistart or bnb)", strategy)
-	}
-}
-
 // Value evaluates a placement under the problem's objective — the
 // number strategies are compared on.
 func Value(p Problem, pl *floorplan.Placement) (float64, error) {
-	obj, err := objective.New(p.Suit, p.Mask, p.objectiveParams())
+	obj, err := p.newObjective()
 	if err != nil {
 		return math.NaN(), err
 	}

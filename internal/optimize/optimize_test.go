@@ -4,11 +4,14 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/anneal"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
+	"repro/internal/objective"
 	"repro/internal/panel"
 )
+
+// hotspotSuit is a gentle x-gradient with two hot islands the greedy
+// may exploit suboptimally.
 
 func hotspotSuit(w, h int) *floorplan.Suitability {
 	s := &floorplan.Suitability{W: w, H: h, S: make([]float64, w*h)}
@@ -33,19 +36,33 @@ func fullMask(w, h int) *geom.Mask {
 	return m
 }
 
-func problemFixture() Problem {
+// gradientSuit rises to the right and, more gently, downwards.
+func gradientSuit(w, h int) *floorplan.Suitability {
+	s := &floorplan.Suitability{W: w, H: h, S: make([]float64, w*h)}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			s.S[y*w+x] = float64(x) + 0.1*float64(y)
+		}
+	}
+	return s
+}
+
+// problemFixture is a w x h hotspot roof for four 8x4 modules in two
+// strings under the standard objective.
+func problemFixture(w, h int) Problem {
 	return Problem{
-		Suit: hotspotSuit(64, 32),
-		Mask: fullMask(64, 32),
+		Suit: hotspotSuit(w, h),
+		Mask: fullMask(w, h),
 		Opts: floorplan.Options{
 			Shape:    floorplan.ModuleShape{W: 8, H: 4},
 			Topology: panel.Topology{SeriesPerString: 2, Strings: 2},
 		},
+		WiringWeight: objective.DefaultWiringWeight,
 	}
 }
 
 func TestGreedyPlacerMatchesPlan(t *testing.T) {
-	p := problemFixture()
+	p := problemFixture(64, 32)
 	got, err := Greedy{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +82,12 @@ func TestGreedyPlacerMatchesPlan(t *testing.T) {
 }
 
 func TestAnnealedNeverWorseThanGreedyUnderObjective(t *testing.T) {
-	p := problemFixture()
+	p := problemFixture(64, 32)
 	greedy, err := Greedy{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Annealed{Seed: 3, Iterations: anneal.Ptr(8000)}.Place(p)
+	refined, err := Annealed{Seed: 3, Iterations: 8000}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +108,8 @@ func TestAnnealedNeverWorseThanGreedyUnderObjective(t *testing.T) {
 }
 
 func TestMultiStartNeverWorseThanSingleAnneal(t *testing.T) {
-	p := problemFixture()
-	iters := anneal.Ptr(4000)
+	p := problemFixture(64, 32)
+	const iters = 4000
 	single, err := Annealed{Seed: 1, Iterations: iters}.Place(p)
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +137,8 @@ func TestMultiStartNeverWorseThanSingleAnneal(t *testing.T) {
 }
 
 func TestMultiStartDeterministicAcrossWorkerCounts(t *testing.T) {
-	p := problemFixture()
-	iters := anneal.Ptr(3000)
+	p := problemFixture(64, 32)
+	const iters = 3000
 	var ref *floorplan.Placement
 	var refVal float64
 	for _, workers := range []int{1, 2, 8} {
@@ -164,52 +181,5 @@ func TestRestartSeedIsPureAndSpread(t *testing.T) {
 	}
 	if len(seen) != 4*64 {
 		t.Errorf("restart seeds collide: %d distinct of %d", len(seen), 4*64)
-	}
-}
-
-func TestBranchBoundBeatsOrMatchesGreedyOnSmallInstance(t *testing.T) {
-	p := problemFixture()
-	p.Opts.Topology = panel.Topology{SeriesPerString: 2, Strings: 1}
-	greedy, err := Greedy{}.Place(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := BranchBound{}.Place(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.SuitabilitySum < greedy.SuitabilitySum-1e-9 {
-		t.Errorf("exact suitability %f below greedy %f", exact.SuitabilitySum, greedy.SuitabilitySum)
-	}
-	if len(exact.Rects) != 2 || !exact.OverlapFree() || !exact.WithinMask(p.Mask) {
-		t.Error("exact placement infeasible")
-	}
-}
-
-func TestByStrategy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want string
-	}{
-		{"", "greedy"},
-		{"greedy", "greedy"},
-		{"anneal", "anneal"},
-		{"multistart", "multistart"},
-		{"bnb", "bnb"},
-		{"branchbound", "bnb"},
-	} {
-		pl, err := ByStrategy(tc.in, 1, nil, 0, 0, 0)
-		if err != nil {
-			t.Fatalf("ByStrategy(%q): %v", tc.in, err)
-		}
-		if got := pl.Name(); got != tc.want {
-			t.Errorf("ByStrategy(%q).Name() = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-	if _, err := ByStrategy("quantum", 0, nil, 0, 0, 0); err == nil {
-		t.Error("unknown strategy must error")
-	}
-	if got := (MultiStart{Restarts: 5}).Name(); got != "multistart(5)" {
-		t.Errorf("MultiStart name = %q", got)
 	}
 }

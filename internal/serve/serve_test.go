@@ -89,6 +89,14 @@ func TestRequestValidation(t *testing.T) {
 		{"ragged modules", "/v1/run", `{"scenario":"roof1","modules":12}`, "multiple of 8"},
 		{"bad fidelity", "/v1/run", `{"scenario":"roof1","modules":8,"fidelity":"warp"}`, "unknown fidelity"},
 		{"bad strategy", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"magic"}}`, "unknown optimizer strategy"},
+		{"negative iterations", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"anneal","iterations":-5}}`, "iterations -5"},
+		{"huge iterations", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"anneal","iterations":1000000000}}`, "iterations 1000000000"},
+		{"negative restarts", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":-3}}`, "restarts -3"},
+		{"huge restarts", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":100000}}`, "restarts 100000"},
+		{"negative search workers", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","search_workers":-1}}`, "search_workers"},
+		{"negative wiring weight", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"wiring_weight":-0.5}}`, "wiring_weight"},
+		{"batch huge restarts", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8},{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":100000}}]}`, "runs[1]"},
+		{"district negative iterations", "/v1/district", `{"demo":true,"optimizer":{"strategy":"anneal","iterations":-5}}`, "iterations -5"},
 		{"empty batch", "/v1/batch", `{"runs":[]}`, "empty batch"},
 		{"batch bad entry", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8},{"scenario":"nope","modules":8}]}`, "runs[1]"},
 		{"district no tile", "/v1/district", `{}`, "exactly one of tile_asc, tile_ref or demo"},
@@ -117,6 +125,24 @@ func TestRequestValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", eb.Error.Message, tc.wantErr)
 			}
 		})
+	}
+}
+
+func TestOptimizerSearchWorkersClampedToFieldPool(t *testing.T) {
+	for _, tc := range []struct{ req, pool, want int }{
+		{0, 2, 2},
+		{1, 2, 1},
+		{99, 2, 2},
+		{3, 4, 3},
+	} {
+		cfg, err := OptimizerRequest{Strategy: "multistart", SearchWorkers: tc.req}.config(tc.pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.SearchWorkers != tc.want {
+			t.Errorf("search_workers %d on a %d-worker pool = %d, want %d",
+				tc.req, tc.pool, cfg.SearchWorkers, tc.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -222,17 +223,44 @@ func parseFidelity(s string) (pvfloor.Fidelity, error) {
 	}
 }
 
-func (or OptimizerRequest) config() (pvfloor.OptimizerConfig, error) {
+// Caps on the untrusted optimizer budget: an in-flight roof is never
+// interrupted, so an unbounded walk would pin a run slot.
+const (
+	maxIterations = 1_000_000
+	maxRestarts   = 64
+)
+
+// config validates the optimizer block and clamps its search pool to
+// the server's field-worker pool (results are identical for every
+// worker count).
+func (or OptimizerRequest) config(fieldWorkers int) (pvfloor.OptimizerConfig, error) {
 	strat, err := pvfloor.ParseStrategy(or.Strategy)
 	if err != nil {
 		return pvfloor.OptimizerConfig{}, err
+	}
+	switch {
+	case or.Iterations < 0 || or.Iterations > maxIterations:
+		return pvfloor.OptimizerConfig{}, fmt.Errorf("optimizer iterations %d outside [0, %d]", or.Iterations, maxIterations)
+	case or.Restarts < 0 || or.Restarts > maxRestarts:
+		return pvfloor.OptimizerConfig{}, fmt.Errorf("optimizer restarts %d outside [0, %d]", or.Restarts, maxRestarts)
+	case or.SearchWorkers < 0:
+		return pvfloor.OptimizerConfig{}, fmt.Errorf("negative optimizer search_workers %d", or.SearchWorkers)
+	case or.WiringWeight < 0:
+		return pvfloor.OptimizerConfig{}, fmt.Errorf("negative optimizer wiring_weight %g", or.WiringWeight)
+	}
+	if fieldWorkers <= 0 {
+		fieldWorkers = runtime.GOMAXPROCS(0)
+	}
+	workers := or.SearchWorkers
+	if workers == 0 || workers > fieldWorkers {
+		workers = fieldWorkers
 	}
 	return pvfloor.OptimizerConfig{
 		Strategy:        strat,
 		Seed:            or.Seed,
 		Iterations:      or.Iterations,
 		Restarts:        or.Restarts,
-		SearchWorkers:   or.SearchWorkers,
+		SearchWorkers:   workers,
 		WiringWeight:    or.WiringWeight,
 		NoWiringPenalty: or.NoWiringPenalty,
 	}, nil
@@ -252,7 +280,7 @@ func (s *Server) runConfig(req RunRequest) (pvfloor.Config, error) {
 	if err != nil {
 		return pvfloor.Config{}, err
 	}
-	opt, err := req.Optimizer.config()
+	opt, err := req.Optimizer.config(s.opts.FieldWorkers)
 	if err != nil {
 		return pvfloor.Config{}, err
 	}
@@ -279,7 +307,7 @@ func (s *Server) districtConfig(req DistrictRequest, tile *dsm.Raster, nodata *g
 	if err != nil {
 		return pvfloor.DistrictConfig{}, err
 	}
-	opt, err := req.Optimizer.config()
+	opt, err := req.Optimizer.config(s.opts.FieldWorkers)
 	if err != nil {
 		return pvfloor.DistrictConfig{}, err
 	}

@@ -3,7 +3,7 @@ package pvfloor
 import (
 	"fmt"
 
-	"repro/internal/anneal"
+	"repro/internal/objective"
 	"repro/internal/optimize"
 )
 
@@ -71,8 +71,6 @@ type OptimizerConfig struct {
 	// NoWiringPenalty drops the wiring term from the refinement
 	// objective entirely.
 	NoWiringPenalty bool
-	// MaxNodes caps the bnb search (0 = the opt package default).
-	MaxNodes int
 }
 
 // label returns the strategy tag batch names carry ("" for the
@@ -86,21 +84,30 @@ func (oc OptimizerConfig) label() string {
 
 // placer resolves the config into an internal/optimize Placer.
 func (oc OptimizerConfig) placer() (optimize.Placer, error) {
-	var iterations *int
-	if oc.Iterations != 0 {
-		iterations = anneal.Ptr(oc.Iterations)
+	switch oc.Strategy {
+	case "", StrategyGreedy:
+		return optimize.Greedy{}, nil
+	case StrategyAnneal:
+		return optimize.Annealed{Seed: oc.Seed, Iterations: oc.Iterations}, nil
+	case StrategyMultiStart:
+		return optimize.MultiStart{Seed: oc.Seed, Iterations: oc.Iterations,
+			Restarts: oc.Restarts, Workers: oc.SearchWorkers}, nil
+	case StrategyBranchBound:
+		return optimize.BranchBound{}, nil
+	default:
+		return nil, fmt.Errorf("pvfloor: unknown optimizer strategy %q (want greedy, anneal, multistart or bnb)", oc.Strategy)
 	}
-	return optimize.ByStrategy(string(oc.Strategy), oc.Seed, iterations,
-		oc.Restarts, oc.SearchWorkers, oc.MaxNodes)
 }
 
-// wiringWeight resolves the objective weight override (nil = default).
-func (oc OptimizerConfig) wiringWeight() *float64 {
-	if oc.NoWiringPenalty {
-		return anneal.Ptr(0.0)
+// wiringWeight resolves the objective's cable price: 0 under
+// NoWiringPenalty, else the override, else the default.
+func (oc OptimizerConfig) wiringWeight() float64 {
+	switch {
+	case oc.NoWiringPenalty:
+		return 0
+	case oc.WiringWeight != 0:
+		return oc.WiringWeight
+	default:
+		return objective.DefaultWiringWeight
 	}
-	if oc.WiringWeight != 0 {
-		return anneal.Ptr(oc.WiringWeight)
-	}
-	return nil
 }

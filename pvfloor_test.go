@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/objective"
 	"repro/internal/scenario"
 )
 
@@ -161,6 +162,47 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if _, err := ParseStrategy("tabu"); err == nil {
 		t.Error("unknown strategy must error")
+	}
+}
+
+func TestOptimizerPlacer(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  OptimizerConfig
+		want string
+	}{
+		{OptimizerConfig{}, "greedy"},
+		{OptimizerConfig{Strategy: StrategyGreedy}, "greedy"},
+		{OptimizerConfig{Strategy: StrategyAnneal}, "anneal"},
+		{OptimizerConfig{Strategy: StrategyMultiStart}, "multistart"},
+		{OptimizerConfig{Strategy: StrategyMultiStart, Restarts: 5}, "multistart(5)"},
+		{OptimizerConfig{Strategy: StrategyBranchBound}, "bnb"},
+	} {
+		pl, err := tc.cfg.placer()
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.cfg, err)
+		}
+		if got := pl.Name(); got != tc.want {
+			t.Errorf("%+v placer = %q, want %q", tc.cfg, got, tc.want)
+		}
+	}
+	if _, err := (OptimizerConfig{Strategy: "quantum"}).placer(); err == nil {
+		t.Error("unknown strategy must error")
+	}
+}
+
+func TestOptimizerWiringWeight(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  OptimizerConfig
+		want float64
+	}{
+		{OptimizerConfig{}, objective.DefaultWiringWeight},
+		{OptimizerConfig{WiringWeight: 1.5}, 1.5},
+		{OptimizerConfig{NoWiringPenalty: true}, 0},
+		{OptimizerConfig{WiringWeight: 1.5, NoWiringPenalty: true}, 0},
+	} {
+		if got := tc.cfg.wiringWeight(); got != tc.want {
+			t.Errorf("%+v wiring weight = %g, want %g", tc.cfg, got, tc.want)
+		}
 	}
 }
 
