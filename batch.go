@@ -86,13 +86,12 @@ type fieldGroup struct {
 // groupKey identifies a shareable field: same scenario object, same
 // horizon fidelity, a calendar with the same fingerprint (two Grid
 // instances enumerating identical instants share), and the same
-// artifact cache directory.
+// artifact cache handle.
 type groupKey struct {
-	sc       *scenario.Scenario
-	fast     bool
-	grid     string
-	cacheDir string
-	cache    *fieldcache.Cache
+	sc    *scenario.Scenario
+	fast  bool
+	grid  string
+	cache *fieldcache.Cache
 }
 
 // RunBatch executes many pipeline configurations concurrently — the
@@ -101,7 +100,7 @@ type groupKey struct {
 // share one solar field via the RunWithField amortisation, so a sweep
 // of module counts, planner options or optimizer strategies
 // (Config.Optimizer) over one roof pays for the field construction
-// and the per-cell statistics pass exactly once. With Config.CacheDir
+// and the per-cell statistics pass exactly once. With Config.Cache
 // set, both are additionally served from the persistent artifact
 // cache, so a re-run of the whole batch over unchanged roofs skips
 // horizon construction and the statistics pass entirely — across
@@ -127,11 +126,10 @@ func RunBatch(cfgs []Config, opts BatchOptions) ([]BatchRun, error) {
 			continue
 		}
 		k := groupKey{
-			sc:       cfg.Scenario,
-			fast:     cfg.Fidelity != Full,
-			grid:     cfg.effectiveGrid().Fingerprint(),
-			cacheDir: cfg.CacheDir,
-			cache:    cfg.Cache,
+			sc:    cfg.Scenario,
+			fast:  cfg.Fidelity != Full,
+			grid:  cfg.effectiveGrid().Fingerprint(),
+			cache: cfg.Cache,
 		}
 		keys[i] = k
 		if _, ok := groups[k]; !ok {
@@ -218,11 +216,10 @@ func runOne(i int, cfg Config, g *fieldGroup) BatchRun {
 	g.once.Do(func() {
 		g.built = int32(i)
 		g.ev, g.err = cfg.Scenario.FieldWith(scenario.FieldConfig{
-			Grid:     cfg.effectiveGrid(),
-			Fast:     cfg.Fidelity != Full,
-			Workers:  g.workers,
-			CacheDir: cfg.CacheDir,
-			Cache:    cfg.Cache,
+			Grid:    cfg.effectiveGrid(),
+			Fast:    cfg.Fidelity != Full,
+			Workers: g.workers,
+			Cache:   cfg.Cache,
 		})
 	})
 	br.FieldBuilt = g.built == int32(i) && g.err == nil

@@ -137,7 +137,7 @@ func TestBatchTableI(t *testing.T) {
 }
 
 // TestRunBatchWarmCacheSkipsRecomputation: with a persistent cache
-// directory, a second batch over the same unchanged roof must restore
+// handle, a second batch over the same unchanged roof must restore
 // horizon maps and statistics from disk — no ray marching, no kernel
 // pass — and produce bit-identical results.
 func TestRunBatchWarmCacheSkipsRecomputation(t *testing.T) {
@@ -145,10 +145,10 @@ func TestRunBatchWarmCacheSkipsRecomputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
+	cache := openTestCache(t, t.TempDir())
 	cfgs := []Config{
-		{Scenario: sc, Modules: 8, CacheDir: dir},
-		{Scenario: sc, Modules: 16, CacheDir: dir},
+		{Scenario: sc, Modules: 8, Cache: cache},
+		{Scenario: sc, Modules: 16, Cache: cache},
 	}
 	cold, err := RunBatch(cfgs, BatchOptions{})
 	if err != nil {
@@ -196,22 +196,24 @@ func TestRunBatchWarmCacheSkipsRecomputation(t *testing.T) {
 }
 
 // TestRunBatchConcurrentSharedCacheDir: concurrent batches sharing one
-// cache directory must be race-clean (run under -race in CI) and all
-// succeed with consistent results.
+// cache directory, each through its own handle (as separate processes
+// would), must be race-clean (run under -race in CI) and all succeed
+// with consistent results.
 func TestRunBatchConcurrentSharedCacheDir(t *testing.T) {
 	sc, err := Residential()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cfgs := []Config{
-		{Scenario: sc, Modules: 8, CacheDir: dir},
-		{Scenario: sc, Modules: 16, CacheDir: dir},
-	}
 	const callers = 3
 	results := make([][]BatchRun, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
+		cache := openTestCache(t, dir)
+		cfgs := []Config{
+			{Scenario: sc, Modules: 8, Cache: cache},
+			{Scenario: sc, Modules: 16, Cache: cache},
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

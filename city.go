@@ -67,19 +67,17 @@ type CityConfig struct {
 
 	// The remaining knobs mirror DistrictConfig and are applied to
 	// every tile's district run.
-	Extract        district.Options
-	Site           district.SiteConfig
-	Modules        int
-	MaxModules     int
-	Fidelity       Fidelity
-	Grid           *timegrid.Grid
-	Optimizer      OptimizerConfig
-	SkipBaseline   bool
-	CacheDir       string
-	Cache          *fieldcache.Cache
-	PerRoofHorizon bool
-	Concurrency    int
-	FieldWorkers   int
+	Extract      district.Options
+	Site         district.SiteConfig
+	Modules      int
+	MaxModules   int
+	Fidelity     Fidelity
+	Grid         *timegrid.Grid
+	Optimizer    OptimizerConfig
+	SkipBaseline bool
+	Cache        *fieldcache.Cache
+	Concurrency  int
+	FieldWorkers int
 
 	// Economics switches the stitched city result into
 	// economics-aware fleet ranking (see EconConfig). The pass runs
@@ -512,8 +510,7 @@ func (cfg CityConfig) runTileAttempt(ctx context.Context, t int, core, window, b
 		Modules: cfg.Modules, MaxModules: cfg.MaxModules,
 		Fidelity: cfg.Fidelity, Grid: cfg.Grid,
 		Optimizer: cfg.Optimizer, SkipBaseline: cfg.SkipBaseline,
-		CacheDir: cfg.CacheDir, Cache: cfg.Cache, PerRoofHorizon: cfg.PerRoofHorizon,
-		Concurrency: cfg.Concurrency, FieldWorkers: cfg.FieldWorkers,
+		Cache: cfg.Cache, Concurrency: cfg.Concurrency, FieldWorkers: cfg.FieldWorkers,
 		Context: ctx,
 		Progress: func(ev DistrictEvent) {
 			ev.Roof.Rect = offsetRect(ev.Roof.Rect, origin)

@@ -206,18 +206,24 @@ func TestRunCitySubWindowEquivalence(t *testing.T) {
 // cache: a second city run over the same DSM and partitioning
 // restores every per-window tilehorizon artifact (window content
 // hashes include the origin, so tiles cannot collide) and ray-marches
-// nothing.
+// nothing. Every tile runs on the one handle, so its metrics account
+// for the whole city: the warm sweep hits exactly what the cold sweep
+// stored and neither misses nor stores anything.
 func TestRunCityWarmCache(t *testing.T) {
 	tile := loadNeighborhoodTile(t)
-	dir := t.TempDir()
+	cache := openTestCache(t, t.TempDir())
 	cfg := CityConfig{
 		Source:    &gis.RasterSource{Raster: tile},
 		TileCells: 80,
-		CacheDir:  dir,
+		Cache:     cache,
 	}
 	cold, err := RunCity(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	coldM := cache.Metrics()
+	if coldM.Stores == 0 {
+		t.Fatal("cold city run stored no artifacts on the shared handle")
 	}
 	before := horizon.BuildCount()
 	warm, err := RunCity(cfg)
@@ -226,6 +232,11 @@ func TestRunCityWarmCache(t *testing.T) {
 	}
 	if d := horizon.BuildCount() - before; d != 0 {
 		t.Errorf("warm city run ray-marched %d horizon maps, want 0", d)
+	}
+	warmM := cache.Metrics()
+	if hits, misses, stores := warmM.Hits-coldM.Hits, warmM.Misses-coldM.Misses, warmM.Stores-coldM.Stores; hits != coldM.Stores || misses != 0 || stores != 0 {
+		t.Errorf("warm city run: %d hits / %d misses / %d stores on the shared handle, want %d / 0 / 0",
+			hits, misses, stores, coldM.Stores)
 	}
 	requireCityMatchesDistrict(t, warm, &DistrictResult{
 		Plans:               plansOf(cold),

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	pvfloor "repro"
+	"repro/internal/fieldcache"
 	"repro/internal/scenario"
 )
 
@@ -65,6 +66,12 @@ func main() {
 	if *full {
 		fid = pvfloor.Full
 	}
+	var cache *fieldcache.Cache
+	if *cacheDir != "" {
+		if cache, err = pvfloor.OpenCache(*cacheDir); err != nil {
+			log.Fatal(err)
+		}
+	}
 	var cfgs []pvfloor.Config
 	for _, sc := range scs {
 		for _, n := range ns {
@@ -74,7 +81,7 @@ func main() {
 					Modules:      n,
 					Fidelity:     fid,
 					SkipBaseline: *noBaseline,
-					CacheDir:     *cacheDir,
+					Cache:        cache,
 					Optimizer: pvfloor.OptimizerConfig{
 						Strategy: strat,
 						Seed:     *seed,

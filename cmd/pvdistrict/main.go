@@ -57,6 +57,7 @@ import (
 	pvfloor "repro"
 	"repro/internal/district"
 	"repro/internal/dsm"
+	"repro/internal/fieldcache"
 	"repro/internal/geom"
 	"repro/internal/gis"
 )
@@ -76,7 +77,6 @@ func main() {
 	runs := flag.Int("runs", 0, "concurrent roof runs (0 = one per CPU)")
 	workers := flag.Int("workers", 0, "solar-field workers per roof (0 = one per CPU)")
 	cacheDir := flag.String("cache", "", "persistent field-artifact cache directory")
-	perRoofHorizon := flag.Bool("per-roof-horizon", false, "disable the shared tile horizon and ray-march one map per roof (debug/compare)")
 	noBaseline := flag.Bool("nobaseline", false, "skip the compact baseline placements")
 	minHeight := flag.Float64("minheight", 0, "extraction: min height above ground in metres (0 = default 2.5)")
 	minArea := flag.Int("minarea", 0, "extraction: min roof footprint in cells (0 = default 60)")
@@ -112,6 +112,12 @@ func main() {
 	if *full {
 		fid = pvfloor.Full
 	}
+	var cache *fieldcache.Cache
+	if *cacheDir != "" {
+		if cache, err = pvfloor.OpenCache(*cacheDir); err != nil {
+			log.Fatal(err)
+		}
+	}
 	if *city {
 		runCity(cityFlags{
 			tilePath: *tilePath, demo: *demo, asJSON: *asJSON,
@@ -130,15 +136,14 @@ func main() {
 					MaxRoofs:            *maxRoofs,
 					SuitableMarginCells: *margin,
 				},
-				Modules:        *modules,
-				MaxModules:     *maxModules,
-				Fidelity:       fid,
-				SkipBaseline:   *noBaseline,
-				Economics:      econCfg,
-				CacheDir:       *cacheDir,
-				PerRoofHorizon: *perRoofHorizon,
-				Concurrency:    *runs,
-				FieldWorkers:   *workers,
+				Modules:      *modules,
+				MaxModules:   *maxModules,
+				Fidelity:     fid,
+				SkipBaseline: *noBaseline,
+				Economics:    econCfg,
+				Cache:        cache,
+				Concurrency:  *runs,
+				FieldWorkers: *workers,
 				Optimizer: pvfloor.OptimizerConfig{
 					Strategy: strat,
 					Seed:     *seed,
@@ -165,15 +170,14 @@ func main() {
 			MaxRoofs:            *maxRoofs,
 			SuitableMarginCells: *margin,
 		},
-		Modules:        *modules,
-		MaxModules:     *maxModules,
-		Fidelity:       fid,
-		SkipBaseline:   *noBaseline,
-		Economics:      econCfg,
-		CacheDir:       *cacheDir,
-		PerRoofHorizon: *perRoofHorizon,
-		Concurrency:    *runs,
-		FieldWorkers:   *workers,
+		Modules:      *modules,
+		MaxModules:   *maxModules,
+		Fidelity:     fid,
+		SkipBaseline: *noBaseline,
+		Economics:    econCfg,
+		Cache:        cache,
+		Concurrency:  *runs,
+		FieldWorkers: *workers,
 		Optimizer: pvfloor.OptimizerConfig{
 			Strategy: strat,
 			Seed:     *seed,

@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 
 	pvfloor "repro"
+	"repro/internal/fieldcache"
 	"repro/internal/render"
 	"repro/internal/report"
 	"repro/internal/scenario"
@@ -55,11 +56,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var cache *fieldcache.Cache
+	if *cacheDir != "" {
+		if cache, err = pvfloor.OpenCache(*cacheDir); err != nil {
+			log.Fatal(err)
+		}
+	}
 	res, err := pvfloor.Run(pvfloor.Config{
 		Scenario: sc,
 		Modules:  *modules,
 		Fidelity: fid,
-		CacheDir: *cacheDir,
+		Cache:    cache,
 		Optimizer: pvfloor.OptimizerConfig{
 			Strategy:   strategy,
 			Seed:       *seed,

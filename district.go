@@ -47,22 +47,13 @@ type DistrictConfig struct {
 	Optimizer OptimizerConfig
 	// SkipBaseline skips the compact reference placements.
 	SkipBaseline bool
-	// CacheDir enables the persistent field-artifact cache. At
-	// district scale this is the difference between re-simulating the
-	// whole neighborhood and re-reading it: roofs are keyed by tile
-	// content + roof rect, so an unchanged tile re-runs warm.
-	CacheDir string
-	// Cache, when non-nil, is the artifact cache handle to use
-	// directly and takes precedence over CacheDir — the way a
-	// long-lived caller (pvserve) shares one metrics surface and one
-	// remote blob tier across every district run.
+	// Cache, when non-nil, enables the persistent field-artifact
+	// cache (see OpenCache). At district scale this is the difference
+	// between re-simulating the whole neighborhood and re-reading it:
+	// roofs are keyed by tile content + roof rect, so an unchanged
+	// tile re-runs warm. The one handle serves the tile horizon and
+	// every roof's field, so its metrics cover the whole run.
 	Cache *fieldcache.Cache
-	// PerRoofHorizon disables the tile-level shared horizon and
-	// ray-marches one horizon map per roof, as earlier releases did.
-	// The shared path is bit-identical and strictly cheaper (the tile
-	// is marched once and every roof slices its view), so this is an
-	// escape hatch for comparison and debugging, not a tuning knob.
-	PerRoofHorizon bool
 	// Economics switches the run into economics-aware fleet ranking:
 	// every planned roof is priced through internal/econ over the
 	// panel catalog, and ranking/totals follow the configured
@@ -226,7 +217,7 @@ func (dr *DistrictResult) DistrictGainPct() float64 {
 
 // RunDistrict executes the district pipeline: extract every roof from
 // the tile, derive a scenario per roof, fan the roofs through the
-// concurrent batch engine (sharing the artifact cache when CacheDir is
+// concurrent batch engine (sharing the artifact cache when Cache is
 // set), and rank the outcomes. Roofs whose initial module count finds
 // no feasible placement are retried with progressively fewer modules
 // (multiples of 8, the paper's string length) before being reported as
@@ -265,21 +256,13 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the artifact cache once for the whole district run: the
-	// shared handle serves the tile horizon below and (via roofConfig)
-	// every per-roof field build, so metrics aggregate in one place.
-	if cfg.Cache == nil && cfg.CacheDir != "" {
-		if cfg.Cache, err = fieldcache.Open(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	// Tile-level shared horizon: march the union of the roof rects once
 	// and let every roof's evaluator slice its view from the result —
 	// bit-identical to the per-roof builds it replaces (the per-cell
 	// march depends only on the raster and the cell) and cached as one
 	// tile artifact when the cache is enabled, so a warm district run
 	// restores a single entry instead of one map per roof.
-	if !cfg.PerRoofHorizon && len(ex.Roofs) > 0 {
+	if len(ex.Roofs) > 0 {
 		var hopts horizon.Options
 		if cfg.Fidelity != Full {
 			hopts = scenario.FastHorizonOptions()
@@ -419,11 +402,10 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 func (cfg DistrictConfig) retryShrinking(rp *RoofPlan) {
 	start := time.Now()
 	ev, err := rp.Scenario.FieldWith(scenario.FieldConfig{
-		Grid:     cfg.roofConfig(rp.Scenario, rp.Modules).effectiveGrid(),
-		Fast:     cfg.Fidelity != Full,
-		Workers:  cfg.FieldWorkers,
-		CacheDir: cfg.CacheDir,
-		Cache:    cfg.Cache,
+		Grid:    cfg.roofConfig(rp.Scenario, rp.Modules).effectiveGrid(),
+		Fast:    cfg.Fidelity != Full,
+		Workers: cfg.FieldWorkers,
+		Cache:   cfg.Cache,
 	})
 	if err != nil {
 		rp.Run.Err = fmt.Errorf("pvfloor: district retry (%s): field: %w", rp.Run.Name, err)
@@ -455,7 +437,6 @@ func (cfg DistrictConfig) roofConfig(sc *scenario.Scenario, n int) Config {
 		Grid:         cfg.Grid,
 		Optimizer:    cfg.Optimizer,
 		SkipBaseline: cfg.SkipBaseline,
-		CacheDir:     cfg.CacheDir,
 		Cache:        cfg.Cache,
 	}
 }

@@ -89,12 +89,7 @@ func districtFingerprint(res *DistrictResult) string {
 			math.Float64bits(rp.Roof.Plane.SlopeDeg), math.Float64bits(rp.Roof.Plane.AspectDeg),
 			rp.Modules, rp.Skipped, rp.Run.Err != nil)
 		if rp.Planned() {
-			r := rp.Run.Result
-			fmt.Fprintf(&sb, " prop=%x trad=%x wire=%x anchors=%v trad-anchors=%v",
-				math.Float64bits(r.ProposedEval.NetMWh()),
-				math.Float64bits(r.TraditionalEval.NetMWh()),
-				math.Float64bits(r.ProposedEval.WiringExtraM),
-				r.Proposed.Anchors(), r.Traditional.Anchors())
+			sb.WriteString(resultFingerprint(rp.Run.Result))
 		}
 		sb.WriteByte('\n')
 	}
@@ -102,6 +97,16 @@ func districtFingerprint(res *DistrictResult) string {
 		math.Float64bits(res.TotalProposedMWh), math.Float64bits(res.TotalTraditionalMWh),
 		math.Float64bits(res.TotalWiringExtraM))
 	return sb.String()
+}
+
+// resultFingerprint renders one run's placements and energies
+// bit-exactly.
+func resultFingerprint(r *Result) string {
+	return fmt.Sprintf(" prop=%x trad=%x wire=%x anchors=%v trad-anchors=%v",
+		math.Float64bits(r.ProposedEval.NetMWh()),
+		math.Float64bits(r.TraditionalEval.NetMWh()),
+		math.Float64bits(r.ProposedEval.WiringExtraM),
+		r.Proposed.Anchors(), r.Traditional.Anchors())
 }
 
 // TestRunDistrictDeterministicAcrossWorkers is the district
@@ -220,7 +225,8 @@ func TestDistrictTableFormat(t *testing.T) {
 // TestRunDistrictSharedCacheConcurrentReuse is the shared-dir stress
 // gate for the tile-level horizon artifact: one warm-up district run
 // populates the cache, then several district runs execute concurrently
-// against the same directory. Every run must restore the one tile
+// against the same directory, each through its own cache handle (as
+// separate processes would). Every run must restore the one tile
 // horizon instead of ray-marching (a zero global BuildCount delta
 // proves no run rebuilt anything) and produce a result bit-identical
 // to the warm-up. Run under -race this also pins the cache's
@@ -231,7 +237,7 @@ func TestRunDistrictSharedCacheConcurrentReuse(t *testing.T) {
 	}
 	tile := loadNeighborhoodTile(t)
 	dir := t.TempDir()
-	warm, err := RunDistrict(DistrictConfig{Tile: tile, CacheDir: dir})
+	warm, err := RunDistrict(DistrictConfig{Tile: tile, Cache: openTestCache(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +249,11 @@ func TestRunDistrictSharedCacheConcurrentReuse(t *testing.T) {
 	errs := make([]error, runs)
 	var wg sync.WaitGroup
 	for i := 0; i < runs; i++ {
+		cache := openTestCache(t, dir)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := RunDistrict(DistrictConfig{Tile: tile, CacheDir: dir, Concurrency: 2})
+			res, err := RunDistrict(DistrictConfig{Tile: tile, Cache: cache, Concurrency: 2})
 			if err != nil {
 				errs[i] = err
 				return

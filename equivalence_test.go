@@ -383,45 +383,71 @@ func TestSharedHorizonEquivalenceOnRoofs(t *testing.T) {
 }
 
 // TestDistrictSharedHorizonEquivalence is the district-level contract:
-// on the neighborhood tile, the shared-tile horizon path (the default)
-// and the per-roof escape hatch must produce bit-identical district
-// results — placements, energies, ranking — for Concurrency and
-// FieldWorkers 1, 2 and 8, while building the horizon exactly once per
-// tile instead of once per roof.
+// on the neighborhood tile, RunDistrict marches the horizon exactly
+// once per tile for Concurrency and FieldWorkers 1, 2 and 8, and every
+// planned roof's placements and energies are bit-identical to a
+// reference run on a per-roof field (the roof's scenario with the
+// shared map removed, so its field ray-marches its own horizon) at the
+// same worker count. District results also agree across worker counts.
 func TestDistrictSharedHorizonEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six district sweeps")
+		t.Skip("runs three district sweeps plus a per-roof reference for every roof")
 	}
 	tile := loadNeighborhoodTile(t)
 	var ref string
 	for _, w := range []int{1, 2, 8} {
-		for _, perRoof := range []bool{false, true} {
+		before := horizon.BuildCount()
+		res, err := RunDistrict(DistrictConfig{
+			Tile:         tile,
+			Concurrency:  w,
+			FieldWorkers: w,
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", w, err)
+		}
+		if builds := horizon.BuildCount() - before; builds != 1 {
+			t.Errorf("workers %d: %d horizon builds, want exactly 1 per tile", w, builds)
+		}
+		if fp := districtFingerprint(res); ref == "" {
+			ref = fp
+		} else if fp != ref {
+			t.Fatalf("workers %d: district result differs:\n--- ref ---\n%s--- got ---\n%s", w, ref, fp)
+		}
+
+		planned := 0
+		for i := range res.Plans {
+			rp := &res.Plans[i]
+			if !rp.Planned() {
+				continue
+			}
+			planned++
+			perRoof := *rp.Scenario
+			perRoof.SharedHorizon = nil
+			cfg := rp.Run.Config
+			cfg.Scenario = &perRoof
 			before := horizon.BuildCount()
-			res, err := RunDistrict(DistrictConfig{
-				Tile:           tile,
-				PerRoofHorizon: perRoof,
-				Concurrency:    w,
-				FieldWorkers:   w,
+			ev, err := perRoof.FieldWith(scenario.FieldConfig{
+				Grid:    cfg.effectiveGrid(),
+				Fast:    cfg.Fidelity != Full,
+				Workers: w,
 			})
 			if err != nil {
-				t.Fatalf("workers %d perRoof %v: %v", w, perRoof, err)
+				t.Fatalf("workers %d roof %d: per-roof field: %v", w, i, err)
 			}
-			builds := horizon.BuildCount() - before
-			if perRoof {
-				if want := uint64(len(res.Plans)); builds != want {
-					t.Errorf("workers %d per-roof: %d horizon builds, want %d (one per roof)",
-						w, builds, want)
-				}
-			} else if builds != 1 {
-				t.Errorf("workers %d shared: %d horizon builds, want exactly 1 per tile", w, builds)
+			if builds := horizon.BuildCount() - before; builds != 1 {
+				t.Errorf("workers %d roof %d: per-roof reference marched %d horizons, want 1", w, i, builds)
 			}
-			fp := districtFingerprint(res)
-			if ref == "" {
-				ref = fp
-			} else if fp != ref {
-				t.Fatalf("workers %d perRoof %v: district result differs:\n--- ref ---\n%s--- got ---\n%s",
-					w, perRoof, ref, fp)
+			got, err := RunWithField(cfg, ev)
+			if err != nil {
+				t.Fatalf("workers %d roof %d: per-roof run: %v", w, i, err)
 			}
+			if g, d := resultFingerprint(got), resultFingerprint(rp.Run.Result); g != d {
+				t.Errorf("workers %d roof %d: per-roof reference differs from the district run:\n district:%s\n per-roof:%s",
+					w, i, d, g)
+			}
+		}
+		if planned == 0 {
+			t.Fatalf("workers %d: no planned roof; the test has lost its point", w)
 		}
 	}
 }

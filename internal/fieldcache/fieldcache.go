@@ -57,7 +57,6 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
-	"path/filepath"
 	"sync/atomic"
 
 	"repro/internal/blobstore"
@@ -83,7 +82,6 @@ type envelope struct {
 // usable; construct with Open, OpenFS or OpenTiered. All methods are
 // safe for concurrent use.
 type Cache struct {
-	dir   string
 	local *blobstore.Dir
 	store *blobstore.Tiered
 
@@ -148,7 +146,7 @@ func OpenTiered(cfg Config) (*Cache, error) {
 	if cfg.Dir == "" && cfg.Remote == nil {
 		return nil, fmt.Errorf("fieldcache: empty cache directory")
 	}
-	c := &Cache{dir: cfg.Dir}
+	c := &Cache{}
 	var tiers []blobstore.Tier
 	if cfg.Dir != "" {
 		local, err := blobstore.OpenDir(cfg.Dir, cfg.FS)
@@ -172,9 +170,6 @@ func OpenTiered(cfg Config) (*Cache, error) {
 	c.store = store
 	return c, nil
 }
-
-// Dir returns the local cache directory ("" for a remote-only cache).
-func (c *Cache) Dir() string { return c.dir }
 
 // Local returns the local directory tier, or nil for a remote-only
 // cache. pvserve mounts it at /v1/blobs so peers can use this process
@@ -204,11 +199,6 @@ func (c *Cache) Metrics() Metrics {
 func Key(kind, fingerprint string) string {
 	sum := sha256.Sum256([]byte(kind + "\x00" + fingerprint))
 	return fmt.Sprintf("%s-%x.gob", kind, sum[:16])
-}
-
-// path maps (kind, fingerprint) to the local artifact file.
-func (c *Cache) path(kind, fingerprint string) string {
-	return filepath.Join(c.dir, Key(kind, fingerprint))
 }
 
 // verifyEnvelope is the per-tier integrity gate: it decodes the frame,

@@ -172,7 +172,7 @@ func TestFingerprintCollisionGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := artifactFiles(t, dir)[0]
-	dst := c.path("stats", "fp-b")
+	dst := filepath.Join(dir, Key("stats", "fp-b"))
 	if err := os.Rename(src, dst); err != nil {
 		t.Fatal(err)
 	}

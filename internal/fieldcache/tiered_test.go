@@ -180,7 +180,7 @@ func TestOpenTieredRemoteOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Dir() != "" || c.Local() != nil {
+	if c.Local() != nil {
 		t.Fatal("remote-only cache reports a local tier")
 	}
 	var out tierArtifact

@@ -13,6 +13,7 @@ import (
 
 	pvfloor "repro"
 	"repro/internal/econ"
+	"repro/internal/jobs"
 )
 
 // waitFor polls until the condition holds (tests only).
@@ -78,7 +79,11 @@ func TestHealthz(t *testing.T) {
 // off the 8-string grid, and contradictory tile selections. All must
 // answer 400 with a JSON error body before any pipeline work starts.
 func TestRequestValidation(t *testing.T) {
-	s := newTestServer(t, Options{})
+	store, err := jobs.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Jobs: store})
 	cases := []struct {
 		name, path, body, wantErr string
 	}{
@@ -107,6 +112,13 @@ func TestRequestValidation(t *testing.T) {
 		{"district bad rank-by", "/v1/district", `{"demo":true,"econ":{"rank_by":"alphabetical"}}`, "unknown rank-by"},
 		{"district negative budget", "/v1/district", `{"demo":true,"econ":{"budget_usd":-1}}`, "negative budget"},
 		{"district bad panel class", "/v1/district", `{"demo":true,"econ":{"catalog":[{"name":"x","watts_stc":0}]}}`, "nameplate"},
+		{"city overflowing tile timeout", "/v1/city", `{"demo":true,"tile_timeout_ms":10000000000000}`, "tile_timeout_ms 10000000000000"},
+		{"city huge tile timeout", "/v1/city", `{"demo":true,"tile_timeout_ms":3600001}`, "tile_timeout_ms 3600001"},
+		{"city huge backoff", "/v1/city", `{"demo":true,"backoff_ms":3600001}`, "backoff_ms 3600001"},
+		{"city huge tile retries", "/v1/city", `{"demo":true,"tile_retries":17}`, "tile_retries 17"},
+		{"job overflowing backoff", "/v1/jobs", `{"city":{"demo":true,"backoff_ms":10000000000000}}`, "backoff_ms 10000000000000"},
+		{"job huge tile timeout", "/v1/jobs", `{"city":{"demo":true,"tile_timeout_ms":3600001}}`, "tile_timeout_ms 3600001"},
+		{"job huge tile retries", "/v1/jobs", `{"city":{"demo":true,"tile_retries":17}}`, "tile_retries 17"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

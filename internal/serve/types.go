@@ -345,6 +345,15 @@ func (s *Server) districtConfig(req DistrictRequest, tile *dsm.Raster, nodata *g
 	}, nil
 }
 
+// Caps on the untrusted city retry policy: the millisecond fields
+// become time.Duration nanoseconds, which overflow into negative
+// durations long before the int range ends, and every retry replans a
+// whole tile.
+const (
+	maxTileDurationMS = 3_600_000 // 1 h, for tile_timeout_ms and backoff_ms
+	maxTileRetries    = 16
+)
+
 // cityConfig validates a CityRequest into a city config bound to the
 // server's pools and artifact cache (Source, Context and Progress are
 // attached by the handler).
@@ -359,8 +368,13 @@ func (s *Server) cityConfig(req CityRequest) (pvfloor.CityConfig, error) {
 	if req.TileWorkers < 0 {
 		return pvfloor.CityConfig{}, fmt.Errorf("tile_workers %d must not be negative (0 = sequential)", req.TileWorkers)
 	}
-	if req.TileRetries < 0 || req.TileTimeoutMS < 0 || req.BackoffMS < 0 {
-		return pvfloor.CityConfig{}, fmt.Errorf("tile_retries/tile_timeout_ms/backoff_ms must not be negative")
+	switch {
+	case req.TileRetries < 0 || req.TileRetries > maxTileRetries:
+		return pvfloor.CityConfig{}, fmt.Errorf("tile_retries %d outside [0, %d]", req.TileRetries, maxTileRetries)
+	case req.TileTimeoutMS < 0 || req.TileTimeoutMS > maxTileDurationMS:
+		return pvfloor.CityConfig{}, fmt.Errorf("tile_timeout_ms %d outside [0, %d]", req.TileTimeoutMS, maxTileDurationMS)
+	case req.BackoffMS < 0 || req.BackoffMS > maxTileDurationMS:
+		return pvfloor.CityConfig{}, fmt.Errorf("backoff_ms %d outside [0, %d]", req.BackoffMS, maxTileDurationMS)
 	}
 	return pvfloor.CityConfig{
 		TileCells:    req.TileCells,

@@ -152,23 +152,27 @@ type Config struct {
 	// documentation's Concurrency section). Within RunBatch, shared
 	// field groups use BatchOptions.FieldWorkers instead.
 	Workers int
-	// CacheDir, when non-empty, enables the persistent field-artifact
-	// cache in that directory: horizon maps and per-cell statistics
-	// are stored on disk keyed by a fingerprint of everything they
+	// Cache, when non-nil, enables the persistent field-artifact
+	// cache (open one with OpenCache): horizon maps and per-cell
+	// statistics are stored keyed by a fingerprint of everything they
 	// depend on (DSM content, roof region, horizon options, calendar,
 	// site, turbidity, weather realisation, statistics config), so
 	// repeated runs over unchanged roofs — across processes, not just
 	// within one — skip horizon construction and the statistics pass.
 	// Cached results are bit-identical to cold computation; corrupt
-	// cache files are detected and recomputed. Concurrent runs and
-	// processes may share one directory.
-	CacheDir string
-	// Cache, when non-nil, is the artifact cache handle to use
-	// directly and takes precedence over CacheDir. A long-lived
-	// caller (pvserve) passes one handle to every run so hit/miss
-	// metrics aggregate in one place and a configured remote blob
-	// tier is shared instead of re-dialled per run.
+	// entries are detected and recomputed. Pass one handle to every
+	// run so hit/miss metrics aggregate in one place and a configured
+	// remote blob tier is shared; concurrent runs and processes may
+	// share one directory.
 	Cache *fieldcache.Cache
+}
+
+// OpenCache creates (if needed) and opens a persistent field-artifact
+// cache in dir, for Config.Cache, DistrictConfig.Cache and
+// CityConfig.Cache. Open it once per process and hand the one handle
+// to every run.
+func OpenCache(dir string) (*fieldcache.Cache, error) {
+	return fieldcache.Open(dir)
 }
 
 // effectiveGrid returns the simulation calendar the config implies:
@@ -253,11 +257,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pvfloor: nil scenario")
 	}
 	ev, err := cfg.Scenario.FieldWith(scenario.FieldConfig{
-		Grid:     cfg.effectiveGrid(),
-		Fast:     cfg.Fidelity != Full,
-		Workers:  cfg.Workers,
-		CacheDir: cfg.CacheDir,
-		Cache:    cfg.Cache,
+		Grid:    cfg.effectiveGrid(),
+		Fast:    cfg.Fidelity != Full,
+		Workers: cfg.Workers,
+		Cache:   cfg.Cache,
 	})
 	if err != nil {
 		return nil, err

@@ -5,9 +5,21 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fieldcache"
 	"repro/internal/objective"
 	"repro/internal/scenario"
 )
+
+// openTestCache opens an artifact cache handle on dir through the
+// public entry point.
+func openTestCache(t testing.TB, dir string) *fieldcache.Cache {
+	t.Helper()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // Shared residential run (cheapest scenario) for facade tests.
 var (
