@@ -607,14 +607,14 @@ func cropMask(m *geom.Mask, w, h int) *geom.Mask {
 }
 
 // BenchmarkFieldConstruction measures solar-field construction — the
-// stage Run pays before any planning: memoized astronomy, parallel
-// sky precompute, horizon map. Sub-benchmarks contrast the serial
-// reference path against the parallel engine, and a cold astronomy
-// cache against a warm one (the batch/fleet case, where every
-// evaluator over the same calendar shares the memoized table). The
-// full-year calendar on the residential roof keeps the sky precompute
-// — the part concurrency and memoization accelerate — dominant over
-// the horizon map.
+// stage Run pays before any planning: memoized astronomy, then the sky
+// precompute and the horizon march, both on the Workers pool.
+// Sub-benchmarks contrast the serial reference path against the
+// parallel engine, and a cold astronomy cache against a warm one (the
+// batch/fleet case, where every evaluator over the same calendar
+// shares the memoized table). The full-year calendar on the
+// residential roof keeps the sky precompute — the part memoization
+// accelerates — dominant over the horizon map.
 func BenchmarkFieldConstruction(b *testing.B) {
 	b.ReportAllocs()
 	sc, err := scenario.Residential()
@@ -740,15 +740,20 @@ func BenchmarkWarmRemoteCache(b *testing.B) {
 
 // BenchmarkHorizonBuild measures the horizon-map precomputation — the
 // dominant setup cost of the shadow model (the GIS stage the paper
-// runs once per roof).
+// runs once per roof) — on the serial path (workers=1) and on one
+// worker per CPU (workers=0), the pool a per-roof run marches on.
 func BenchmarkHorizonBuild(b *testing.B) {
-	b.ReportAllocs()
 	st := roofStates(b)[0]
-	for i := 0; i < b.N; i++ {
-		if _, err := horizon.Build(st.sc.Scene.Raster, st.sc.Scene.RoofRect,
-			horizon.Options{Sectors: 32, MaxDistanceM: 40}); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := horizon.BuildRegions(st.sc.Scene.Raster, []geom.Rect{st.sc.Scene.RoofRect},
+					scenario.FastHorizonOptions(), workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

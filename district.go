@@ -64,8 +64,9 @@ type DistrictConfig struct {
 	// Concurrency bounds how many roof runs execute simultaneously
 	// (0 = one per CPU; the RunBatch pool).
 	Concurrency int
-	// FieldWorkers bounds each roof's solar-field worker pool
-	// (0 = one per CPU). Results are identical for every value.
+	// FieldWorkers bounds each roof's solar-field worker pool and
+	// the tile's shared horizon march (0 = one per CPU). Results are
+	// identical for every value.
 	FieldWorkers int
 	// Context, when non-nil, bounds the run: once cancelled, no
 	// further roof starts (in-flight roofs finish — a run is never

@@ -197,6 +197,79 @@ func TestRunWorkersKnobEquivalence(t *testing.T) {
 	}
 }
 
+// TestRunWorkersEquivalenceOnTableIRoofs: on the paper's Table I
+// roofs, the whole per-roof run — horizon march, field statistics,
+// placement and evaluation — gives bit-identical placements, energies
+// and statistics digests for Workers 1, 2 and 8, and marches exactly
+// one horizon map per run.
+func TestRunWorkersEquivalenceOnTableIRoofs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs nine paper-roof pipelines")
+	}
+	for _, mk := range []struct {
+		name  string
+		build func() (*scenario.Scenario, error)
+	}{
+		{"Roof1", Roof1},
+		{"Roof2", Roof2},
+		{"Roof3", Roof3},
+	} {
+		t.Run(mk.name, func(t *testing.T) {
+			sc, err := mk.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref *Result
+			for _, workers := range []int{1, 2, 8} {
+				before := horizon.BuildCount()
+				res, err := Run(Config{Scenario: sc, Modules: 16, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := horizon.BuildCount() - before; d != 1 {
+					t.Errorf("workers %d: %d horizon marches, want 1", workers, d)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if got, want := GPctDigest(res.Stats), GPctDigest(ref.Stats); got != want {
+					t.Errorf("workers %d: GPct digest %s, serial %s", workers, got, want)
+				}
+				for _, e := range []struct {
+					name      string
+					got, want floorplan.Evaluation
+				}{
+					{"proposed", res.ProposedEval, ref.ProposedEval},
+					{"traditional", res.TraditionalEval, ref.TraditionalEval},
+				} {
+					if math.Float64bits(e.got.NetMWh()) != math.Float64bits(e.want.NetMWh()) {
+						t.Errorf("workers %d: %s energy %v, serial %v", workers, e.name, e.got.NetMWh(), e.want.NetMWh())
+					}
+				}
+				for _, p := range []struct {
+					name      string
+					got, want *floorplan.Placement
+				}{
+					{"proposed", res.Proposed, ref.Proposed},
+					{"traditional", res.Traditional, ref.Traditional},
+				} {
+					if len(p.got.Rects) != len(p.want.Rects) {
+						t.Fatalf("workers %d: %s placement has %d modules, serial %d",
+							workers, p.name, len(p.got.Rects), len(p.want.Rects))
+					}
+					for i := range p.want.Rects {
+						if p.got.Rects[i] != p.want.Rects[i] {
+							t.Errorf("workers %d: %s module %d at %v, serial at %v",
+								workers, p.name, i, p.got.Rects[i], p.want.Rects[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestObjectiveTraceEquivalenceOnRoofs drives the optimizer layer's
 // incremental objective through a long recorded random-move trace on
 // two paper roofs and requires, after every applied move, that the

@@ -85,6 +85,12 @@ func (r *Raster) At(c geom.Cell) float64 {
 	return r.z[c.Y*r.w+c.X]
 }
 
+// Elevations returns the raster's elevations in row-major local cell
+// order (index y*W()+x). The slice aliases the raster's storage and is
+// read-only: it exists so hot kernels such as the horizon ray march
+// can index samples directly instead of calling At per sample.
+func (r *Raster) Elevations() []float64 { return r.z }
+
 // Set writes the elevation at cell c; out-of-bounds writes panic.
 func (r *Raster) Set(c geom.Cell, z float64) {
 	if !r.InBounds(c) {

@@ -28,7 +28,8 @@ const statsVersion = "stats-v2-sector"
 // Config.SharedHorizon when the shared map covers the roof and was
 // built with the same resolved options, else from the artifact cache
 // when Config.Cache is set and holds a verified entry, otherwise
-// ray-marched via horizon.Build (and stored for the next process).
+// ray-marched on the Config.Workers pool (and stored for the next
+// process).
 // The fingerprint covers the DSM raster content, the roof region and
 // the horizon options, so any surface or parameter change recomputes.
 // The fingerprint is computed whenever a cache is configured — also on
@@ -48,7 +49,7 @@ func horizonMap(cfg Config, roof geom.Rect) (m *horizon.Map, fp string, fromCach
 		}
 	}
 	if cfg.Cache == nil {
-		m, err = horizon.Build(cfg.Scene.Raster, roof, cfg.Horizon)
+		m, err = horizon.BuildRegions(cfg.Scene.Raster, []geom.Rect{roof}, cfg.Horizon, cfg.Workers)
 		return m, "", false, err
 	}
 	var snap horizon.Snapshot
@@ -59,7 +60,7 @@ func horizonMap(cfg Config, roof geom.Rect) (m *horizon.Map, fp string, fromCach
 		// Shape mismatch despite a verified envelope: fall through and
 		// recompute rather than trust it.
 	}
-	m, err = horizon.Build(cfg.Scene.Raster, roof, cfg.Horizon)
+	m, err = horizon.BuildRegions(cfg.Scene.Raster, []geom.Rect{roof}, cfg.Horizon, cfg.Workers)
 	if err != nil {
 		return nil, fp, false, err
 	}

@@ -36,11 +36,12 @@
 //
 // The engine is parallel by default and deterministic by
 // construction. Config.Workers bounds the worker pool used for the
-// per-timestep sky precompute and the per-cell statistics pass:
-// 0 selects runtime.GOMAXPROCS(0), 1 runs the fully serial reference
-// path (no goroutines), and any value produces bit-identical results
-// because workers only ever write disjoint index ranges and never
-// share accumulators. Evaluator.StatsPercentileSerial exposes the
+// horizon march (when the map is neither shared nor restored from
+// the cache), the per-timestep sky precompute and the per-cell
+// statistics pass: 0 selects runtime.GOMAXPROCS(0), 1 runs the fully
+// serial reference path (no goroutines), and any value produces
+// bit-identical results because workers only ever write disjoint
+// index ranges and never share accumulators. Evaluator.StatsPercentileSerial exposes the
 // serial reference directly for equivalence testing. An Evaluator is
 // immutable after New, so one field may serve concurrent Stats,
 // StreamTraces and CellIrradiance callers (the batch runner relies on
@@ -141,9 +142,9 @@ type Config struct {
 	// build (each cell's horizon depends only on the raster and the
 	// cell), so results are unchanged either way.
 	SharedHorizon *horizon.Map
-	// Workers bounds the concurrency of evaluator construction and
-	// the statistics pass: 0 = runtime.GOMAXPROCS(0), 1 = serial
-	// reference path. Results are bit-identical for every setting;
+	// Workers bounds the concurrency of evaluator construction —
+	// the horizon march included — and the statistics pass:
+	// 0 = runtime.GOMAXPROCS(0), 1 = serial reference path. Results are bit-identical for every setting;
 	// see the package documentation.
 	Workers int
 	// Cache, when non-nil, is the persistent artifact cache: horizon

@@ -5,6 +5,11 @@
 // obstruction elevation per azimuth sector; a cell is beam-shadowed at
 // an instant iff the sun's elevation is below the stored horizon in
 // the sun's azimuth sector.
+//
+// There is one march path. BuildRegions marches the union of a list of
+// regions on a bounded worker pool; Build is BuildRegions over one
+// rect. Each ray stops early once no sample left on it can raise its
+// horizon, which changes no output bit (see kernel.sector).
 package horizon
 
 import (
@@ -98,76 +103,27 @@ type Map struct {
 	svf []float32 // per-cell sky view factor
 }
 
-// buildCount tallies ray-marched Build executions process-wide; cache
-// tests use it to assert that warm runs construct no horizon maps.
+// buildCount tallies ray-marched builds process-wide; cache tests use
+// it to assert that warm runs construct no horizon maps.
 var buildCount atomic.Uint64
 
-// BuildCount reports how many times Build has ray-marched a horizon
-// map in this process. Maps restored from snapshots (the persistent
-// artifact cache) do not count.
+// BuildCount reports how many times Build or BuildRegions has
+// ray-marched a horizon map in this process. Maps restored from
+// snapshots (the persistent artifact cache) and calls rejected by
+// validation do not count.
 func BuildCount() uint64 { return buildCount.Load() }
 
 // Build computes the horizon map for every cell of region (given in
-// raster coordinates) of the DSM.
+// raster coordinates) of the DSM. It is BuildRegions over the one
+// rect with one worker per CPU.
 func Build(r *dsm.Raster, region geom.Rect, opts Options) (*Map, error) {
-	opts = opts.withDefaults(r.CellSize())
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	buildCount.Add(1)
-	clipped := region.Intersect(r.Bounds())
-	if clipped != region {
-		return nil, fmt.Errorf("horizon: region %v exceeds raster bounds %v", region, r.Bounds())
-	}
-	m := &Map{
-		region:  region,
-		sectors: opts.Sectors,
-		opts:    opts,
-		tan:     make([]float32, region.Area()*opts.Sectors),
-		svf:     make([]float32, region.Area()),
-	}
-
-	dirX, dirY := sectorDirs(opts.Sectors)
-	idx := 0
-	for y := region.Y0; y < region.Y1; y++ {
-		for x := region.X0; x < region.X1; x++ {
-			m.svf[idx] = marchCell(r, geom.Cell{X: x, Y: y}, dirX, dirY, opts,
-				m.tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
-			idx++
-		}
-	}
-	return m, nil
+	return BuildRegions(r, []geom.Rect{region}, opts, 0)
 }
 
-// sectorDirs precomputes the sector plan directions (east, south) —
-// raster y grows southward.
-func sectorDirs(sectors int) (dirX, dirY []float64) {
-	dirX = make([]float64, sectors)
-	dirY = make([]float64, sectors)
-	for s := 0; s < sectors; s++ {
-		az := (float64(s) + 0.5) * 2 * math.Pi / float64(sectors)
-		dirX[s] = math.Sin(az)  // east component
-		dirY[s] = -math.Cos(az) // south = -north
-	}
-	return dirX, dirY
-}
-
-// marchCell ray-marches every sector of one cell, writing the horizon
-// tangents into tan (len = sectors) and returning the cell's sky view
-// factor. The per-cell result depends only on the raster and the cell
-// — not on which region the map covers — which is what makes a view
-// sliced from a larger map bit-identical to a direct build.
-func marchCell(r *dsm.Raster, cell geom.Cell, dirX, dirY []float64, opts Options, tan []float32) float32 {
-	x0, y0 := r.CellCenterMetres(cell)
-	z0 := r.At(cell) + opts.EyeHeightM
-	var svfSum float64
-	for s := range dirX {
-		t := marchSector(r, x0, y0, z0, dirX[s], dirY[s], opts)
-		tan[s] = float32(t)
-		svfSum += 1 / (1 + t*t) // cos² of the horizon elevation
-	}
-	return float32(svfSum / float64(len(dirX)))
-}
+// rowBlock is how many rows of the covered bounding rectangle a
+// worker claims at a time: small enough that the pool stays balanced
+// when obstacles make some rows dearer than others.
+const rowBlock = 2
 
 // BuildRegions computes one horizon map whose region is the bounding
 // rectangle of the given regions, ray-marching only the cells covered
@@ -176,11 +132,12 @@ func marchCell(r *dsm.Raster, cell geom.Cell, dirX, dirY []float64, opts Options
 // region are left at zero (fully open horizon) and must not be read:
 // Slice out one of the requested regions instead. This is the
 // tile-level build district runs share across roofs; it counts as a
-// single Build in BuildCount.
+// single build in BuildCount.
 //
 // workers bounds the construction concurrency (0 = one per CPU,
-// 1 = serial). Cells are marched independently into disjoint storage,
-// so the result is bit-identical for every worker count.
+// 1 = serial, on the calling goroutine). Workers claim blocks of
+// rows from a shared counter and march each cell into its own slot of
+// the map, so the result is bit-identical for every worker count.
 func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int) (*Map, error) {
 	opts = opts.withDefaults(r.CellSize())
 	if err := opts.validate(); err != nil {
@@ -215,43 +172,146 @@ func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int)
 		tan:     make([]float32, bbox.Area()*opts.Sectors),
 		svf:     make([]float32, bbox.Area()),
 	}
-	var cells []geom.Cell // covered cells, row-major (tile coordinates)
-	covered.ForEachSet(func(c geom.Cell) {
-		cells = append(cells, geom.Cell{X: c.X + bbox.X0, Y: c.Y + bbox.Y0})
-	})
+	k := newKernel(r, opts)
+	march := func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			for x := 0; x < w; x++ {
+				if !covered.Get(geom.Cell{X: x, Y: y}) {
+					continue
+				}
+				idx := y*w + x
+				m.svf[idx] = k.cell(geom.Cell{X: bbox.X0 + x, Y: bbox.Y0 + y},
+					m.tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
+			}
+		}
+	}
+	blocks := (h + rowBlock - 1) / rowBlock
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	march := func(lo, hi int) {
-		dirX, dirY := sectorDirs(opts.Sectors)
-		for _, c := range cells[lo:hi] {
-			idx := (c.Y-bbox.Y0)*w + (c.X - bbox.X0)
-			m.svf[idx] = marchCell(r, c, dirX, dirY, opts,
-				m.tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
-		}
+	if workers > blocks {
+		workers = blocks
 	}
 	if workers <= 1 {
-		march(0, len(cells))
+		march(0, h)
 		return m, nil
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	chunk := (len(cells) + workers - 1) / workers
-	for lo := 0; lo < len(cells); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cells) {
-			hi = len(cells)
-		}
+	for range workers {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			march(lo, hi)
-		}(lo, hi)
+			for b := int(next.Add(1) - 1); b < blocks; b = int(next.Add(1) - 1) {
+				march(b*rowBlock, min((b+1)*rowBlock, h))
+			}
+		}()
 	}
 	wg.Wait()
 	return m, nil
+}
+
+// kernel is the per-build ray-march state, shared read-only by every
+// worker: the raster's elevations, the sector directions and the
+// distance schedule every ray steps through.
+type kernel struct {
+	r        *dsm.Raster
+	z        []float64 // raster elevations, row-major
+	w, h     int
+	cellSize float64
+	origin   geom.Cell
+	eye      float64
+	// zTop bounds every sample a ray can read: the raster's highest
+	// elevation, or the 0 that reads outside the raster return.
+	zTop       float64
+	dirX, dirY []float64 // sector plan directions (east, south)
+	dist       []float64 // march distances, nearest first
+}
+
+func newKernel(r *dsm.Raster, opts Options) *kernel {
+	k := &kernel{
+		r:        r,
+		z:        r.Elevations(),
+		w:        r.W(),
+		h:        r.H(),
+		cellSize: r.CellSize(),
+		origin:   r.Origin(),
+		eye:      opts.EyeHeightM,
+	}
+	for _, z := range k.z {
+		if z > k.zTop { // NaN never wins
+			k.zTop = z
+		}
+	}
+	// Raster y grows southward.
+	k.dirX = make([]float64, opts.Sectors)
+	k.dirY = make([]float64, opts.Sectors)
+	for s := range opts.Sectors {
+		az := (float64(s) + 0.5) * 2 * math.Pi / float64(opts.Sectors)
+		k.dirX[s] = math.Sin(az)  // east component
+		k.dirY[s] = -math.Cos(az) // south = -north
+	}
+	// The same additions in the same order as a ray stepping outward,
+	// so every distance is the float a step-by-step walk would reach.
+	for d := opts.NearStepM; d <= opts.MaxDistanceM; {
+		k.dist = append(k.dist, d)
+		if d < opts.NearFieldM {
+			d += opts.NearStepM
+		} else {
+			d += opts.FarStepM
+		}
+	}
+	return k
+}
+
+// cell ray-marches every sector of one cell (raster coordinates),
+// writing the horizon tangents into tan (len = sectors) and returning
+// the cell's sky view factor. The result depends only on the raster
+// and the cell — not on which region the map covers — which is what
+// makes a view sliced from a larger map bit-identical to a direct
+// build.
+func (k *kernel) cell(c geom.Cell, tan []float32) float32 {
+	x0, y0 := k.r.CellCenterMetres(c)
+	z0 := k.r.At(c) + k.eye
+	rise := k.zTop - z0
+	var svfSum float64
+	for s := range k.dirX {
+		t := k.sector(x0, y0, z0, rise, k.dirX[s], k.dirY[s])
+		tan[s] = float32(t)
+		svfSum += 1 / (1 + t*t) // cos² of the horizon elevation
+	}
+	return float32(svfSum / float64(len(k.dirX)))
+}
+
+// sector walks outward from (x0,y0,z0) along the plan direction
+// (dx,dy) and returns the maximum obstruction tangent. Samples are
+// nearest-cell reads in global cell space (the float arithmetic of
+// dsm.Raster.AtMetres); outside the raster they read 0.
+//
+// rise = zTop - z0 rounds to at least z - z0 for every sample z, and
+// float division by a positive distance is monotone, so once
+// rise/d <= maxTan no sample at d or beyond can raise maxTan: the ray
+// stops there with the exact result of the full walk. A NaN z0 makes
+// the test false and every tangent NaN, which never wins either.
+func (k *kernel) sector(x0, y0, z0, rise, dx, dy float64) float64 {
+	zs, w, h, cs := k.z, k.w, k.h, k.cellSize
+	ox, oy := k.origin.X, k.origin.Y
+	maxTan := 0.0
+	for _, d := range k.dist {
+		if rise/d <= maxTan {
+			break
+		}
+		x := int(math.Floor((x0+dx*d)/cs)) - ox
+		y := int(math.Floor((y0+dy*d)/cs)) - oy
+		z := 0.0
+		if x >= 0 && x < w && y >= 0 && y < h {
+			z = zs[y*w+x]
+		}
+		if t := (z - z0) / d; t > maxTan {
+			maxTan = t
+		}
+	}
+	return maxTan
 }
 
 // Covers reports whether sub lies entirely inside the map's region.
@@ -291,25 +351,6 @@ func (m *Map) Slice(sub geom.Rect) (*Map, error) {
 // with, or the zero Options when unknown (maps restored with
 // FromSnapshot — the on-disk snapshot format does not carry options).
 func (m *Map) BuildOptions() Options { return m.opts }
-
-// marchSector walks outward from (x0,y0,z0) along the plan direction
-// (dx,dy) and returns the maximum obstruction tangent.
-func marchSector(r *dsm.Raster, x0, y0, z0, dx, dy float64, opts Options) float64 {
-	maxTan := 0.0
-	d := opts.NearStepM
-	for d <= opts.MaxDistanceM {
-		z := r.AtMetres(x0+dx*d, y0+dy*d)
-		if t := (z - z0) / d; t > maxTan {
-			maxTan = t
-		}
-		if d < opts.NearFieldM {
-			d += opts.NearStepM
-		} else {
-			d += opts.FarStepM
-		}
-	}
-	return maxTan
-}
 
 // Sectors returns the azimuth discretisation of the map.
 func (m *Map) Sectors() int { return m.sectors }

@@ -1,7 +1,11 @@
 package horizon
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -546,6 +550,271 @@ func TestTanRowMatchesHorizonTan(t *testing.T) {
 		az := (float64(s) + 0.5) * 2 * math.Pi / float64(m.Sectors())
 		if want := m.HorizonTan(c, az); float64(row[s]) != want {
 			t.Fatalf("sector %d: TanRow %v vs HorizonTan %v", s, row[s], want)
+		}
+	}
+}
+
+// sectorDirsRef, marchCellRef and marchSectorRef are the original
+// step-by-step ray walk, kept as the oracle the production kernel is
+// held to bit for bit: one AtMetres call per step, no early exit.
+func sectorDirsRef(sectors int) (dirX, dirY []float64) {
+	dirX = make([]float64, sectors)
+	dirY = make([]float64, sectors)
+	for s := 0; s < sectors; s++ {
+		az := (float64(s) + 0.5) * 2 * math.Pi / float64(sectors)
+		dirX[s] = math.Sin(az)
+		dirY[s] = -math.Cos(az)
+	}
+	return dirX, dirY
+}
+
+func marchCellRef(r *dsm.Raster, cell geom.Cell, dirX, dirY []float64, opts Options, tan []float32) float32 {
+	x0, y0 := r.CellCenterMetres(cell)
+	z0 := r.At(cell) + opts.EyeHeightM
+	var svfSum float64
+	for s := range dirX {
+		t := marchSectorRef(r, x0, y0, z0, dirX[s], dirY[s], opts)
+		tan[s] = float32(t)
+		svfSum += 1 / (1 + t*t)
+	}
+	return float32(svfSum / float64(len(dirX)))
+}
+
+func marchSectorRef(r *dsm.Raster, x0, y0, z0, dx, dy float64, opts Options) float64 {
+	maxTan := 0.0
+	d := opts.NearStepM
+	for d <= opts.MaxDistanceM {
+		z := r.AtMetres(x0+dx*d, y0+dy*d)
+		if t := (z - z0) / d; t > maxTan {
+			maxTan = t
+		}
+		if d < opts.NearFieldM {
+			d += opts.NearStepM
+		} else {
+			d += opts.FarStepM
+		}
+	}
+	return maxTan
+}
+
+// buildRef is the original serial Build over the oracle walk.
+func buildRef(r *dsm.Raster, region geom.Rect, opts Options) Snapshot {
+	opts = opts.withDefaults(r.CellSize())
+	s := Snapshot{
+		Region:  region,
+		Sectors: opts.Sectors,
+		Tan:     make([]float32, region.Area()*opts.Sectors),
+		SVF:     make([]float32, region.Area()),
+	}
+	dirX, dirY := sectorDirsRef(opts.Sectors)
+	idx := 0
+	for y := region.Y0; y < region.Y1; y++ {
+		for x := region.X0; x < region.X1; x++ {
+			s.SVF[idx] = marchCellRef(r, geom.Cell{X: x, Y: y}, dirX, dirY, opts,
+				s.Tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
+			idx++
+		}
+	}
+	return s
+}
+
+// sameBits reports the first float32 whose bit pattern differs.
+func sameBits(got, want []float32) (int, bool) {
+	if len(got) != len(want) {
+		return -1, false
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestKernelMatchesReferenceWalk holds the production march — shared
+// distance schedule, direct slice sampling, early exit — to the
+// original step-by-step walk, bit for bit, on seeded random surfaces
+// that exercise every exit path: negative elevations, a raster
+// entirely below the datum, a NaN cell, a
+// flat raster (the eye is above every sample, so each ray stops at
+// once), an eye lifted above the highest elevation, an origin-shifted
+// window, and rays that run off the raster.
+func TestKernelMatchesReferenceWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	random := func(w, h int, lo, hi float64) *dsm.Raster {
+		r, err := dsm.NewRaster(w, h, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				r.Set(geom.Cell{X: x, Y: y}, lo+(hi-lo)*rng.Float64())
+			}
+		}
+		return r
+	}
+	fast := Options{Sectors: 32, MaxDistanceM: 40}
+	short := Options{Sectors: 16, MaxDistanceM: 6, NearFieldM: 2}
+
+	withNaN := random(24, 20, -1, 3)
+	withNaN.Set(geom.Cell{X: 7, Y: 9}, math.NaN())
+	window := random(30, 26, -2, 5)
+	window.SetOrigin(geom.Cell{X: 137, Y: -41})
+	towers := random(28, 28, 0, 0.4)
+	towers.SetRectTo(geom.Rect{X0: 20, Y0: 3, X1: 23, Y1: 6}, 9)
+
+	for _, tc := range []struct {
+		name   string
+		r      *dsm.Raster
+		region geom.Rect
+		opts   Options
+	}{
+		{"negative/fast", random(24, 20, -3, 2), geom.Rect{X0: 2, Y0: 2, X1: 22, Y1: 18}, fast},
+		{"negative/default", random(20, 18, -3, 2), geom.Rect{X0: 4, Y0: 3, X1: 16, Y1: 15}, Options{}},
+		// Entirely below the datum: the highest sample any ray reads is
+		// the 0 past the raster edge.
+		{"sunken/fast", random(18, 16, -4, -1), geom.Rect{X0: 0, Y0: 0, X1: 18, Y1: 16}, fast},
+		{"nan/fast", withNaN, geom.Rect{X0: 0, Y0: 0, X1: 24, Y1: 20}, fast},
+		{"nan/short", withNaN, geom.Rect{X0: 5, Y0: 6, X1: 12, Y1: 13}, short},
+		{"flat/fast", flatRaster(t, 20, 20), geom.Rect{X0: 3, Y0: 3, X1: 17, Y1: 17}, fast},
+		{"flat/default", flatRaster(t, 16, 16), geom.Rect{X0: 0, Y0: 0, X1: 16, Y1: 16}, Options{}},
+		{"window/fast", window, geom.Rect{X0: 1, Y0: 2, X1: 29, Y1: 25}, fast},
+		{"window/default", window, geom.Rect{X0: 8, Y0: 8, X1: 20, Y1: 18}, Options{}},
+		{"eye-above-top/fast", random(20, 20, -1, 1), geom.Rect{X0: 2, Y0: 2, X1: 18, Y1: 18},
+			Options{Sectors: 32, MaxDistanceM: 40, EyeHeightM: 3}},
+		{"eye-above-top/short", towers, geom.Rect{X0: 0, Y0: 10, X1: 28, Y1: 28},
+			Options{Sectors: 16, MaxDistanceM: 6, EyeHeightM: 12}},
+		{"towers/fast", towers, geom.Rect{X0: 0, Y0: 0, X1: 28, Y1: 28}, fast},
+		{"towers/default", towers, geom.Rect{X0: 6, Y0: 6, X1: 22, Y1: 22}, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := buildRef(tc.r, tc.region, tc.opts)
+			for _, workers := range []int{1, 2} {
+				m, err := BuildRegions(tc.r, []geom.Rect{tc.region}, tc.opts, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := m.Snapshot()
+				if i, ok := sameBits(got.Tan, want.Tan); !ok {
+					t.Fatalf("workers %d: tan[%d] = %v, oracle %v", workers, i, got.Tan[i], want.Tan[i])
+				}
+				if i, ok := sameBits(got.SVF, want.SVF); !ok {
+					t.Fatalf("workers %d: svf[%d] = %v, oracle %v", workers, i, got.SVF[i], want.SVF[i])
+				}
+			}
+		})
+	}
+}
+
+// FuzzMarchKernel compares the production kernel with the oracle walk
+// on one cell of a small raster decoded from the input bytes: the
+// first two bytes give the dimensions, the rest the elevations (0xff
+// reads as NaN), and the window origin, cell, sector count and march
+// distances come from the remaining arguments.
+func FuzzMarchKernel(f *testing.F) {
+	f.Add([]byte{6, 5, 0, 10, 200, 40, 255, 3, 90, 17}, int16(0), int16(0), uint8(2), uint8(3), uint8(12),
+		4.0, 0.1, 1.5, 0.5, 0.05)
+	f.Add([]byte{11, 11}, int16(-300), int16(77), uint8(5), uint8(5), uint8(28), 40.0, 0.1, 12.0, 0.5, 0.05)
+	f.Add([]byte{3, 9, 128, 129, 127, 0, 1, 255, 250}, int16(9), int16(-9), uint8(1), uint8(7), uint8(0),
+		9.0, 0.07, 0.0, 0.33, 2.5)
+	f.Fuzz(func(t *testing.T, data []byte, ox, oy int16, cx, cy, sectors uint8,
+		maxDist, nearStep, nearField, farStep, eye float64) {
+		if len(data) < 2 {
+			return
+		}
+		opts := Options{
+			Sectors:      4 + int(sectors)%61,
+			MaxDistanceM: maxDist,
+			NearStepM:    nearStep,
+			NearFieldM:   nearField,
+			FarStepM:     farStep,
+			EyeHeightM:   eye,
+		}
+		// Finite options with a bounded number of steps per ray.
+		for _, v := range []float64{maxDist, nearStep, nearField, farStep, eye} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
+		if opts.validate() != nil || maxDist > 50 || nearStep < 0.01 || farStep < 0.01 || eye > 100 {
+			return
+		}
+		w, h := 1+int(data[0])%16, 1+int(data[1])%16
+		r, err := dsm.NewRaster(w, h, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetOrigin(geom.Cell{X: int(ox), Y: int(oy)})
+		for i, b := range data[2:] {
+			if i >= w*h {
+				break
+			}
+			z := float64(int8(b)) / 8
+			if b == 0xff {
+				z = math.NaN()
+			}
+			r.Set(geom.Cell{X: i % w, Y: i / w}, z)
+		}
+		c := geom.Cell{X: int(cx) % w, Y: int(cy) % h}
+		want := make([]float32, opts.Sectors)
+		dirX, dirY := sectorDirsRef(opts.Sectors)
+		wantSVF := marchCellRef(r, c, dirX, dirY, opts, want)
+		got := make([]float32, opts.Sectors)
+		gotSVF := newKernel(r, opts).cell(c, got)
+		if i, ok := sameBits(got, want); !ok {
+			t.Fatalf("sector %d: kernel tan %v, oracle %v", i, got[i], want[i])
+		}
+		if math.Float32bits(gotSVF) != math.Float32bits(wantSVF) {
+			t.Fatalf("kernel svf %v, oracle %v", gotSVF, wantSVF)
+		}
+	})
+}
+
+// TestBuildCountsOnlyMarches: a region Build rejects — outside the
+// raster, or empty — returns an error without counting as a march,
+// and the empty one is reported as empty.
+func TestBuildCountsOnlyMarches(t *testing.T) {
+	r := flatRaster(t, 20, 20)
+	before := BuildCount()
+	if _, err := Build(r, geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 10}, Options{}); err == nil {
+		t.Error("out-of-bounds region accepted")
+	}
+	_, err := Build(r, geom.Rect{X0: 5, Y0: 5, X1: 5, Y1: 9}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "empty region") {
+		t.Errorf("empty region: got error %v, want an empty-region error", err)
+	}
+	if d := BuildCount() - before; d != 0 {
+		t.Errorf("rejected builds added %d to BuildCount, want 0", d)
+	}
+}
+
+// TestBuildMatchesBuildRegionsAcrossWorkers: Build and BuildRegions
+// over the same rect serialise to the same snapshot bytes for every
+// worker count.
+func TestBuildMatchesBuildRegionsAcrossWorkers(t *testing.T) {
+	r := flatRasterWithWall(t)
+	r.MaxAbove(geom.Rect{X0: 8, Y0: 30, X1: 11, Y1: 33}, 3)
+	region := geom.Rect{X0: 1, Y0: 3, X1: 29, Y1: 38}
+	opts := Options{Sectors: 16, MaxDistanceM: 6}
+	encode := func(m *Map) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(m.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	built, err := Build(r, region, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encode(built)
+	for _, workers := range []int{1, 2, 8} {
+		m, err := BuildRegions(r, []geom.Rect{region}, opts, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encode(m), want) {
+			t.Errorf("workers %d: BuildRegions snapshot differs from Build", workers)
 		}
 	}
 }

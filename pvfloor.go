@@ -52,9 +52,10 @@
 //
 // The solar-field engine underneath Run is parallel by default and
 // deterministic for every worker count (see internal/solar/field).
-// Config.Workers bounds its worker pool: 0 uses one worker per CPU,
-// 1 forces the serial reference path — useful when embedding runs in
-// an outer parallel harness. For simulating fleets of roofs, prefer
+// Config.Workers bounds its worker pool, which also marches the
+// roof's horizon map: 0 uses one worker per CPU, 1 forces the serial
+// reference path — useful when embedding runs in an outer parallel
+// harness. For simulating fleets of roofs, prefer
 // RunBatch (or the cmd/pvbatch tool) over looping on Run: it fans
 // whole scenarios out concurrently and amortises both field
 // construction and the statistics pass across the config variants of
@@ -147,7 +148,9 @@ type Config struct {
 	// only the proposed placement is wanted).
 	SkipBaseline bool
 	// Workers bounds the solar-field engine's concurrency for this
-	// run: 0 = one worker per CPU, 1 = serial reference path.
+	// run — the roof's horizon march, the sky precompute and the
+	// statistics pass: 0 = one worker per CPU, 1 = serial reference
+	// path.
 	// Results are identical for every value (see the package
 	// documentation's Concurrency section). Within RunBatch, shared
 	// field groups use BatchOptions.FieldWorkers instead.
