@@ -16,9 +16,9 @@
 //
 // City-scale grids (too large to hold in memory) stream through the
 // out-of-core tiled pipeline instead — the DSM file (plain or
-// gzipped .asc) is indexed once, work tiles are materialised through
-// a bounded block cache, and peak memory stays O(tile + halo)
-// regardless of city size:
+// gzipped .asc) is parsed once into a temporary binary grid, work
+// tiles are materialised through a bounded block cache, and peak
+// memory stays O(tile + halo) regardless of city size:
 //
 //	pvdistrict -city -tile city.asc.gz                # defaults: 512-cell tiles
 //	pvdistrict -city -tile city.asc -tile-size 256 -mem-budget 128
@@ -236,7 +236,7 @@ func runCity(cf cityFlags) {
 			CacheBytes: int64(cf.memBudgetMiB) << 20,
 		})
 		if err != nil {
-			log.Fatalf("indexing %s: %v", cf.tilePath, err)
+			log.Fatalf("opening %s: %v", cf.tilePath, err)
 		}
 		defer wr.Close()
 		cf.cfg.Source = wr

@@ -99,6 +99,15 @@ func (r *Raster) Set(c geom.Cell, z float64) {
 	r.z[c.Y*r.w+c.X] = z
 }
 
+// SetRow copies z, which must hold W() elevations, into row y; an
+// out-of-bounds row or a short or long z panics.
+func (r *Raster) SetRow(y int, z []float64) {
+	if y < 0 || y >= r.h || len(z) != r.w {
+		panic(fmt.Sprintf("dsm: SetRow %d with %d values on a %dx%d raster", y, len(z), r.w, r.h))
+	}
+	copy(r.z[y*r.w:], z)
+}
+
 // AtMetres returns the elevation at the plan position (east, south)
 // metres from the *global* grid origin, using nearest-cell sampling.
 // Points outside the raster read as 0. The floor happens in global

@@ -14,6 +14,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/dsm"
 	"repro/internal/geom"
@@ -36,55 +38,151 @@ type AscGrid struct {
 	Z []float64
 }
 
-// ReadAsc parses an ESRI ASCII grid.
-func ReadAsc(r io.Reader) (*AscGrid, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-	g := &AscGrid{NoData: -9999}
+// maxLineBytes caps one text line of an ASC grid, so a stream with no
+// newlines (a gzip bomb, say) cannot grow a line buffer without limit.
+const maxLineBytes = 64 << 20
 
-	// Header: key/value lines until the first data row.
-	var dataTokens []string
-	headerDone := false
-	seen := map[string]bool{}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+// ReadAsc parses an ESRI ASCII grid. Data rows may wrap across lines:
+// only the total count of values must equal NCols×NRows.
+func ReadAsc(r io.Reader) (*AscGrid, error) {
+	var z []float64
+	g, err := scanLines(r, func(_ *AscGrid, line []byte) (err error) {
+		if z, err = appendValues(z, line, math.MaxInt); err != nil {
+			return fmt.Errorf("gis: data %w", err)
 		}
-		fields := strings.Fields(line)
-		if !headerDone && len(fields) == 2 && !isNumeric(fields[0]) {
-			if err := g.setHeaderField(fields[0], fields[1], seen); err != nil {
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Divide rather than multiply: NCols×NRows can overflow int.
+	if len(z)%g.NCols != 0 || len(z)/g.NCols != g.NRows {
+		return nil, fmt.Errorf("gis: %d data values for %dx%d grid", len(z), g.NCols, g.NRows)
+	}
+	g.Z = z
+	return g, nil
+}
+
+// ScanAsc parses an ESRI ASCII grid in one pass, holding one data row
+// at a time. Values match ReadAsc's bit for bit (same header parser,
+// tokenisation and strconv.ParseFloat), but each raster row must sit
+// on its own line, as WriteAsc and mainstream GIS exporters write it.
+// row gets every row in file order with its NCols values as parsed
+// (NODATA and NaN left in place); vals is reused after row returns.
+// No buffer is sized from the header, so a header that overstates its
+// body fails when the body runs out. The result is the header (Z nil).
+func ScanAsc(r io.Reader, row func(g *AscGrid, vals []float64) error) (*AscGrid, error) {
+	rows := 0
+	var vals []float64
+	g, err := scanLines(r, func(g *AscGrid, line []byte) error {
+		if rows == g.NRows {
+			return fmt.Errorf("gis: more than nrows %d data lines (one row per line)", g.NRows)
+		}
+		var err error
+		if vals, err = appendValues(vals[:0], line, g.NCols); err != nil {
+			return fmt.Errorf("gis: row %d: %w", rows, err)
+		}
+		if len(vals) != g.NCols {
+			return fmt.Errorf("gis: row %d has %d values, want ncols %d", rows, len(vals), g.NCols)
+		}
+		rows++
+		return row(g, vals)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rows != g.NRows {
+		return nil, fmt.Errorf("gis: %d data lines for nrows %d (one row per line)", rows, g.NRows)
+	}
+	return g, nil
+}
+
+// scanLines reads an ASC grid's lines, each capped at maxLineBytes:
+// "key value" lines go to setHeaderField until the first data line,
+// the header is checked, and every later non-blank line goes to data.
+func scanLines(r io.Reader, data func(g *AscGrid, line []byte) error) (*AscGrid, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
+	g := &AscGrid{NoData: -9999}
+	seen := map[string]bool{}
+	headerDone := false
+	for sc.Scan() {
+		line := sc.Bytes()
+		first, rest := nextField(line)
+		if first == nil {
+			continue // blank line
+		}
+		if !headerDone {
+			second, tail := nextField(rest)
+			if third, _ := nextField(tail); second != nil && third == nil && !isNumeric(string(first)) {
+				if err := g.setHeaderField(string(first), string(second), seen); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			if err := g.checkHeader(seen); err != nil {
 				return nil, err
 			}
-			continue
+			headerDone = true
 		}
-		headerDone = true
-		dataTokens = append(dataTokens, fields...)
+		if err := data(g, line); err != nil {
+			return nil, err
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("gis: reading asc: %w", err)
 	}
-	if !seen["ncols"] || !seen["nrows"] || !seen["cellsize"] {
-		return nil, fmt.Errorf("gis: missing mandatory header keys (ncols/nrows/cellsize)")
-	}
-	if g.NCols <= 0 || g.NRows <= 0 || g.CellSize <= 0 {
-		return nil, fmt.Errorf("gis: invalid grid shape %dx%d cell %g", g.NCols, g.NRows, g.CellSize)
-	}
-	want := g.NCols * g.NRows
-	if len(dataTokens) != want {
-		return nil, fmt.Errorf("gis: %d data values for %dx%d grid (want %d)",
-			len(dataTokens), g.NCols, g.NRows, want)
-	}
-	g.Z = make([]float64, want)
-	for i, tok := range dataTokens {
-		v, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			return nil, fmt.Errorf("gis: data token %d: %q: %w", i, tok, err)
-		}
-		g.Z[i] = v
+	if err := g.checkHeader(seen); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
+
+// appendValues parses line's fields with strconv.ParseFloat onto
+// vals, failing rather than grow vals past max values.
+func appendValues(vals []float64, line []byte, max int) ([]float64, error) {
+	for tok, rest := nextField(line); tok != nil; tok, rest = nextField(rest) {
+		if len(vals) == max {
+			return nil, fmt.Errorf("more than %d values", max)
+		}
+		v, err := strconv.ParseFloat(string(tok), 64)
+		if err != nil {
+			return nil, fmt.Errorf("value %d: %w", len(vals), err)
+		}
+		vals = append(vals, v)
+	}
+	return vals, nil
+}
+
+// nextField splits the first field off b, or returns a nil tok when b
+// has none. Fields split where strings.Fields splits them: at
+// unicode.IsSpace runes, with invalid UTF-8 counting as non-space.
+func nextField(b []byte) (tok, rest []byte) {
+	start := -1
+	for i, n := 0, 1; i < len(b); i += n {
+		c := b[i]
+		space := asciiSpace[c]
+		n = 1
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, n = utf8.DecodeRune(b[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case !space && start < 0:
+			start = i
+		case space && start >= 0:
+			return b[start:i], b[i:]
+		}
+	}
+	if start < 0 {
+		return nil, nil
+	}
+	return b[start:], nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 func isNumeric(s string) bool {
 	_, err := strconv.ParseFloat(s, 64)
@@ -92,8 +190,7 @@ func isNumeric(s string) bool {
 }
 
 // setHeaderField parses one "key value" header line into g, recording
-// the key in seen. Shared by the whole-file reader and the windowed
-// reader so header dialects cannot diverge.
+// the key in seen.
 func (g *AscGrid) setHeaderField(rawKey, rawVal string, seen map[string]bool) error {
 	key := strings.ToLower(rawKey)
 	val, err := strconv.ParseFloat(rawVal, 64)
@@ -119,6 +216,22 @@ func (g *AscGrid) setHeaderField(rawKey, rawVal string, seen map[string]bool) er
 	}
 	return nil
 }
+
+// checkHeader rejects a header that lacks a mandatory key or has a
+// non-positive shape or cell size.
+func (g *AscGrid) checkHeader(seen map[string]bool) error {
+	if !seen["ncols"] || !seen["nrows"] || !seen["cellsize"] {
+		return fmt.Errorf("gis: missing mandatory header keys (ncols/nrows/cellsize)")
+	}
+	if g.NCols <= 0 || g.NRows <= 0 || g.CellSize <= 0 {
+		return fmt.Errorf("gis: invalid grid shape %dx%d cell %g", g.NCols, g.NRows, g.CellSize)
+	}
+	return nil
+}
+
+// IsNoData reports whether v is a coverage hole: the NODATA sentinel
+// or NaN.
+func (g *AscGrid) IsNoData(v float64) bool { return v == g.NoData || v != v }
 
 // WriteAsc serialises the grid in ESRI ASCII format.
 func (g *AscGrid) WriteAsc(w io.Writer) error {
@@ -156,7 +269,7 @@ func (g *AscGrid) ToRaster(noDataFill float64) (*dsm.Raster, int, error) {
 	for y := 0; y < g.NRows; y++ {
 		for x := 0; x < g.NCols; x++ {
 			v := g.Z[y*g.NCols+x]
-			if v == g.NoData || math.IsNaN(v) {
+			if g.IsNoData(v) {
 				v = noDataFill
 				missing++
 			}
@@ -173,8 +286,7 @@ func (g *AscGrid) NoDataMask() *geom.Mask {
 	m := geom.NewMask(g.NCols, g.NRows)
 	for y := 0; y < g.NRows; y++ {
 		for x := 0; x < g.NCols; x++ {
-			v := g.Z[y*g.NCols+x]
-			if v == g.NoData || math.IsNaN(v) {
+			if g.IsNoData(g.Z[y*g.NCols+x]) {
 				m.Set(geom.Cell{X: x, Y: y}, true)
 			}
 		}

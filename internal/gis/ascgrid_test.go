@@ -3,6 +3,8 @@ package gis
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,6 +53,9 @@ func TestReadAscErrors(t *testing.T) {
 		"bad data token":   "ncols 2\nnrows 1\ncellsize 1\n1 zz\n",
 		"zero dims":        "ncols 0\nnrows 1\ncellsize 1\n",
 		"bad cellsize":     "ncols 1\nnrows 1\ncellsize -1\n5\n",
+		// NCols×NRows wraps in int: to 0, then to 4096 (2^12 × (2^52+1)).
+		"overflowing shape": "ncols 4294967296\nnrows 4294967296\ncellsize 1\n",
+		"overflow to 4096":  "ncols 4096\nnrows 4503599627370497\ncellsize 1\n" + strings.Repeat("1 ", 4096) + "\n",
 	}
 	for name, data := range cases {
 		if _, err := ReadAsc(strings.NewReader(data)); err == nil {
@@ -148,5 +153,58 @@ func TestXllcenterVariantAccepted(t *testing.T) {
 	asc = strings.Replace(asc, "yllcorner", "yllcenter", 1)
 	if _, err := ReadAsc(strings.NewReader(asc)); err != nil {
 		t.Errorf("xllcenter/yllcenter variant rejected: %v", err)
+	}
+}
+
+// TestNextFieldMatchesStringsFields pins the byte tokeniser the
+// one-pass reader uses to strings.Fields, which ReadAsc used before
+// it: Unicode white space separates, invalid UTF-8 does not.
+func TestNextFieldMatchesStringsFields(t *testing.T) {
+	lines := []string{
+		"", "   ", "1", " 1 2\t3\r", "\v1\f-2.5e3  nan\n",
+		"1 2", "1\u00852", "1 3　", " ", "é 1", "1\xff 2", "\xc2 \xa0",
+	}
+	rng := rand.New(rand.NewSource(5))
+	pieces := []string{"1", "-2.5", "NaN", " ", "\t", " ", "\u0085", " ", "\xff", "\xc2", "é", "x"}
+	for i := 0; i < 500; i++ {
+		var sb strings.Builder
+		for n := rng.Intn(8); n > 0; n-- {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		lines = append(lines, sb.String())
+	}
+	for _, line := range lines {
+		var got []string
+		for tok, rest := nextField([]byte(line)); tok != nil; tok, rest = nextField(rest) {
+			got = append(got, string(tok))
+		}
+		if want := strings.Fields(line); !slices.Equal(got, want) {
+			t.Errorf("%q: fields %q, want %q", line, got, want)
+		}
+	}
+}
+
+// TestScanAscRows pins ScanAsc's row contract: every row in order with
+// its values as parsed, and no call for a row past NROWS.
+func TestScanAscRows(t *testing.T) {
+	var got [][]float64
+	collect := func(_ *AscGrid, vals []float64) error {
+		got = append(got, slices.Clone(vals))
+		return nil
+	}
+	g, err := ScanAsc(strings.NewReader(sampleAsc), collect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]float64{{1, 2, 3, 4}, {5, -9999, 7, 8}, {9, 10, 11, 12.5}}
+	if g.NCols != 4 || g.NRows != 3 || g.Z != nil || !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("header %+v, rows %v", g, got)
+	}
+	got = nil
+	if _, err := ScanAsc(strings.NewReader(sampleAsc+"1 2 3 4\n"), collect); err == nil {
+		t.Fatal("accepted a row past nrows")
+	}
+	if len(got) != 3 {
+		t.Fatalf("row called %d times for nrows 3", len(got))
 	}
 }

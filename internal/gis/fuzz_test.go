@@ -137,3 +137,47 @@ func FuzzRasterRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWindowedReader feeds raw bytes, plain or gzipped, to the
+// windowed reader. Either the open fails, or — whenever LoadRaster
+// accepts the same bytes — every window matches LoadRaster's raster
+// bits and mask. A header that overstates its body must fail without
+// allocating from the header (the 2^40-cell seed would exhaust
+// memory otherwise).
+func FuzzWindowedReader(f *testing.F) {
+	f.Add([]byte(sampleAsc))
+	f.Add(gzipBytes(f, []byte(sampleAsc)))
+	f.Add([]byte("ncols 3\nnrows 2\ncellsize 1\nNODATA_value -1\n-1 nan 2\r\n3 -1 NaN\n"))
+	f.Add([]byte("ncols 2\nnrows 2\ncellsize 0.5\n\n 1 2 \n\t3 4\n\n"))
+	f.Add([]byte("ncols 1048576\nnrows 1048576\ncellsize 1\n1 2\n"))
+	f.Add([]byte("ncols 2\nnrows 1048576\ncellsize 1\n1 2\n"))
+	f.Add([]byte("ncols 2\nnrows 2\ncellsize 1\n1 2 3 4\n"))
+	f.Add([]byte("ncols 4\nnrows 1\ncellsize 1\n1 2\n3 4\n"))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := NewWindowedReader(bytes.NewReader(data), WindowOptions{BlockRows: 2, CacheBytes: 1})
+		if err != nil {
+			return
+		}
+		defer w.Close()
+		full, mask, err := LoadRaster(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if w.Bounds() != full.Bounds() || w.CellSize() != full.CellSize() {
+			t.Fatalf("reader bounds %v cell %g, LoadRaster %v cell %g",
+				w.Bounds(), w.CellSize(), full.Bounds(), full.CellSize())
+		}
+		b := w.Bounds()
+		for _, rect := range []geom.Rect{
+			b,
+			{X0: b.X1 / 2, Y0: b.Y1 / 3, X1: b.X1, Y1: b.Y1},
+			{X0: 0, Y0: b.Y1 - 1, X1: (b.X1 + 1) / 2, Y1: b.Y1},
+		} {
+			if err := checkWindow(w, full, mask, rect); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}

@@ -3,11 +3,12 @@ package gis
 import (
 	"bufio"
 	"container/list"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 
 	"repro/internal/dsm"
@@ -41,132 +42,91 @@ type CacheStats struct {
 // block is a decoded run of raster rows. nodata is nil when the run
 // has full coverage.
 type block struct {
-	row0, rows int
-	z          []float64
-	nodata     []bool
-	bytes      int64
+	row0   int
+	z      []float64
+	nodata []bool
+	bytes  int64
 }
 
 // WindowedReader provides out-of-core, block-indexed access to an
-// ESRI ASCII grid: the constructor scans the file once to parse the
-// header and record the byte offset of every data row, after which
-// Window(rect) decodes only the blocks of rows the rectangle touches,
-// holding at most CacheBytes of decoded data at a time. This is how a
-// municipality-sized DSM is planned without ever materialising the
-// full grid: peak memory is O(window + cache budget), independent of
-// city size.
+// ESRI ASCII grid. The constructor parses the text exactly once
+// (ScanAsc), writing every value's little-endian float64 bits to a
+// private temporary file: 8 B per cell on disk, removed by Close.
+// Window(rect) then decodes only the row blocks the rectangle touches,
+// each with one ReadAt and no text parsing, and holds at most
+// CacheBytes of decoded blocks (plus one spare block left by an
+// eviction and one block's read buffer). So a municipality-sized DSM
+// is planned without ever materialising the full grid: peak memory is
+// O(window + cache budget), independent of city size.
 //
-// The reader requires the file to hold exactly one raster row per
-// line (the layout WriteAsc and every mainstream GIS exporter
-// produce); a row split across lines is reported as an error when its
-// block is first decoded.
+// The file must hold exactly one raster row per line (the layout
+// WriteAsc and every mainstream GIS exporter produce); anything else
+// fails the open.
 //
 // Window is safe for concurrent use; the city pipeline's tile workers
 // share one reader.
 type WindowedReader struct {
-	hdr    AscGrid // header fields only; Z stays nil
-	ra     io.ReaderAt
-	rowOff []int64 // len NRows+1; rowOff[i] = first byte of row i, rowOff[NRows] = end of last row
+	hdr AscGrid  // header fields only; Z stays nil
+	f   *os.File // NRows×NCols float64 bits, row-major, little-endian
 
 	blockRows  int
 	cacheBytes int64
 
-	mu      sync.Mutex
-	blocks  map[int]*list.Element // block index → lru element holding *block
-	lru     *list.List            // front = most recent
-	held    int64
-	stats   CacheStats
-	closers []io.Closer
-	tmp     string // gunzipped temp file to remove on Close
+	mu     sync.Mutex
+	blocks map[int]*list.Element // block index → lru element holding *block
+	lru    *list.List            // front = most recent
+	held   int64
+	stats  CacheStats
+	spare  *block // last evicted block, whose storage the next decode reuses
+	raw    []byte // ReadAt buffer for one block
 }
 
 // OpenWindowed opens path — a plain or gzip-compressed ESRI ASCII
-// grid (sniffed by magic bytes) — for windowed access. Compressed
-// files are inflated once to a temporary file so row blocks stay
-// randomly addressable; Close removes it.
+// grid (sniffed by magic bytes) — for windowed access; see
+// NewWindowedReader.
 func OpenWindowed(path string, opts WindowOptions) (*WindowedReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("gis: opening %s: %w", path, err)
 	}
-	var head [2]byte
-	n, err := io.ReadFull(f, head[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		f.Close()
-		return nil, fmt.Errorf("gis: sniffing %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("gis: rewinding %s: %w", path, err)
-	}
-
-	ra := io.ReaderAt(f)
-	size := int64(0)
-	closers := []io.Closer{f}
-	tmp := ""
-	if n == 2 && head[0] == gzipMagic[0] && head[1] == gzipMagic[1] {
-		tf, err := inflateToTemp(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		ra, closers, tmp = tf, []io.Closer{tf}, tf.Name()
-		st, err := tf.Stat()
-		if err != nil {
-			tf.Close()
-			os.Remove(tmp)
-			return nil, fmt.Errorf("gis: sizing inflated %s: %w", path, err)
-		}
-		size = st.Size()
-	} else {
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("gis: sizing %s: %w", path, err)
-		}
-		size = st.Size()
-	}
-
-	w, err := NewWindowedReader(ra, size, opts)
-	if err != nil {
-		for _, c := range closers {
-			c.Close()
-		}
-		if tmp != "" {
-			os.Remove(tmp)
-		}
-		return nil, err
-	}
-	w.closers, w.tmp = closers, tmp
-	return w, nil
+	defer f.Close()
+	return NewWindowedReader(f, opts)
 }
 
-// inflateToTemp decompresses a gzip stream into an unlinked-on-Close
-// temporary file and returns it positioned for random access.
-func inflateToTemp(r io.Reader) (*os.File, error) {
-	zr, err := MaybeGunzip(r)
+// NewWindowedReader converts the plain or gzip-compressed ESRI ASCII
+// grid read from r into the reader's temporary binary grid, in one
+// pass. A malformed grid fails here, with the temporary file already
+// removed; the caller must Close a returned reader.
+func NewWindowedReader(r io.Reader, opts WindowOptions) (*WindowedReader, error) {
+	plain, err := MaybeGunzip(r)
 	if err != nil {
 		return nil, err
 	}
-	tf, err := os.CreateTemp("", "pvfloor-asc-*.tmp")
+	f, err := os.CreateTemp("", "pvfloor-asc-*.tmp")
 	if err != nil {
-		return nil, fmt.Errorf("gis: creating inflate temp: %w", err)
+		return nil, fmt.Errorf("gis: creating grid temp file: %w", err)
 	}
-	if _, err := io.Copy(tf, zr); err != nil {
-		tf.Close()
-		os.Remove(tf.Name())
-		return nil, fmt.Errorf("gis: inflating asc.gz: %w", err)
+	bw := bufio.NewWriterSize(f, 64<<10)
+	var buf []byte
+	g, err := ScanAsc(plain, func(_ *AscGrid, vals []float64) error {
+		buf = buf[:0]
+		for _, v := range vals {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		_, err := bw.Write(buf)
+		return err
+	})
+	if err == nil {
+		err = bw.Flush()
 	}
-	return tf, nil
-}
-
-// NewWindowedReader indexes size bytes of uncompressed ASC content
-// served by ra: it parses the header and records every data row's
-// byte offset (one sequential pass, O(rows) memory).
-func NewWindowedReader(ra io.ReaderAt, size int64, opts WindowOptions) (*WindowedReader, error) {
+	if err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, err
+	}
 	w := &WindowedReader{
-		hdr:        AscGrid{NoData: -9999},
-		ra:         ra,
+		hdr:        *g,
+		f:          f,
 		blockRows:  opts.BlockRows,
 		cacheBytes: opts.CacheBytes,
 		blocks:     map[int]*list.Element{},
@@ -178,63 +138,8 @@ func NewWindowedReader(ra io.ReaderAt, size int64, opts WindowOptions) (*Windowe
 	if w.cacheBytes <= 0 {
 		w.cacheBytes = defaultCacheBytes
 	}
-	if err := w.scanIndex(size); err != nil {
-		return nil, err
-	}
 	return w, nil
 }
-
-// scanIndex reads the stream once, parsing header lines and recording
-// the byte offset of each data row.
-func (w *WindowedReader) scanIndex(size int64) error {
-	br := bufio.NewReaderSize(io.NewSectionReader(w.ra, 0, size), 1<<20)
-	var off int64
-	headerDone := false
-	seen := map[string]bool{}
-	for {
-		line, err := br.ReadString('\n')
-		lineStart := off
-		off += int64(len(line))
-		if line != "" {
-			trimmed := strings.TrimSpace(line)
-			fields := strings.Fields(trimmed)
-			switch {
-			case trimmed == "":
-				// blank line — never a data row
-			case !headerDone && len(fields) == 2 && !isNumeric(fields[0]):
-				if err := w.hdr.setHeaderField(fields[0], fields[1], seen); err != nil {
-					return err
-				}
-			default:
-				headerDone = true
-				w.rowOff = append(w.rowOff, lineStart)
-			}
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("gis: indexing asc: %w", err)
-		}
-	}
-	g := &w.hdr
-	if !seen["ncols"] || !seen["nrows"] || !seen["cellsize"] {
-		return fmt.Errorf("gis: missing mandatory header keys (ncols/nrows/cellsize)")
-	}
-	if g.NCols <= 0 || g.NRows <= 0 || g.CellSize <= 0 {
-		return fmt.Errorf("gis: invalid or missing header (ncols %d, nrows %d, cellsize %g)",
-			g.NCols, g.NRows, g.CellSize)
-	}
-	if len(w.rowOff) != g.NRows {
-		return fmt.Errorf("gis: windowed reader needs one data row per line: %d data lines for nrows %d",
-			len(w.rowOff), g.NRows)
-	}
-	w.rowOff = append(w.rowOff, size)
-	return nil
-}
-
-// Header returns a copy of the parsed header (Z is nil).
-func (w *WindowedReader) Header() AscGrid { return w.hdr }
 
 // Bounds returns the full grid rectangle in cells.
 func (w *WindowedReader) Bounds() geom.Rect {
@@ -251,20 +156,13 @@ func (w *WindowedReader) Stats() CacheStats {
 	return w.stats
 }
 
-// Close releases the underlying file handles and any gunzip temp file.
+// Close releases the binary grid and removes its temporary file.
 func (w *WindowedReader) Close() error {
-	var first error
-	for _, c := range w.closers {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+	err := w.f.Close()
+	if rerr := os.Remove(w.f.Name()); err == nil {
+		err = rerr
 	}
-	if w.tmp != "" {
-		if err := os.Remove(w.tmp); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return err
 }
 
 // Window decodes rect (global cells, half-open, must lie inside
@@ -274,32 +172,32 @@ func (w *WindowedReader) Close() error {
 // anchor, so its metric accessors — and therefore horizon marching
 // over it — behave bit-identically to the full grid.
 func (w *WindowedReader) Window(rect geom.Rect) (*dsm.Raster, *geom.Mask, error) {
-	if rect.Empty() {
-		return nil, nil, fmt.Errorf("gis: empty window %v", rect)
-	}
-	if rect.Intersect(w.Bounds()) != rect {
-		return nil, nil, fmt.Errorf("gis: window %v outside grid %v", rect, w.Bounds())
-	}
-	r, err := dsm.NewRaster(rect.W(), rect.H(), w.hdr.CellSize)
+	r, err := newWindow(rect, w.Bounds(), w.hdr.CellSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	r.SetOrigin(rect.Anchor())
 	var mask *geom.Mask
+	// Blocks are copied out under the lock: a later miss may reuse an
+	// evicted block's storage.
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for y := rect.Y0; y < rect.Y1; y++ {
 		b, err := w.getBlock(y / w.blockRows)
 		if err != nil {
 			return nil, nil, err
 		}
-		base := (y - b.row0) * w.hdr.NCols
-		for x := rect.X0; x < rect.X1; x++ {
-			c := geom.Cell{X: x - rect.X0, Y: y - rect.Y0}
-			r.Set(c, b.z[base+x])
-			if b.nodata != nil && b.nodata[base+x] {
+		lo := (y-b.row0)*w.hdr.NCols + rect.X0
+		hi := lo + rect.W()
+		r.SetRow(y-rect.Y0, b.z[lo:hi])
+		if b.nodata == nil {
+			continue
+		}
+		for x, hole := range b.nodata[lo:hi] {
+			if hole {
 				if mask == nil {
 					mask = geom.NewMask(rect.W(), rect.H())
 				}
-				mask.Set(c, true)
+				mask.Set(geom.Cell{X: x, Y: y - rect.Y0}, true)
 			}
 		}
 	}
@@ -307,9 +205,8 @@ func (w *WindowedReader) Window(rect geom.Rect) (*dsm.Raster, *geom.Mask, error)
 }
 
 // getBlock returns the decoded block bi, consulting the LRU cache.
+// The caller holds w.mu.
 func (w *WindowedReader) getBlock(bi int) (*block, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if el, ok := w.blocks[bi]; ok {
 		w.stats.Hits++
 		w.lru.MoveToFront(el)
@@ -329,60 +226,44 @@ func (w *WindowedReader) getBlock(bi int) (*block, error) {
 		delete(w.blocks, victim.row0/w.blockRows)
 		w.held -= victim.bytes
 		w.stats.Evictions++
+		w.spare = victim
 	}
 	return b, nil
 }
 
-// decodeBlock reads and parses the run of rows covered by block bi.
+// decodeBlock reads the rows of block bi from the binary grid and
+// applies the NODATA policy: sentinel and NaN cells become 0 and are
+// flagged in nodata. It decodes into the spare block's storage when
+// one is left from an eviction. The caller holds w.mu.
 func (w *WindowedReader) decodeBlock(bi int) (*block, error) {
 	row0 := bi * w.blockRows
-	row1 := row0 + w.blockRows
-	if row1 > w.hdr.NRows {
-		row1 = w.hdr.NRows
+	rows := min(w.blockRows, w.hdr.NRows-row0)
+	n := rows * w.hdr.NCols
+	b := w.spare
+	w.spare = nil
+	if b == nil {
+		b = &block{}
 	}
-	if row0 < 0 || row0 >= row1 {
-		return nil, fmt.Errorf("gis: block %d outside grid", bi)
+	w.raw = slices.Grow(w.raw[:0], n*8)[:n*8]
+	if _, err := w.f.ReadAt(w.raw, int64(row0)*int64(w.hdr.NCols)*8); err != nil {
+		return nil, fmt.Errorf("gis: reading rows %d-%d: %w", row0, row0+rows-1, err)
 	}
-	start, end := w.rowOff[row0], w.rowOff[row1]
-	raw := make([]byte, end-start)
-	if _, err := io.ReadFull(io.NewSectionReader(w.ra, start, end-start), raw); err != nil {
-		return nil, fmt.Errorf("gis: reading rows %d-%d: %w", row0, row1-1, err)
-	}
-	ncols := w.hdr.NCols
-	b := &block{row0: row0, rows: row1 - row0, z: make([]float64, (row1-row0)*ncols)}
-	row := row0
-	for _, line := range strings.Split(string(raw), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" {
-			continue
-		}
-		if row >= row1 {
-			return nil, fmt.Errorf("gis: extra data line after row %d", row1-1)
-		}
-		fields := strings.Fields(trimmed)
-		if len(fields) != ncols {
-			return nil, fmt.Errorf("gis: row %d has %d values, want ncols %d", row, len(fields), ncols)
-		}
-		base := (row - row0) * ncols
-		for x, tok := range fields {
-			v, err := strconv.ParseFloat(tok, 64)
-			if err != nil {
-				return nil, fmt.Errorf("gis: row %d col %d: %q: %w", row, x, tok, err)
+	z := slices.Grow(b.z[:0], n)[:n]
+	holes := b.nodata[:0]
+	b.nodata = nil
+	for i := range z {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(w.raw[i*8:]))
+		if w.hdr.IsNoData(v) {
+			if b.nodata == nil {
+				b.nodata = slices.Grow(holes, n)[:n]
+				clear(b.nodata)
 			}
-			if v == w.hdr.NoData || v != v { // NoData sentinel or NaN
-				if b.nodata == nil {
-					b.nodata = make([]bool, len(b.z))
-				}
-				b.nodata[base+x] = true
-				v = 0
-			}
-			b.z[base+x] = v
+			b.nodata[i] = true
+			v = 0
 		}
-		row++
+		z[i] = v
 	}
-	if row != row1 {
-		return nil, fmt.Errorf("gis: rows %d-%d: decoded %d lines", row0, row1-1, row-row0)
-	}
+	b.row0, b.z = row0, z
 	b.bytes = int64(len(b.z)*8 + len(b.nodata))
 	return b, nil
 }
@@ -405,17 +286,10 @@ func (s *RasterSource) CellSize() float64 { return s.Raster.CellSize() }
 // Window copies rect out of the wrapped raster with the origin set,
 // mirroring WindowedReader.Window semantics.
 func (s *RasterSource) Window(rect geom.Rect) (*dsm.Raster, *geom.Mask, error) {
-	if rect.Empty() {
-		return nil, nil, fmt.Errorf("gis: empty window %v", rect)
-	}
-	if rect.Intersect(s.Raster.Bounds()) != rect {
-		return nil, nil, fmt.Errorf("gis: window %v outside grid %v", rect, s.Raster.Bounds())
-	}
-	r, err := dsm.NewRaster(rect.W(), rect.H(), s.Raster.CellSize())
+	r, err := newWindow(rect, s.Raster.Bounds(), s.Raster.CellSize())
 	if err != nil {
 		return nil, nil, err
 	}
-	r.SetOrigin(rect.Anchor())
 	var mask *geom.Mask
 	for y := rect.Y0; y < rect.Y1; y++ {
 		for x := rect.X0; x < rect.X1; x++ {
@@ -430,4 +304,21 @@ func (s *RasterSource) Window(rect geom.Rect) (*dsm.Raster, *geom.Mask, error) {
 		}
 	}
 	return r, mask, nil
+}
+
+// newWindow allocates the raster for rect, which must be nonempty and
+// inside bounds, with its origin at rect's anchor.
+func newWindow(rect, bounds geom.Rect, cellSize float64) (*dsm.Raster, error) {
+	if rect.Empty() {
+		return nil, fmt.Errorf("gis: empty window %v", rect)
+	}
+	if rect.Intersect(bounds) != rect {
+		return nil, fmt.Errorf("gis: window %v outside grid %v", rect, bounds)
+	}
+	r, err := dsm.NewRaster(rect.W(), rect.H(), cellSize)
+	if err != nil {
+		return nil, err
+	}
+	r.SetOrigin(rect.Anchor())
+	return r, nil
 }

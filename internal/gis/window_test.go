@@ -3,11 +3,17 @@ package gis
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/dsm"
 	"repro/internal/geom"
 )
 
@@ -36,10 +42,15 @@ func newWindowed(t *testing.T, g *AscGrid, opts WindowOptions) *WindowedReader {
 	if err := g.WriteAsc(&buf); err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWindowedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), opts)
+	w, err := NewWindowedReader(bytes.NewReader(buf.Bytes()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := w.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	return w
 }
 
@@ -207,22 +218,59 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
+// TestWindowedReaderRejectsMalformed: every structural defect fails
+// the open itself, and a failed open leaves no temporary file behind.
 func TestWindowedReaderRejectsMalformed(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
 	cases := map[string]string{
-		"missing header": "1 2\n3 4\n",
-		"wrapped rows":   "ncols 4\nnrows 2\ncellsize 1\n1 2\n3 4\n5 6\n7 8\n",
-		"short row":      "ncols 3\nnrows 2\ncellsize 1\n1 2 3\n4 5\n",
-		"bad data token": "ncols 2\nnrows 1\ncellsize 1\n1 zz\n",
-		"unknown key":    "ncols 2\nnrows 1\ncellsize 1\nfrobnicate 3\n1 2\n",
+		"empty":            "",
+		"missing header":   "1 2\n3 4\n",
+		"header only":      "ncols 2\nnrows 1\ncellsize 1\n",
+		"wrapped rows":     "ncols 4\nnrows 2\ncellsize 1\n1 2\n3 4\n5 6\n7 8\n",
+		"joined rows":      "ncols 2\nnrows 2\ncellsize 1\n1 2 3 4\n",
+		"short row":        "ncols 3\nnrows 2\ncellsize 1\n1 2 3\n4 5\n",
+		"extra row":        "ncols 2\nnrows 1\ncellsize 1\n1 2\n3 4\n",
+		"missing row":      "ncols 2\nnrows 3\ncellsize 1\n1 2\n3 4\n",
+		"bad data token":   "ncols 2\nnrows 1\ncellsize 1\n1 zz\n",
+		"unknown key":      "ncols 2\nnrows 1\ncellsize 1\nfrobnicate 3\n1 2\n",
+		"zero cellsize":    "ncols 2\nnrows 1\ncellsize 0\n1 2\n",
+		"truncated gzip":   string(gzipBytes(t, []byte(sampleAsc))[:12]),
+		"gzipped, no rows": string(gzipBytes(t, []byte("ncols 2\nnrows 1\ncellsize 1\n"))),
 	}
 	for name, data := range cases {
-		w, err := NewWindowedReader(bytes.NewReader([]byte(data)), int64(len(data)), WindowOptions{})
-		if err != nil {
-			continue // rejected at index time: fine
+		w, err := NewWindowedReader(strings.NewReader(data), WindowOptions{})
+		if err == nil {
+			w.Close()
+			t.Errorf("%s: open accepted a malformed grid", name)
 		}
-		if _, _, err := w.Window(w.Bounds()); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
+		assertNoTempFiles(t, dir)
+	}
+}
+
+// gzipBytes compresses b as one gzip member.
+func gzipBytes(tb testing.TB, b []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(b); err != nil {
+		tb.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// assertNoTempFiles fails when a reader's binary grid outlived it in dir.
+func assertNoTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	leftovers, err := filepath.Glob(filepath.Join(dir, "pvfloor-asc-*.tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leftovers) != 0 {
+		t.Fatalf("temporary grid files left behind: %v", leftovers)
 	}
 }
 
@@ -235,14 +283,7 @@ func TestGzipRoundTrip(t *testing.T) {
 	if err := g.WriteAsc(&plain); err != nil {
 		t.Fatal(err)
 	}
-	var gzipped bytes.Buffer
-	zw := gzip.NewWriter(&gzipped)
-	if _, err := zw.Write(plain.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	gzipped := bytes.NewBuffer(gzipBytes(t, plain.Bytes()))
 
 	want, wantMask, err := LoadRaster(bytes.NewReader(plain.Bytes()))
 	if err != nil {
@@ -260,6 +301,7 @@ func TestGzipRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
 	plainPath := filepath.Join(dir, "tile.asc")
 	gzPath := filepath.Join(dir, "tile.asc.gz")
 	if err := os.WriteFile(plainPath, plain.Bytes(), 0o644); err != nil {
@@ -287,14 +329,8 @@ func TestGzipRoundTrip(t *testing.T) {
 			t.Errorf("%s: close: %v", path, err)
 		}
 	}
-	// The gunzip temp file must not outlive the reader.
-	leftovers, err := filepath.Glob(filepath.Join(os.TempDir(), "pvfloor-asc-*.tmp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leftovers) != 0 {
-		t.Errorf("gunzip temp files leaked: %v", leftovers)
-	}
+	// The binary grid must not outlive the reader.
+	assertNoTempFiles(t, dir)
 }
 
 // TestRasterSourceMatchesWindowedReader pins the in-memory adapter to
@@ -334,5 +370,198 @@ func TestRasterSourceMatchesWindowedReader(t *testing.T) {
 	}
 	if _, _, err := src.Window(geom.Rect{X0: -1, Y0: 0, X1: 3, Y1: 3}); err == nil {
 		t.Error("out-of-bounds window should fail")
+	}
+}
+
+// holeyGrid is a 29×23 grid with a NODATA rect, a NaN rect and a
+// fully-NODATA row, in the text form WriteAsc gives it.
+func holeyGrid(t *testing.T) []byte {
+	t.Helper()
+	g := testGrid(29, 23, geom.Rect{X0: 3, Y0: 4, X1: 9, Y1: 11}, geom.Rect{X0: 0, Y0: 17, X1: 29, Y1: 18})
+	for y := 12; y < 15; y++ {
+		for x := 20; x < 26; x++ {
+			g.Z[y*g.NCols+x] = math.NaN()
+		}
+	}
+	var buf bytes.Buffer
+	if err := g.WriteAsc(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkWindow compares rect of w against the whole-file load: every
+// elevation bit, every mask bit, and a nil mask exactly when rect has
+// no hole.
+func checkWindow(w interface {
+	Window(geom.Rect) (*dsm.Raster, *geom.Mask, error)
+}, full *dsm.Raster, fullMask *geom.Mask, rect geom.Rect) error {
+	win, mask, err := w.Window(rect)
+	if err != nil {
+		return fmt.Errorf("window %v: %w", rect, err)
+	}
+	if win.Origin() != rect.Anchor() || win.Bounds() != (geom.Rect{X1: rect.W(), Y1: rect.H()}) {
+		return fmt.Errorf("window %v: origin %v bounds %v", rect, win.Origin(), win.Bounds())
+	}
+	holes := 0
+	for y := 0; y < rect.H(); y++ {
+		for x := 0; x < rect.W(); x++ {
+			l := geom.Cell{X: x, Y: y}
+			gc := geom.Cell{X: rect.X0 + x, Y: rect.Y0 + y}
+			if got, want := math.Float64bits(win.At(l)), math.Float64bits(full.At(gc)); got != want {
+				return fmt.Errorf("window %v cell %v: bits %x, want %x", rect, gc, got, want)
+			}
+			wantHole := fullMask != nil && fullMask.Get(gc)
+			if gotHole := mask != nil && mask.Get(l); gotHole != wantHole {
+				return fmt.Errorf("window %v cell %v: nodata %v, want %v", rect, gc, gotHole, wantHole)
+			}
+			if wantHole {
+				holes++
+			}
+		}
+	}
+	if (mask == nil) != (holes == 0) {
+		return fmt.Errorf("window %v: mask %v for %d holes", rect, mask != nil, holes)
+	}
+	return nil
+}
+
+// equivalenceRects is a fixed spread of windows over a 29×23 grid.
+func equivalenceRects() []geom.Rect {
+	rects := []geom.Rect{
+		{X1: 29, Y1: 23},
+		{X0: 2, Y0: 3, X1: 10, Y1: 12},
+		{X0: 19, Y0: 11, X1: 27, Y1: 16},
+		{X0: 0, Y0: 17, X1: 29, Y1: 18},
+		{X0: 28, Y0: 22, X1: 29, Y1: 23},
+		{X0: 14, Y0: 0, X1: 15, Y1: 23},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 12; i++ {
+		x0, y0 := rng.Intn(28), rng.Intn(22)
+		rects = append(rects, geom.Rect{X0: x0, Y0: y0, X1: x0 + 1 + rng.Intn(29-x0), Y1: y0 + 1 + rng.Intn(23-y0)})
+	}
+	return rects
+}
+
+// TestWindowEquivalence pins the binary grid to the text: plain and
+// gzipped, at every block height from 1 to 7 and under both a 1-byte
+// and a roomy budget, every window equals LoadRaster's raster bits
+// and mask, NODATA and NaN holes included.
+func TestWindowEquivalence(t *testing.T) {
+	text := holeyGrid(t)
+	full, fullMask, err := LoadRaster(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 6×7 NODATA, one 29-cell NODATA row and 6×3 NaN cells.
+	if fullMask.Count() != 42+29+18 {
+		t.Fatalf("LoadRaster masked %d cells, want %d", fullMask.Count(), 42+29+18)
+	}
+	for _, form := range []struct {
+		name string
+		data []byte
+	}{{"plain", text}, {"gzip", gzipBytes(t, text)}} {
+		for rows := 1; rows <= 7; rows++ {
+			for _, budget := range []int64{1, 1 << 20} {
+				w, err := NewWindowedReader(bytes.NewReader(form.data), WindowOptions{BlockRows: rows, CacheBytes: budget})
+				if err != nil {
+					t.Fatalf("%s rows %d: %v", form.name, rows, err)
+				}
+				for _, rect := range equivalenceRects() {
+					if err := checkWindow(w, full, fullMask, rect); err != nil {
+						t.Errorf("%s rows %d budget %d: %v", form.name, rows, budget, err)
+					}
+				}
+				if s := w.Stats(); budget == 1 && s.Evictions == 0 {
+					t.Errorf("%s rows %d: a 1-byte budget evicted nothing: %+v", form.name, rows, s)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowConcurrent runs 8 goroutines over one reader under a
+// 1-byte budget, so nearly every lookup evicts a block whose storage
+// the next decode reuses; run with -race.
+func TestWindowConcurrent(t *testing.T) {
+	text := holeyGrid(t)
+	full, fullMask, err := LoadRaster(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWindowedReader(bytes.NewReader(text), WindowOptions{BlockRows: 3, CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rects := equivalenceRects()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4*len(rects); i++ {
+				if err := checkWindow(w, full, fullMask, rects[(g+i)%len(rects)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestTempGridLifetime: an open reader holds one temporary file of
+// 8 bytes per cell, and Close removes it.
+func TestTempGridLifetime(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	w, err := NewWindowedReader(bytes.NewReader(holeyGrid(t)), WindowOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "pvfloor-asc-*.tmp"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("open reader's temp files = %v, %v; want one", files, err)
+	}
+	st, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(29 * 23 * 8); st.Size() != want {
+		t.Errorf("temp grid is %d bytes, want %d (8 per cell)", st.Size(), want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoTempFiles(t, dir)
+}
+
+// TestLyingHeaderAllocatesFromBody: a header claiming 2^24 columns or
+// rows over a two-value body fails on the body, never allocating a
+// row or grid sized from the header.
+func TestLyingHeaderAllocatesFromBody(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	for _, data := range []string{
+		"ncols 16777216\nnrows 16777216\ncellsize 1\n1 2\n",
+		"ncols 2\nnrows 16777216\ncellsize 1\n1 2\n",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w, err := NewWindowedReader(strings.NewReader(data), WindowOptions{})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			w.Close()
+			t.Fatalf("%q: open accepted a header that overstates its body", data)
+		}
+		// The scanner's 64 KiB line buffer and the bufio buffers are
+		// expected; one 2^24-value row alone would be 128 MiB.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("%q: failed open allocated %d bytes", data, grew)
+		}
 	}
 }

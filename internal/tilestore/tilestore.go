@@ -15,7 +15,7 @@
 // restart.
 //
 // Tiles are stored gzip-compressed regardless of upload form;
-// gis.OpenWindowed sniffs the magic and inflates transparently, so
+// gis.OpenWindowed sniffs the magic and decompresses transparently, so
 // Path's result feeds straight into the windowed ingestion path.
 package tilestore
 
@@ -28,7 +28,6 @@ import (
 	"io"
 
 	"repro/internal/blobstore"
-	"repro/internal/geom"
 	"repro/internal/gis"
 )
 
@@ -51,7 +50,7 @@ type Info struct {
 	NRows int `json:"nrows"`
 	// Cells is the total cell count (NCols × NRows).
 	Cells int `json:"cells"`
-	// NoData is the number of cells carrying the NODATA sentinel.
+	// NoData is the number of cells carrying the NODATA sentinel or NaN.
 	NoData int `json:"nodata_cells"`
 	// CellSize is the grid pitch in metres.
 	CellSize float64 `json:"cellsize_m"`
@@ -80,7 +79,7 @@ func (s *Store) Root() string { return s.dir.Root() }
 // Put validates, hashes and stores one uploaded tile. body is the
 // upload payload — a plain or gzip-compressed ASC grid (sniffed by
 // magic bytes). The whole grid is structurally validated (header,
-// row count, every value parses) via the windowed reader before
+// row count, every value parses) by the windowed reader's converter before
 // anything is stored, so a ref always names a tile the pipeline can
 // ingest. Storing an already-present tile is a no-op returning the
 // same ref.
@@ -120,35 +119,23 @@ func (s *Store) Put(body io.Reader) (Info, error) {
 	return info, nil
 }
 
-// validate parses the whole grid through the windowed reader in row
-// strips — O(rows) index plus one block strip in memory — and fills
-// the dimensional fields of Info.
+// validate runs the upload through gis.ScanAsc — the converter
+// gis.OpenWindowed runs, with its checks — counting NODATA cells as
+// the rows stream past, and fills the dimensional fields of Info.
 func validate(raw []byte) (Info, error) {
-	w, err := gis.NewWindowedReader(bytes.NewReader(raw), int64(len(raw)), gis.WindowOptions{})
+	var info Info
+	g, err := gis.ScanAsc(bytes.NewReader(raw), func(g *gis.AscGrid, vals []float64) error {
+		for _, v := range vals {
+			if g.IsNoData(v) {
+				info.NoData++
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return Info{}, fmt.Errorf("tilestore: invalid tile: %w", err)
 	}
-	hdr := w.Header()
-	info := Info{
-		NCols:    hdr.NCols,
-		NRows:    hdr.NRows,
-		Cells:    hdr.NCols * hdr.NRows,
-		CellSize: hdr.CellSize,
-	}
-	const stripRows = 64
-	for y0 := 0; y0 < hdr.NRows; y0 += stripRows {
-		y1 := y0 + stripRows
-		if y1 > hdr.NRows {
-			y1 = hdr.NRows
-		}
-		_, mask, err := w.Window(geom.Rect{X0: 0, Y0: y0, X1: hdr.NCols, Y1: y1})
-		if err != nil {
-			return Info{}, fmt.Errorf("tilestore: invalid tile: %w", err)
-		}
-		if mask != nil {
-			info.NoData += mask.Count()
-		}
-	}
+	info.NCols, info.NRows, info.Cells, info.CellSize = g.NCols, g.NRows, g.NCols*g.NRows, g.CellSize
 	return info, nil
 }
 
