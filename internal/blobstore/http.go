@@ -67,6 +67,8 @@ func (o HTTPOptions) withDefaults() HTTPOptions {
 type HTTP struct {
 	base string
 	opts HTTPOptions
+	// limit caps a GET body (maxBlobBytes; tests lower it).
+	limit int64
 }
 
 // OpenHTTP builds a client backend on baseURL (e.g.
@@ -79,7 +81,7 @@ func OpenHTTP(baseURL string, opts HTTPOptions) (*HTTP, error) {
 	if u.Scheme != "http" && u.Scheme != "https" || u.Host == "" {
 		return nil, fmt.Errorf("blobstore: remote url %q: need http(s)://host[/path]", baseURL)
 	}
-	return &HTTP{base: strings.TrimRight(u.String(), "/"), opts: opts.withDefaults()}, nil
+	return &HTTP{base: strings.TrimRight(u.String(), "/"), opts: opts.withDefaults(), limit: maxBlobBytes}, nil
 }
 
 // BaseURL returns the remote mount this client talks to.
@@ -97,7 +99,14 @@ func (e *errStatus) Error() string {
 	return fmt.Sprintf("blobstore: %s answered %d", e.url, e.code)
 }
 
+// errTooLarge marks a blob over the size cap: the peer will send the
+// same bytes again, so it is not retried.
+var errTooLarge = errors.New("blobstore: blob exceeds the size cap")
+
 func retryable(err error) bool {
+	if errors.Is(err, errTooLarge) {
+		return false
+	}
 	var st *errStatus
 	if errors.As(err, &st) {
 		return st.code >= 500
@@ -147,7 +156,7 @@ func (h *HTTP) Get(key string) ([]byte, error) {
 		defer resp.Body.Close()
 		switch {
 		case resp.StatusCode == http.StatusOK:
-			out, err = io.ReadAll(resp.Body)
+			out, err = readBlob(resp, h.limit)
 			return err
 		case resp.StatusCode == http.StatusNotFound:
 			return fmt.Errorf("%w: %s", ErrNotFound, key)
@@ -158,6 +167,37 @@ func (h *HTTP) Get(key string) ([]byte, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// readBlob reads a GET body of at most limit bytes into one buffer.
+// A declared Content-Length is allocated once and must match the body
+// exactly: a short body or a trailing byte is an error. A length above
+// the cap fails before any allocation, and a body without a declared
+// length fails once it passes the cap.
+func readBlob(resp *http.Response, limit int64) ([]byte, error) {
+	n := resp.ContentLength
+	if n > limit {
+		return nil, fmt.Errorf("%w: %d-byte blob over the %d-byte cap", errTooLarge, n, limit)
+	}
+	if n < 0 {
+		out, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		if err != nil {
+			return nil, err
+		}
+		if int64(len(out)) > limit {
+			return nil, fmt.Errorf("%w: body over the %d-byte cap", errTooLarge, limit)
+		}
+		return out, nil
+	}
+	out := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, out); err != nil {
+		return nil, fmt.Errorf("blobstore: body shorter than its %d-byte Content-Length: %w", n, err)
+	}
+	var extra [1]byte
+	if m, _ := resp.Body.Read(extra[:]); m > 0 {
+		return nil, fmt.Errorf("blobstore: body longer than its %d-byte Content-Length", n)
 	}
 	return out, nil
 }
@@ -215,8 +255,9 @@ func (h *HTTP) Stat(key string) (int64, error) {
 	return size, err
 }
 
-// maxBlobBytes caps PUT bodies accepted by the server handler; cache
-// artifacts (horizon snapshots, cell-stats tables) sit far below it.
+// maxBlobBytes caps blob bodies: PUTs the server handler accepts and
+// GET answers the client reads. Cache artifacts (horizon maps,
+// cell-stats tables) sit far below it.
 const maxBlobBytes = 256 << 20
 
 // Handler serves b over HTTP: GET and HEAD return a blob, PUT stores

@@ -1,5 +1,5 @@
 // Package fieldcache is the persistent artifact cache of the solar
-// pipeline: content-addressed gob-encoded artifacts (horizon maps,
+// pipeline: content-addressed binary artifacts (horizon maps,
 // per-cell statistics) keyed by composite fingerprints of everything
 // they depend on. Repeated scenario sweeps over the same roofs —
 // across processes, not just within one — skip both horizon
@@ -15,7 +15,9 @@
 // turbidity, weather realisation and statistics configuration — so any
 // input change produces a different key and the stale artifact is
 // simply never read again (no explicit invalidation pass; run a
-// directory cleanup out of band if space matters).
+// directory cleanup out of band if space matters). The key also names
+// the frame format version, so artifacts written in an older format
+// are never looked up: they are clean misses, not corrupt entries.
 //
 // # Storage tiers
 //
@@ -29,15 +31,30 @@
 // failed run. Metrics carries both the classic aggregate counters and
 // a per-tier breakdown.
 //
-// # Integrity
+// # Frame and integrity
 //
-// Blobs carry a magic header, a format version, the full fingerprint
-// and a SHA-256 checksum of the payload. Every tier's payload is
-// verified before use — corrupt, truncated or colliding blobs are
-// treated as misses (counted per tier and in Metrics.Corrupt) and the
-// lookup falls through to the next tier or to recompute, never
-// trusted. This matters doubly for the remote tier: bytes from the
-// network get exactly the same scrutiny as bytes from disk.
+// A blob is one fixed binary frame, all integers little-endian:
+//
+//	magic       13 bytes  "pvfield-cache"
+//	version     uint16    frame format version
+//	kind len    uint16
+//	fp len      uint32
+//	sum         32 bytes  SHA-256 of the payload
+//	kind        kind len bytes
+//	fingerprint fp len bytes
+//	payload     the rest: the artifact's MarshalBinary output
+//
+// Every tier's blob is verified before use: the header is parsed in
+// place, the magic and version checked, the kind and fingerprint
+// hashed back to the requested key (so a blob filed under the wrong
+// name can never satisfy a lookup) and the payload checksummed.
+// Corrupt, truncated or colliding blobs are treated as misses (counted
+// per tier and in Metrics.Corrupt) and the lookup falls through to the
+// next tier or to recompute, never trusted. This matters doubly for
+// the remote tier: bytes from the network get exactly the same
+// scrutiny as bytes from disk. Load then hands the payload — a
+// sub-slice of the blob, never copied — to the artifact's
+// UnmarshalBinary, whose own shape errors are misses too.
 //
 // # Concurrency and durability
 //
@@ -55,7 +72,9 @@ package fieldcache
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -65,17 +84,60 @@ import (
 
 const (
 	fileMagic   = "pvfield-cache"
-	fileVersion = 1
+	fileVersion = 2
+	// headerLen is the fixed part of the frame, before the kind.
+	headerLen = len(fileMagic) + 2 + 2 + 4 + sha256.Size
 )
 
-// envelope is the stored frame around a payload.
-type envelope struct {
-	Magic       string
-	Version     int
-	Kind        string
-	Fingerprint string
-	Payload     []byte
-	Sum         [sha256.Size]byte
+// frame is a parsed blob. Every slice aliases the blob it was parsed
+// from.
+type frame struct {
+	kind, fingerprint []byte
+	sum               []byte
+	payload           []byte
+}
+
+var (
+	errNotFrame     = errors.New("not an artifact frame")
+	errVersion      = errors.New("unknown frame version")
+	errShortStrings = errors.New("frame shorter than its kind and fingerprint")
+)
+
+// parseFrame checks the magic and version and splits raw into its
+// fields in place; it allocates nothing.
+func parseFrame(raw []byte) (frame, error) {
+	if len(raw) < headerLen || string(raw[:len(fileMagic)]) != fileMagic {
+		return frame{}, errNotFrame
+	}
+	h := raw[len(fileMagic):]
+	if binary.LittleEndian.Uint16(h) != fileVersion {
+		return frame{}, errVersion
+	}
+	kindLen := uint64(binary.LittleEndian.Uint16(h[2:]))
+	fpLen := uint64(binary.LittleEndian.Uint32(h[4:]))
+	rest := raw[headerLen:]
+	if kindLen+fpLen > uint64(len(rest)) {
+		return frame{}, errShortStrings
+	}
+	return frame{
+		kind:        rest[:kindLen],
+		fingerprint: rest[kindLen : kindLen+fpLen],
+		sum:         h[8 : 8+sha256.Size],
+		payload:     rest[kindLen+fpLen:],
+	}, nil
+}
+
+// appendFrame frames payload for (kind, fingerprint).
+func appendFrame(dst []byte, kind, fingerprint string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	dst = append(dst, fileMagic...)
+	dst = binary.LittleEndian.AppendUint16(dst, fileVersion)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(kind)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fingerprint)))
+	dst = append(dst, sum[:]...)
+	dst = append(dst, kind...)
+	dst = append(dst, fingerprint...)
+	return append(dst, payload...)
 }
 
 // Cache is a handle on an artifact store. The zero value is not
@@ -195,59 +257,56 @@ func (c *Cache) Metrics() Metrics {
 
 // Key maps (kind, fingerprint) to the blob key naming the artifact.
 // The fingerprint is hashed — it can be arbitrarily long and contain
-// any bytes — and the kind is kept readable for debugging.
+// any bytes — and the kind is kept readable for debugging. The suffix
+// names the frame format version, so a format change turns every older
+// artifact into a key nobody asks for: a stale miss, never a corrupt
+// hit.
 func Key(kind, fingerprint string) string {
 	sum := sha256.Sum256([]byte(kind + "\x00" + fingerprint))
-	return fmt.Sprintf("%s-%x.gob", kind, sum[:16])
+	return fmt.Sprintf("%s-%x.v%d", kind, sum[:16], fileVersion)
 }
 
-// verifyEnvelope is the per-tier integrity gate: it decodes the frame,
-// checks magic, version and payload checksum, and confirms the
-// envelope's own kind and fingerprint hash back to the requested key
+// verifyEnvelope is the per-tier integrity gate: it parses the frame
+// in place, checks magic, version and payload checksum, and confirms
+// the frame's own kind and fingerprint hash back to the requested key
 // (so a blob filed under the wrong name can never satisfy a lookup).
 // The payload itself is decoded later by Load.
 func verifyEnvelope(key string, raw []byte) error {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
-		return fmt.Errorf("fieldcache: undecodable envelope for %s: %w", key, err)
+	f, err := parseFrame(raw)
+	if err != nil {
+		return fmt.Errorf("fieldcache: %s: %w", key, err)
 	}
-	if env.Magic != fileMagic || env.Version != fileVersion {
-		return fmt.Errorf("fieldcache: bad magic/version for %s", key)
+	if named := Key(string(f.kind), string(f.fingerprint)); named != key {
+		return fmt.Errorf("fieldcache: frame for %s names key %s", key, named)
 	}
-	if Key(env.Kind, env.Fingerprint) != key {
-		return fmt.Errorf("fieldcache: envelope for %s names key %s", key, Key(env.Kind, env.Fingerprint))
-	}
-	if sha256.Sum256(env.Payload) != env.Sum {
+	if sum := sha256.Sum256(f.payload); !bytes.Equal(sum[:], f.sum) {
 		return fmt.Errorf("fieldcache: checksum mismatch for %s", key)
 	}
 	return nil
 }
 
-// Load looks up the artifact for (kind, fingerprint) and gob-decodes
-// it into out (which must be a non-nil pointer). It returns true only
-// when a fully verified artifact was decoded; every failure mode —
-// absent blob, bad magic or version, fingerprint mismatch, checksum
-// mismatch, decode error, dead remote tier — is a miss, and the
-// caller recomputes.
-func (c *Cache) Load(kind, fingerprint string, out any) bool {
+// Load looks up the artifact for (kind, fingerprint) and decodes its
+// payload into out. It returns true only when a fully verified
+// artifact was decoded; every failure mode — absent blob, bad magic or
+// version, fingerprint mismatch, checksum mismatch, decode error, dead
+// remote tier — is a miss, and the caller recomputes. The payload
+// handed to out aliases the blob: UnmarshalBinary must copy what it
+// keeps, as its contract requires.
+func (c *Cache) Load(kind, fingerprint string, out encoding.BinaryUnmarshaler) bool {
 	raw, err := c.store.Get(Key(kind, fingerprint))
 	if err != nil {
 		c.misses.Add(1)
 		return false
 	}
 	// The tier verify hook has already checked magic, version, key and
-	// checksum; re-decode the frame to reach the payload and guard the
-	// exact kind/fingerprint pair once more.
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
+	// checksum; re-parse the header (no copy) to reach the payload and
+	// guard the exact kind/fingerprint pair once more.
+	f, err := parseFrame(raw)
+	if err != nil || string(f.kind) != kind || string(f.fingerprint) != fingerprint {
 		c.markCorrupt()
 		return false
 	}
-	if env.Kind != kind || env.Fingerprint != fingerprint {
-		c.markCorrupt()
-		return false
-	}
-	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(out); err != nil {
+	if err := out.UnmarshalBinary(f.payload); err != nil {
 		c.markCorrupt()
 		return false
 	}
@@ -268,24 +327,16 @@ func (c *Cache) markCorrupt() {
 // entry: the entry is either absent or complete. A failed remote
 // write never fails the store — only the local tier's error is
 // surfaced.
-func (c *Cache) Store(kind, fingerprint string, v any) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+func (c *Cache) Store(kind, fingerprint string, v encoding.BinaryMarshaler) error {
+	if len(kind) > 1<<16-1 || uint64(len(fingerprint)) > 1<<32-1 {
+		return fmt.Errorf("fieldcache: %s kind or fingerprint too long to frame", kind)
+	}
+	payload, err := v.MarshalBinary()
+	if err != nil {
 		return fmt.Errorf("fieldcache: encoding %s artifact: %w", kind, err)
 	}
-	env := envelope{
-		Magic:       fileMagic,
-		Version:     fileVersion,
-		Kind:        kind,
-		Fingerprint: fingerprint,
-		Payload:     payload.Bytes(),
-		Sum:         sha256.Sum256(payload.Bytes()),
-	}
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(env); err != nil {
-		return fmt.Errorf("fieldcache: framing %s artifact: %w", kind, err)
-	}
-	if err := c.store.Put(Key(kind, fingerprint), frame.Bytes()); err != nil {
+	raw := appendFrame(make([]byte, 0, headerLen+len(kind)+len(fingerprint)+len(payload)), kind, fingerprint, payload)
+	if err := c.store.Put(Key(kind, fingerprint), raw); err != nil {
 		return fmt.Errorf("fieldcache: storing %s artifact: %w", kind, err)
 	}
 	c.stores.Add(1)

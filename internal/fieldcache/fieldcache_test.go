@@ -1,7 +1,9 @@
 package fieldcache
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,31 +12,18 @@ import (
 	"repro/internal/faultfs"
 )
 
-type payload struct {
-	Name string
-	Vals []float64
-	Bits []uint32
+// blob is the test artifact: bytes that are their own encoding.
+type blob []byte
+
+func (b blob) MarshalBinary() ([]byte, error) { return append([]byte(nil), b...), nil }
+
+func (b *blob) UnmarshalBinary(data []byte) error {
+	*b = append((*b)[:0], data...)
+	return nil
 }
 
-func testPayload() payload {
-	return payload{Name: "roof", Vals: []float64{1.5, -2.25, 0, 12345.6789}, Bits: []uint32{1, 2, 3}}
-}
-
-func samePayload(a, b payload) bool {
-	if a.Name != b.Name || len(a.Vals) != len(b.Vals) || len(a.Bits) != len(b.Bits) {
-		return false
-	}
-	for i := range a.Vals {
-		if a.Vals[i] != b.Vals[i] {
-			return false
-		}
-	}
-	for i := range a.Bits {
-		if a.Bits[i] != b.Bits[i] {
-			return false
-		}
-	}
-	return true
+func testPayload() blob {
+	return blob("roof\x00\x01\xff 1.5 -2.25 0 12345.6789")
 }
 
 func TestOpenRejectsEmptyDir(t *testing.T) {
@@ -49,7 +38,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := testPayload()
-	var out payload
+	var out blob
 	if c.Load("stats", "fp-1", &out) {
 		t.Fatal("load before store must miss")
 	}
@@ -59,11 +48,11 @@ func TestRoundTrip(t *testing.T) {
 	if !c.Load("stats", "fp-1", &out) {
 		t.Fatal("load after store must hit")
 	}
-	if !samePayload(in, out) {
+	if !bytes.Equal(in, out) {
 		t.Fatalf("round trip mangled payload: %+v vs %+v", in, out)
 	}
 	// A different fingerprint or kind is a different artifact.
-	var miss payload
+	var miss blob
 	if c.Load("stats", "fp-2", &miss) {
 		t.Error("different fingerprint must miss")
 	}
@@ -85,7 +74,7 @@ func artifactFiles(t *testing.T, dir string) []string {
 	}
 	var out []string
 	for _, e := range ents {
-		if filepath.Ext(e.Name()) == ".gob" {
+		if filepath.Ext(e.Name()) == fmt.Sprintf(".v%d", fileVersion) {
 			out = append(out, filepath.Join(dir, e.Name()))
 		}
 	}
@@ -141,7 +130,7 @@ func TestCorruptFilesAreDetectedNotTrusted(t *testing.T) {
 				t.Fatalf("expected 1 artifact file, found %d", len(files))
 			}
 			tc.mangle(t, files[0])
-			var out payload
+			var out blob
 			if c.Load("stats", "fp", &out) {
 				t.Fatal("corrupt artifact must not load")
 			}
@@ -152,7 +141,7 @@ func TestCorruptFilesAreDetectedNotTrusted(t *testing.T) {
 			if err := c.Store("stats", "fp", testPayload()); err != nil {
 				t.Fatal(err)
 			}
-			if !c.Load("stats", "fp", &out) || !samePayload(out, testPayload()) {
+			if !c.Load("stats", "fp", &out) || !bytes.Equal(out, testPayload()) {
 				t.Fatal("store over corrupt file must recover the artifact")
 			}
 		})
@@ -176,7 +165,7 @@ func TestFingerprintCollisionGuard(t *testing.T) {
 	if err := os.Rename(src, dst); err != nil {
 		t.Fatal(err)
 	}
-	var out payload
+	var out blob
 	if c.Load("stats", "fp-b", &out) {
 		t.Fatal("artifact with mismatched fingerprint must not load")
 	}
@@ -239,14 +228,14 @@ func TestStoreFaultsNeverCommit(t *testing.T) {
 			if files := artifactFiles(t, dir); len(files) != 0 {
 				t.Fatalf("failed store committed %d artifact(s)", len(files))
 			}
-			var out payload
+			var out blob
 			if c.Load("stats", "fp", &out) {
 				t.Fatal("failed store must leave the key a miss")
 			}
 			if err := c.Store("stats", "fp", testPayload()); err != nil {
 				t.Fatal(err)
 			}
-			if !c.Load("stats", "fp", &out) || !samePayload(out, testPayload()) {
+			if !c.Load("stats", "fp", &out) || !bytes.Equal(out, testPayload()) {
 				t.Fatal("store after injected failure must recover the artifact")
 			}
 		})
@@ -275,9 +264,9 @@ func TestConcurrentSharedDirectory(t *testing.T) {
 				defer wg.Done()
 				for round := 0; round < 20; round++ {
 					for _, k := range keys {
-						var out payload
+						var out blob
 						if c.Load("stats", k, &out) {
-							if !samePayload(out, testPayload()) {
+							if !bytes.Equal(out, testPayload()) {
 								t.Errorf("key %s: concurrent load observed mangled payload", k)
 								return
 							}
@@ -292,7 +281,7 @@ func TestConcurrentSharedDirectory(t *testing.T) {
 	}
 	wg.Wait()
 	for _, k := range keys {
-		var out payload
+		var out blob
 		if !a.Load("stats", k, &out) {
 			t.Errorf("key %s missing after concurrent writes", k)
 		}

@@ -1,24 +1,23 @@
 package fieldcache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 )
 
-// artifact is a representative payload: large enough that a torn read
-// would corrupt it detectably.
-type artifact struct {
-	Fingerprint string
-	Values      []float64
-}
-
-func makeArtifact(fp string, n int) artifact {
-	a := artifact{Fingerprint: fp, Values: make([]float64, n)}
-	for i := range a.Values {
-		a.Values[i] = float64(i) * 1.5
+// makeArtifact is a representative payload: the fingerprint followed
+// by n float64 values, large enough that a torn read would corrupt it
+// detectably.
+func makeArtifact(fp string, n int) blob {
+	a := append(blob(fp), '|')
+	for i := range n {
+		a = binary.LittleEndian.AppendUint64(a, math.Float64bits(float64(i)*1.5))
 	}
 	return a
 }
@@ -65,10 +64,9 @@ func TestCacheStressSharedDir(t *testing.T) {
 							// keys race between goroutines and handles.
 							f := fp((i + w + r) % fingerprints)
 							want := makeArtifact(f, 64)
-							var got artifact
+							var got blob
 							if c.Load("stress", f, &got) {
-								if got.Fingerprint != f || len(got.Values) != 64 ||
-									got.Values[63] != want.Values[63] {
+								if !bytes.Equal(got, want) {
 									errCh <- fmt.Errorf("handle %d worker %d: load %s returned wrong artifact", h, w, f)
 									return
 								}
@@ -134,12 +132,12 @@ func TestCacheStressSharedDir(t *testing.T) {
 	// intact payloads, on every handle.
 	for h, c := range caches {
 		for i := 0; i < fingerprints; i++ {
-			var got artifact
+			var got blob
 			if !c.Load("stress", fp(i), &got) {
 				t.Fatalf("handle %d: post-stress load %s missed", h, fp(i))
 			}
-			if got.Fingerprint != fp(i) || got.Values[63] != 63*1.5 {
-				t.Fatalf("handle %d: post-stress load %s wrong: %+v", h, fp(i), got)
+			if !bytes.Equal(got, makeArtifact(fp(i), 64)) {
+				t.Fatalf("handle %d: post-stress load %s wrong: %q", h, fp(i), got)
 			}
 		}
 	}
@@ -181,15 +179,15 @@ func TestCacheStressDistinctKinds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				fp := fmt.Sprintf("shared-%d", i%5)
-				want := artifact{Fingerprint: kind + "/" + fp, Values: []float64{float64(i)}}
+				want := makeArtifact(kind+"/"+fp, 1)
 				if err := c.Store(kind, fp, want); err != nil {
 					t.Error(err)
 					return
 				}
-				var got artifact
+				var got blob
 				if c.Load(kind, fp, &got) {
-					if len(got.Fingerprint) < len(kind) || got.Fingerprint[:len(kind)] != kind {
-						t.Errorf("kind %s read artifact %q", kind, got.Fingerprint)
+					if !bytes.HasPrefix(got, []byte(kind+"/")) {
+						t.Errorf("kind %s read artifact %q", kind, got)
 						return
 					}
 				}

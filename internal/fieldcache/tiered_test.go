@@ -1,6 +1,7 @@
 package fieldcache
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -9,13 +10,8 @@ import (
 	"repro/internal/blobstore"
 )
 
-type tierArtifact struct {
-	Name  string
-	Cells []float64
-}
-
 // TestTieredRemoteWarm pins the fleet topology: a fresh local
-// directory layered over a peer's warm blob mount serves the tierArtifact
+// directory layered over a peer's warm blob mount serves the artifact
 // from the remote tier on the first load and from the local tier
 // (promoted) on the second.
 func TestTieredRemoteWarm(t *testing.T) {
@@ -24,7 +20,7 @@ func TestTieredRemoteWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tierArtifact{Name: "horizon", Cells: []float64{1.5, 2.5, 4}}
+	want := blob("horizon 1.5 2.5 4")
 	if err := peer.Store("horizon", "fp-1", want); err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +37,12 @@ func TestTieredRemoteWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got tierArtifact
+	var got blob
 	if !c.Load("horizon", "fp-1", &got) {
 		t.Fatal("remote-warm load missed")
 	}
-	if got.Name != want.Name || len(got.Cells) != len(want.Cells) {
-		t.Fatalf("got %+v, want %+v", got, want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 	m := c.Metrics()
 	if m.Hits != 1 || m.Misses != 0 || m.Corrupt != 0 {
@@ -63,7 +59,7 @@ func TestTieredRemoteWarm(t *testing.T) {
 	}
 	// Second load is served without touching the peer.
 	srv.Close()
-	var again tierArtifact
+	var again blob
 	if !c.Load("horizon", "fp-1", &again) {
 		t.Fatal("promoted local load missed")
 	}
@@ -85,7 +81,7 @@ func TestTieredRemoteDegradation(t *testing.T) {
 		}},
 		{"corrupt_payload", func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodGet {
-				w.Write([]byte("not a gob envelope"))
+				w.Write([]byte("not an artifact frame"))
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
@@ -111,7 +107,7 @@ func TestTieredRemoteDegradation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var out tierArtifact
+			var out blob
 			if c.Load("stats", "fp", &out) {
 				t.Fatal("degraded remote produced a hit")
 			}
@@ -119,10 +115,10 @@ func TestTieredRemoteDegradation(t *testing.T) {
 				t.Errorf("metrics = %+v, want 1 miss", m)
 			}
 			// The run continues: store locally, reload locally.
-			if err := c.Store("stats", "fp", tierArtifact{Name: "fresh"}); err != nil {
+			if err := c.Store("stats", "fp", blob("fresh")); err != nil {
 				t.Fatalf("store with degraded remote: %v", err)
 			}
-			if !c.Load("stats", "fp", &out) || out.Name != "fresh" {
+			if !c.Load("stats", "fp", &out) || string(out) != "fresh" {
 				t.Fatalf("local reload after degraded remote: %+v", out)
 			}
 		})
@@ -145,7 +141,7 @@ func TestTieredRemoteCorruptCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out tierArtifact
+	var out blob
 	if c.Load("horizon", "fp", &out) {
 		t.Fatal("corrupt remote produced a hit")
 	}
@@ -167,7 +163,7 @@ func TestOpenTieredRemoteOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := peer.Store("stats", "fp", tierArtifact{Name: "shared"}); err != nil {
+	if err := peer.Store("stats", "fp", blob("shared")); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(blobstore.Handler(peer.Local()))
@@ -183,16 +179,16 @@ func TestOpenTieredRemoteOnly(t *testing.T) {
 	if c.Local() != nil {
 		t.Fatal("remote-only cache reports a local tier")
 	}
-	var out tierArtifact
-	if !c.Load("stats", "fp", &out) || out.Name != "shared" {
+	var out blob
+	if !c.Load("stats", "fp", &out) || string(out) != "shared" {
 		t.Fatalf("remote-only load: %+v", out)
 	}
-	if err := c.Store("stats", "fp2", tierArtifact{Name: "pushed"}); err != nil {
+	if err := c.Store("stats", "fp2", blob("pushed")); err != nil {
 		t.Fatal(err)
 	}
-	var back tierArtifact
-	if !peer.Load("stats", "fp2", &back) || back.Name != "pushed" {
-		t.Fatalf("peer did not receive the pushed tierArtifact: %+v", back)
+	var back blob
+	if !peer.Load("stats", "fp2", &back) || string(back) != "pushed" {
+		t.Fatalf("peer did not receive the pushed artifact: %+v", back)
 	}
 }
 

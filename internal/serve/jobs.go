@@ -111,9 +111,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	// Snapshot before the run starts, so the 202 always reports the
+	// job as created (queued), never a state the runner raced into.
+	m := j.Manifest()
 	s.jobWG.Add(1)
 	go s.runJob(j)
-	writeJSON(w, http.StatusAccepted, j.Manifest())
+	writeJSON(w, http.StatusAccepted, m)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {

@@ -2,7 +2,9 @@ package field
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/dsm"
 	"repro/internal/fieldcache"
@@ -52,21 +54,20 @@ func horizonMap(cfg Config, roof geom.Rect) (m *horizon.Map, fp string, fromCach
 		m, err = horizon.BuildRegions(cfg.Scene.Raster, []geom.Rect{roof}, cfg.Horizon, cfg.Workers)
 		return m, "", false, err
 	}
-	var snap horizon.Snapshot
-	if cfg.Cache.Load(kindHorizon, fp, &snap) {
-		if m, err := horizon.FromSnapshot(snap); err == nil && m.Region() == roof {
-			return m, fp, true, nil
-		}
-		// Shape mismatch despite a verified envelope: fall through and
-		// recompute rather than trust it.
+	var restored horizon.Map
+	if cfg.Cache.Load(kindHorizon, fp, &restored) && restored.Region() == roof &&
+		restored.BuildOptions() == cfg.Horizon.Resolved(cfg.Scene.Raster.CellSize()) {
+		return &restored, fp, true, nil
 	}
+	// A miss, or a verified artifact of the wrong shape: recompute
+	// rather than trust it.
 	m, err = horizon.BuildRegions(cfg.Scene.Raster, []geom.Rect{roof}, cfg.Horizon, cfg.Workers)
 	if err != nil {
 		return nil, fp, false, err
 	}
 	// A failed store only loses the warm start for the next process;
 	// the computation in hand is unaffected.
-	_ = cfg.Cache.Store(kindHorizon, fp, m.Snapshot())
+	_ = cfg.Cache.Store(kindHorizon, fp, m)
 	return m, fp, false, nil
 }
 
@@ -88,9 +89,7 @@ func TileHorizon(r *dsm.Raster, regions []geom.Rect, opts horizon.Options, worke
 		return m, false, err
 	}
 	o := opts.Resolved(r.CellSize())
-	fp := fmt.Sprintf("tilehorizon-v1|%s|%v|%d|%x|%x|%x|%x|%x",
-		r.ContentHash(), regions,
-		o.Sectors, o.MaxDistanceM, o.NearStepM, o.NearFieldM, o.FarStepM, o.EyeHeightM)
+	fp := tileHorizonFingerprint(r, regions, o)
 	var bbox geom.Rect
 	for i, reg := range regions {
 		if i == 0 {
@@ -99,20 +98,26 @@ func TileHorizon(r *dsm.Raster, regions []geom.Rect, opts horizon.Options, worke
 			bbox = bbox.Union(reg)
 		}
 	}
-	var snap horizon.Snapshot
-	if cache.Load(kindTileHorizon, fp, &snap) {
-		// The snapshot format does not carry options, but the
-		// fingerprint proves this entry was built with exactly o.
-		if m, err := horizon.FromSnapshotBuilt(snap, o); err == nil && m.Region() == bbox {
-			return m, true, nil
-		}
+	// The restored map records the options it was marched with, and
+	// they must be the ones the fingerprint names.
+	var restored horizon.Map
+	if cache.Load(kindTileHorizon, fp, &restored) && restored.Region() == bbox && restored.BuildOptions() == o {
+		return &restored, true, nil
 	}
 	m, err := horizon.BuildRegions(r, regions, opts, workers)
 	if err != nil {
 		return nil, false, err
 	}
-	_ = cache.Store(kindTileHorizon, fp, m.Snapshot())
+	_ = cache.Store(kindTileHorizon, fp, m)
 	return m, false, nil
+}
+
+// tileHorizonFingerprint keys the tile map of regions over r marched
+// with the resolved options o.
+func tileHorizonFingerprint(r *dsm.Raster, regions []geom.Rect, o horizon.Options) string {
+	return fmt.Sprintf("tilehorizon-v1|%s|%v|%d|%x|%x|%x|%x|%x",
+		r.ContentHash(), regions,
+		o.Sectors, o.MaxDistanceM, o.NearStepM, o.NearFieldM, o.FarStepM, o.EyeHeightM)
 }
 
 // statsFingerprint composes the statistics cache key prefix for the
@@ -185,4 +190,65 @@ func (e *Evaluator) storeCachedStats(pct float64, cs *CellStats) {
 		return
 	}
 	_ = e.cfg.Cache.Store(kindStats, fmt.Sprintf("%s|p%x", e.statsFP, pct), cs)
+}
+
+// statsHeaderLen is the fixed head of the CellStats encoding: W, H,
+// Pct and Samples.
+const statsHeaderLen = 4 * 8
+
+// MarshalBinary encodes the statistics as little-endian bits: W and H
+// as int64, Pct as float64, Samples as uint64, then GPct, GMean and
+// TactPct as raw float64 bits, so NaN "no data" cells (and every other
+// bit pattern) survive a round trip exactly.
+func (cs *CellStats) MarshalBinary() ([]byte, error) {
+	cells := cs.W * cs.H
+	if cs.W < 0 || cs.H < 0 || len(cs.GPct) != cells || len(cs.GMean) != cells || len(cs.TactPct) != cells {
+		return nil, fmt.Errorf("field: cell stats arrays do not match %dx%d", cs.W, cs.H)
+	}
+	b := make([]byte, 0, statsHeaderLen+3*8*cells)
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cs.W)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(cs.H)))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cs.Pct))
+	b = binary.LittleEndian.AppendUint64(b, cs.Samples)
+	for _, arr := range [...][]float64{cs.GPct, cs.GMean, cs.TactPct} {
+		for _, v := range arr {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes a MarshalBinary encoding into cs. The body
+// must hold exactly three W×H arrays, checked before anything is
+// allocated, so a truncated or inconsistent encoding is an error and
+// no header can size an allocation beyond the input.
+func (cs *CellStats) UnmarshalBinary(data []byte) error {
+	if len(data) < statsHeaderLen {
+		return fmt.Errorf("field: %d-byte cell stats encoding is shorter than its header", len(data))
+	}
+	w := int64(binary.LittleEndian.Uint64(data))
+	h := int64(binary.LittleEndian.Uint64(data[8:]))
+	body := data[statsHeaderLen:]
+	n := int64(len(body) / 24) // cells the body can hold
+	if w < 0 || h < 0 || len(body)%24 != 0 || (w > 0 && h > n/w) || w*h != n {
+		return fmt.Errorf("field: %d-byte cell stats body does not match %dx%d", len(body), w, h)
+	}
+	arrs := [3][]float64{}
+	for k := range arrs {
+		arrs[k] = make([]float64, n)
+		for i := range arrs[k] {
+			arrs[k][i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+		}
+		body = body[8*n:]
+	}
+	*cs = CellStats{
+		W:       int(w),
+		H:       int(h),
+		Pct:     math.Float64frombits(binary.LittleEndian.Uint64(data[16:])),
+		GPct:    arrs[0],
+		GMean:   arrs[1],
+		TactPct: arrs[2],
+		Samples: binary.LittleEndian.Uint64(data[24:]),
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package field
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -186,7 +187,7 @@ func TestCachedStatsServedWithoutKernel(t *testing.T) {
 // cached as ONE artifact. A cold call ray-marches once (a single
 // BuildCount increment for the whole region set) and stores; a warm
 // call restores without marching, bit-identically, with the build
-// options recovered via the fingerprint; and a roof view sliced from
+// options the fingerprint names; and a roof view sliced from
 // the restored map equals a direct per-roof build bit-for-bit.
 func TestTileHorizonArtifactRoundTrip(t *testing.T) {
 	scene := testScene(t)
@@ -225,14 +226,9 @@ func TestTileHorizonArtifactRoundTrip(t *testing.T) {
 	if warm.BuildOptions() != opts.Resolved(scene.Raster.CellSize()) {
 		t.Errorf("restored tile map lost its build options: %+v", warm.BuildOptions())
 	}
-	cs, ws := cold.Snapshot(), warm.Snapshot()
-	if cs.Region != ws.Region || cs.Sectors != ws.Sectors {
-		t.Fatalf("restored tile shape %v/%d, want %v/%d", ws.Region, ws.Sectors, cs.Region, cs.Sectors)
-	}
-	for i := range cs.Tan {
-		if cs.Tan[i] != ws.Tan[i] {
-			t.Fatalf("restored tile tan[%d] differs", i)
-		}
+	if !bytes.Equal(mapBytes(t, warm), mapBytes(t, cold)) {
+		t.Fatalf("restored tile map differs from the cold build (%v/%d vs %v/%d)",
+			warm.Region(), warm.Sectors(), cold.Region(), cold.Sectors())
 	}
 
 	view, err := warm.Slice(roof)
@@ -243,17 +239,19 @@ func TestTileHorizonArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, ds := view.Snapshot(), direct.Snapshot()
-	for i := range ds.Tan {
-		if vs.Tan[i] != ds.Tan[i] {
-			t.Fatalf("restored slice differs from direct build at tan[%d]", i)
-		}
+	if !bytes.Equal(mapBytes(t, view), mapBytes(t, direct)) {
+		t.Fatal("restored slice differs from a direct build")
 	}
-	for i := range ds.SVF {
-		if vs.SVF[i] != ds.SVF[i] {
-			t.Fatalf("restored slice differs from direct build at svf[%d]", i)
-		}
+}
+
+// mapBytes is m's binary encoding: equal bytes mean bit-identical maps.
+func mapBytes(t *testing.T, m *horizon.Map) []byte {
+	t.Helper()
+	b, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
 // TestTileHorizonFingerprintSensitivity: the tile artifact key covers

@@ -13,8 +13,10 @@
 package horizon
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -92,9 +94,7 @@ type Map struct {
 	region  geom.Rect
 	sectors int
 	// opts records the resolved build options the map was ray-marched
-	// with (zero value when unknown, e.g. restored via FromSnapshot).
-	// Kept in memory only: Snapshot stays gob-compatible with artifacts
-	// written by older binaries.
+	// with; slices inherit them and the binary encoding carries them.
 	opts Options
 	// tan[cell*sectors+s] is the tangent of the horizon elevation in
 	// sector s. float32 halves memory with no meaningful precision
@@ -108,9 +108,9 @@ type Map struct {
 var buildCount atomic.Uint64
 
 // BuildCount reports how many times Build or BuildRegions has
-// ray-marched a horizon map in this process. Maps restored from
-// snapshots (the persistent artifact cache) and calls rejected by
-// validation do not count.
+// ray-marched a horizon map in this process. Maps decoded with
+// UnmarshalBinary (the persistent artifact cache) and calls rejected
+// by validation do not count.
 func BuildCount() uint64 { return buildCount.Load() }
 
 // Build computes the horizon map for every cell of region (given in
@@ -348,8 +348,9 @@ func (m *Map) Slice(sub geom.Rect) (*Map, error) {
 }
 
 // BuildOptions returns the resolved options the map was ray-marched
-// with, or the zero Options when unknown (maps restored with
-// FromSnapshot — the on-disk snapshot format does not carry options).
+// with. A decoded map reports the options its encoding carries; a
+// cache that keys the artifact by those options can compare them with
+// the options its fingerprint names.
 func (m *Map) BuildOptions() Options { return m.opts }
 
 // Sectors returns the azimuth discretisation of the map.
@@ -419,69 +420,122 @@ func (m *Map) SVF(c geom.Cell) float64 { return float64(m.svf[m.cellIndex(c)]) }
 // SVFIdx is the dense-index variant of SVF.
 func (m *Map) SVFIdx(cellIdx int) float64 { return float64(m.svf[cellIdx]) }
 
-// Snapshot is the serialisable content of a Map — what the persistent
-// field-artifact cache stores on disk. All fields are value data; a
-// Snapshot round-trips through encoding/gob without loss (float32 bit
-// patterns are preserved exactly).
-type Snapshot struct {
-	Region  geom.Rect
-	Sectors int
-	Tan     []float32
-	SVF     []float32
+// mapHeaderLen is the fixed head of the binary encoding: the region's
+// four corners, the sector count and the five march distances.
+const mapHeaderLen = 10 * 8
+
+// MarshalBinary encodes the map as little-endian bits: the region
+// (X0, Y0, X1, Y1) and the sector count as int64, and the resolved
+// march options MaxDistanceM, NearStepM, NearFieldM, FarStepM and
+// EyeHeightM as float64. The values follow as one stream, every horizon
+// tangent and then every sky view factor: a bitmap with bit i set when
+// value i is not +0 (bit i%8 of byte i/8), then the float32 bits of
+// each set value in order. Most values of a tile map are +0 — open-sky
+// sectors and cells outside every marched region — so the bitmap cuts
+// the demo district's tile maps to a fifth to a third of the flat
+// size. UnmarshalBinary restores a bit-identical map.
+func (m *Map) MarshalBinary() ([]byte, error) {
+	vals := [2][]float32{m.tan, m.svf}
+	nb, set := (len(m.tan)+len(m.svf)+7)/8, 0
+	for _, arr := range vals {
+		for _, v := range arr {
+			if math.Float32bits(v) != 0 {
+				set++
+			}
+		}
+	}
+	b := make([]byte, 0, mapHeaderLen+nb+4*set)
+	for _, v := range [...]int{m.region.X0, m.region.Y0, m.region.X1, m.region.Y1, m.sectors} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+	}
+	o := m.opts
+	for _, v := range [...]float64{o.MaxDistanceM, o.NearStepM, o.NearFieldM, o.FarStepM, o.EyeHeightM} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	b = b[:len(b)+nb] // the bitmap, zero as allocated
+	bitmap := b[len(b)-nb:]
+	i := 0
+	for _, arr := range vals {
+		for _, v := range arr {
+			if u := math.Float32bits(v); u != 0 {
+				bitmap[i/8] |= 1 << (i % 8)
+				b = binary.LittleEndian.AppendUint32(b, u)
+			}
+			i++
+		}
+	}
+	return b, nil
 }
 
-// Snapshot copies the map's contents into a serialisable form.
-func (m *Map) Snapshot() Snapshot {
-	s := Snapshot{
-		Region:  m.region,
-		Sectors: m.sectors,
-		Tan:     make([]float32, len(m.tan)),
-		SVF:     make([]float32, len(m.svf)),
+// UnmarshalBinary decodes a MarshalBinary encoding into m. The header
+// must describe a non-empty region and valid options, and the bitmap
+// and set values must account for the body exactly, with no set bit on
+// a +0 value or past the last value; a truncated, padded or
+// inconsistent encoding is an error. The header is checked against the
+// body before anything is allocated, so no input can make the decoder
+// allocate more than 32 bytes per input byte.
+func (m *Map) UnmarshalBinary(data []byte) error {
+	if len(data) < mapHeaderLen {
+		return fmt.Errorf("horizon: %d-byte map encoding is shorter than its header", len(data))
 	}
-	copy(s.Tan, m.tan)
-	copy(s.SVF, m.svf)
-	return s
-}
-
-// FromSnapshotBuilt is FromSnapshot for callers that know — typically
-// from the cache fingerprint the snapshot was stored under — which
-// resolved options the snapshotted map was built with: the restored
-// map reports them via BuildOptions, so it can serve as a shared
-// horizon source (see Map.Slice). The caller's claim is trusted;
-// passing options the map was not actually built with produces a map
-// that misreports its provenance.
-func FromSnapshotBuilt(s Snapshot, built Options) (*Map, error) {
-	m, err := FromSnapshot(s)
-	if err != nil {
-		return nil, err
+	var h [10]uint64
+	for i := range h {
+		h[i] = binary.LittleEndian.Uint64(data[8*i:])
 	}
-	m.opts = built
-	return m, nil
-}
-
-// FromSnapshot reconstructs a Map from a Snapshot, validating the
-// shape invariants (a truncated or corrupted snapshot is rejected, not
-// trusted). The restored map is bit-identical to the one Snapshot was
-// taken from. The build options are unknown (zero — see BuildOptions);
-// use FromSnapshotBuilt when they are.
-func FromSnapshot(s Snapshot) (*Map, error) {
-	area := s.Region.Area()
-	if s.Sectors < 4 || area <= 0 {
-		return nil, fmt.Errorf("horizon: invalid snapshot shape: region %v, %d sectors", s.Region, s.Sectors)
+	region := geom.Rect{X0: int(int64(h[0])), Y0: int(int64(h[1])), X1: int(int64(h[2])), Y1: int(int64(h[3]))}
+	opts := Options{
+		Sectors:      int(int64(h[4])),
+		MaxDistanceM: math.Float64frombits(h[5]),
+		NearStepM:    math.Float64frombits(h[6]),
+		NearFieldM:   math.Float64frombits(h[7]),
+		FarStepM:     math.Float64frombits(h[8]),
+		EyeHeightM:   math.Float64frombits(h[9]),
 	}
-	if len(s.Tan) != area*s.Sectors || len(s.SVF) != area {
-		return nil, fmt.Errorf("horizon: snapshot arrays %d/%d do not match region %v x %d sectors",
-			len(s.Tan), len(s.SVF), s.Region, s.Sectors)
+	if err := opts.validate(); err != nil {
+		return err
 	}
-	m := &Map{
-		region:  s.Region,
-		sectors: s.Sectors,
-		tan:     make([]float32, len(s.Tan)),
-		svf:     make([]float32, len(s.SVF)),
+	if region.Empty() {
+		return fmt.Errorf("horizon: empty map region %v", region)
 	}
-	copy(m.tan, s.Tan)
-	copy(m.svf, s.SVF)
-	return m, nil
+	// Every cell holds sectors tangents and one sky view factor, each
+	// one bitmap bit. The products are formed only once each factor is
+	// known to fit the bitmap the body can hold, so none can overflow.
+	body := data[mapHeaderLen:]
+	maxVals := 8 * uint64(len(body))
+	w := uint64(region.X1) - uint64(region.X0)
+	ht := uint64(region.Y1) - uint64(region.Y0)
+	per := uint64(opts.Sectors) + 1
+	if w > maxVals || ht > maxVals/w || per > maxVals/(w*ht) {
+		return fmt.Errorf("horizon: %d-byte map body cannot hold region %v x %d sectors",
+			len(body), region, opts.Sectors)
+	}
+	n := int(w * ht * per)
+	bitmap, lits := body[:(n+7)/8], body[(n+7)/8:]
+	set := 0
+	for _, c := range bitmap {
+		set += bits.OnesCount8(c)
+	}
+	if len(lits) != 4*set {
+		return fmt.Errorf("horizon: map bitmap sets %d values, body holds %d bytes of them", set, len(lits))
+	}
+	if r := n % 8; r != 0 && bitmap[len(bitmap)-1]>>r != 0 {
+		return fmt.Errorf("horizon: map bitmap sets bits past its %d values", n)
+	}
+	vals := make([]float32, n)
+	for j, c := range bitmap {
+		for ; c != 0; c &= c - 1 {
+			v := binary.LittleEndian.Uint32(lits)
+			if v == 0 {
+				return fmt.Errorf("horizon: map bitmap marks a +0 value")
+			}
+			vals[8*j+bits.TrailingZeros8(c)] = math.Float32frombits(v)
+			lits = lits[4:]
+		}
+	}
+	area := int(w * ht)
+	split := area * opts.Sectors
+	*m = Map{region: region, sectors: opts.Sectors, opts: opts, tan: vals[:split:split], svf: vals[split:]}
+	return nil
 }
 
 // ShadowMask returns the beam-shadow snapshot of the whole region for

@@ -2,7 +2,6 @@ package horizon
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"strings"
@@ -308,61 +307,6 @@ func flatRaster(t *testing.T, w, h int) *dsm.Raster {
 	return r
 }
 
-// TestSnapshotRoundTrip: a map restored from its snapshot must be
-// bit-identical in every lookup.
-func TestSnapshotRoundTrip(t *testing.T) {
-	r := flatRaster(t, 40, 30)
-	r.MaxAbove(geom.Rect{X0: 20, Y0: 10, X1: 23, Y1: 13}, 4)
-	region := geom.Rect{X0: 4, Y0: 4, X1: 36, Y1: 26}
-	m, err := Build(r, region, Options{Sectors: 16, MaxDistanceM: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := FromSnapshot(m.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Sectors() != m.Sectors() || got.Region() != m.Region() {
-		t.Fatalf("restored shape %d/%v, want %d/%v", got.Sectors(), got.Region(), m.Sectors(), m.Region())
-	}
-	for idx := 0; idx < region.Area(); idx++ {
-		if got.SVFIdx(idx) != m.SVFIdx(idx) {
-			t.Fatalf("cell %d: SVF %v vs %v", idx, got.SVFIdx(idx), m.SVFIdx(idx))
-		}
-		for s := 0; s < m.Sectors(); s++ {
-			if got.TanRow(idx)[s] != m.TanRow(idx)[s] {
-				t.Fatalf("cell %d sector %d: tan differs", idx, s)
-			}
-		}
-	}
-}
-
-// TestFromSnapshotRejectsMangledShapes: truncated or inconsistent
-// snapshots must be refused, not trusted.
-func TestFromSnapshotRejectsMangledShapes(t *testing.T) {
-	r := flatRaster(t, 20, 20)
-	region := geom.Rect{X0: 2, Y0: 2, X1: 18, Y1: 18}
-	m, err := Build(r, region, Options{Sectors: 8, MaxDistanceM: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := m.Snapshot()
-	for _, mangle := range []func(s Snapshot) Snapshot{
-		func(s Snapshot) Snapshot { s.Tan = s.Tan[:len(s.Tan)-1]; return s },
-		func(s Snapshot) Snapshot { s.SVF = nil; return s },
-		func(s Snapshot) Snapshot { s.Sectors = 0; return s },
-		func(s Snapshot) Snapshot { s.Region = geom.Rect{}; return s },
-		func(s Snapshot) Snapshot { s.Sectors = 16; return s },
-	} {
-		if _, err := FromSnapshot(mangle(good)); err == nil {
-			t.Error("mangled snapshot must be rejected")
-		}
-	}
-	if _, err := FromSnapshot(good); err != nil {
-		t.Errorf("pristine snapshot rejected: %v", err)
-	}
-}
-
 // TestBuildRegionsSliceMatchesBuild pins the tentpole equivalence at
 // the lowest level: a per-roof view sliced out of a tile-level
 // BuildRegions map must be bit-identical to a direct Build over the
@@ -494,8 +438,7 @@ func TestSliceValidation(t *testing.T) {
 }
 
 // TestBuildOptionsProvenance: maps remember the resolved options they
-// were marched with; snapshot restores lose them unless the caller
-// re-supplies them via FromSnapshotBuilt.
+// were marched with, and slices and binary round trips keep them.
 func TestBuildOptionsProvenance(t *testing.T) {
 	r := flatRaster(t, 20, 20)
 	opts := Options{Sectors: 8, MaxDistanceM: 3}
@@ -517,19 +460,8 @@ func TestBuildOptionsProvenance(t *testing.T) {
 	if view.BuildOptions() != resolved {
 		t.Error("slice must inherit the source map's build options")
 	}
-	plain, err := FromSnapshot(m.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.BuildOptions() != (Options{}) {
-		t.Error("FromSnapshot must leave build options unknown")
-	}
-	known, err := FromSnapshotBuilt(m.Snapshot(), resolved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if known.BuildOptions() != resolved {
-		t.Error("FromSnapshotBuilt must record the supplied options")
+	if restored := roundTrip(t, view); restored.BuildOptions() != resolved {
+		t.Errorf("decoded map options %+v, want %+v", restored.BuildOptions(), resolved)
 	}
 }
 
@@ -789,19 +721,19 @@ func TestBuildCountsOnlyMarches(t *testing.T) {
 }
 
 // TestBuildMatchesBuildRegionsAcrossWorkers: Build and BuildRegions
-// over the same rect serialise to the same snapshot bytes for every
-// worker count.
+// over the same rect serialise to the same bytes for every worker
+// count.
 func TestBuildMatchesBuildRegionsAcrossWorkers(t *testing.T) {
 	r := flatRasterWithWall(t)
 	r.MaxAbove(geom.Rect{X0: 8, Y0: 30, X1: 11, Y1: 33}, 3)
 	region := geom.Rect{X0: 1, Y0: 3, X1: 29, Y1: 38}
 	opts := Options{Sectors: 16, MaxDistanceM: 6}
 	encode := func(m *Map) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(m.Snapshot()); err != nil {
+		b, err := m.MarshalBinary()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 	built, err := Build(r, region, opts)
 	if err != nil {
@@ -814,7 +746,7 @@ func TestBuildMatchesBuildRegionsAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(encode(m), want) {
-			t.Errorf("workers %d: BuildRegions snapshot differs from Build", workers)
+			t.Errorf("workers %d: BuildRegions encoding differs from Build", workers)
 		}
 	}
 }
