@@ -25,9 +25,16 @@ func TestRunBatchSharesFieldsAcrossVariants(t *testing.T) {
 		{Scenario: sc, Modules: 16},
 		{Scenario: sc, Modules: 8, SkipBaseline: true, Label: "no-baseline"},
 	}
+	hb, sp := horizon.BuildCount(), field.StatsPassCount()
 	runs, err := RunBatch(cfgs, BatchOptions{Concurrency: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := horizon.BuildCount() - hb; d != 1 {
+		t.Errorf("%d horizon marches for one field, want 1", d)
+	}
+	if d := field.StatsPassCount() - sp; d != 1 {
+		t.Errorf("%d statistics passes for one field, want 1", d)
 	}
 	if len(runs) != len(cfgs) {
 		t.Fatalf("%d runs for %d configs", len(runs), len(cfgs))

@@ -15,7 +15,6 @@ package pvfloor
 import (
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -24,11 +23,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/district"
 	"repro/internal/dsm"
 	"repro/internal/econ"
-	"repro/internal/fieldcache"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/gis"
@@ -97,44 +94,6 @@ func planOpts(b *testing.B, st *benchState, n int) floorplan.Options {
 		b.Fatal(err)
 	}
 	return floorplan.Options{Shape: st.sc.Shape, Topology: topo}
-}
-
-// BenchmarkTableI regenerates Table I: traditional vs proposed yearly
-// production on Roofs 1-3 for N in {16, 32}. The gain percentage is
-// reported as a custom metric.
-func BenchmarkTableI(b *testing.B) {
-	b.ReportAllocs()
-	mod := pvmodel.PVMF165EB3()
-	spec := wiring.AWG10(scenario.CellSizeM)
-	for _, st := range roofStates(b) {
-		for _, n := range []int{16, 32} {
-			b.Run(fmt.Sprintf("%s/N=%d", slugify(st.sc.Name), n), func(b *testing.B) {
-				b.ReportAllocs()
-				opts := planOpts(b, st, n)
-				var gain float64
-				for i := 0; i < b.N; i++ {
-					sparse, err := floorplan.Plan(st.suit, st.sc.Suitable, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					compact, err := floorplan.PlanCompact(st.suit, st.sc.Suitable, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					eS, err := floorplan.Evaluate(st.ev, mod, sparse, spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					eC, err := floorplan.Evaluate(st.ev, mod, compact, spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					gain = (eS.NetMWh() - eC.NetMWh()) / eC.NetMWh() * 100
-				}
-				b.ReportMetric(gain, "gain%")
-			})
-		}
-	}
 }
 
 // BenchmarkFig1Conceptual regenerates the Fig. 1 motivation: sparse
@@ -233,26 +192,6 @@ func BenchmarkFig4WiringModel(b *testing.B) {
 		}
 	}
 	_ = total
-}
-
-// BenchmarkFig6IrradianceMaps regenerates the Fig. 6(b) per-cell p75
-// irradiance statistics (the full stats streaming pass per roof).
-func BenchmarkFig6IrradianceMaps(b *testing.B) {
-	b.ReportAllocs()
-	for _, st := range roofStates(b) {
-		b.Run(slugify(st.sc.Name), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cs, err := st.ev.Stats()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if cs.Samples == 0 {
-					b.Fatal("no samples")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkFig7Placements regenerates the Fig. 7 placement maps
@@ -606,138 +545,6 @@ func cropMask(m *geom.Mask, w, h int) *geom.Mask {
 	return out
 }
 
-// BenchmarkFieldConstruction measures solar-field construction — the
-// stage Run pays before any planning: memoized astronomy, then the sky
-// precompute and the horizon march, both on the Workers pool.
-// Sub-benchmarks contrast the serial reference path against the
-// parallel engine, and a cold astronomy cache against a warm one (the
-// batch/fleet case, where every evaluator over the same calendar
-// shares the memoized table). The full-year calendar on the
-// residential roof keeps the sky precompute — the part memoization
-// accelerates — dominant over the horizon map.
-func BenchmarkFieldConstruction(b *testing.B) {
-	b.ReportAllocs()
-	sc, err := scenario.Residential()
-	if err != nil {
-		b.Fatal(err)
-	}
-	grid := scenario.FullYearGrid()
-	build := func(b *testing.B, workers int, cold bool) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			if cold {
-				field.ResetAstroCache()
-			}
-			if _, err := sc.FieldWith(scenario.FieldConfig{Grid: grid, Fast: true, Workers: workers}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial-cold", func(b *testing.B) { build(b, 1, true) })
-	b.Run("parallel-cold", func(b *testing.B) { build(b, 0, true) })
-	b.Run("parallel-warm", func(b *testing.B) { build(b, 0, false) })
-}
-
-// BenchmarkRunBatch measures the batch runner planning all Table I
-// roofs in one invocation (two module counts per roof; the variants
-// of each roof share one solar field).
-func BenchmarkRunBatch(b *testing.B) {
-	b.ReportAllocs()
-	scs, err := scenario.All()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cfgs []Config
-	for _, sc := range scs {
-		for _, n := range []int{16, 32} {
-			cfgs = append(cfgs, Config{Scenario: sc, Modules: n})
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		runs, err := RunBatch(cfgs, BatchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, br := range runs {
-			if br.Err != nil {
-				b.Fatal(br.Err)
-			}
-		}
-	}
-}
-
-// BenchmarkDistrictSharedHorizon measures the full district sweep over
-// the synthetic neighborhood tile under its two horizon regimes: the
-// shared tile map marched cold (one BuildRegions march sliced per
-// roof) and restored from a warm artifact cache (the streamed-service
-// steady state, zero marches). The number of
-// horizon ray-marches per sweep is reported as a custom metric so the
-// build-once contract shows up in the numbers.
-func BenchmarkDistrictSharedHorizon(b *testing.B) {
-	b.ReportAllocs()
-	tile := district.SyntheticNeighborhood()
-	run := func(b *testing.B, cfg DistrictConfig) {
-		b.Helper()
-		before := horizon.BuildCount()
-		for i := 0; i < b.N; i++ {
-			cfg.Tile = tile
-			if _, err := RunDistrict(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(horizon.BuildCount()-before)/float64(b.N), "horizon-builds/op")
-	}
-	b.Run("shared-cold", func(b *testing.B) { run(b, DistrictConfig{}) })
-	b.Run("shared-warm", func(b *testing.B) {
-		cache := openTestCache(b, b.TempDir())
-		if _, err := RunDistrict(DistrictConfig{Tile: tile, Cache: cache}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		run(b, DistrictConfig{Cache: cache})
-	})
-}
-
-// BenchmarkWarmRemoteCache measures the district sweep served from a
-// warm REMOTE blob tier through a cold local cache — the fleet
-// scale-out steady state, where a fresh worker's first request pulls
-// every artifact from a peer's /v1/blobs mount over HTTP instead of
-// ray-marching. Each iteration starts with an empty local directory so
-// every artifact crosses the wire; horizon-builds/op stays 0 because
-// the remote tier absorbs all misses.
-func BenchmarkWarmRemoteCache(b *testing.B) {
-	b.ReportAllocs()
-	tile := district.SyntheticNeighborhood()
-	peer, err := fieldcache.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := RunDistrict(DistrictConfig{Tile: tile, Cache: peer}); err != nil {
-		b.Fatal(err)
-	}
-	srv := httptest.NewServer(blobstore.Handler(peer.Local()))
-	defer srv.Close()
-	before := horizon.BuildCount()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		remote, err := blobstore.OpenHTTP(srv.URL, blobstore.HTTPOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cache, err := fieldcache.OpenTiered(fieldcache.Config{Dir: b.TempDir(), Remote: remote})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := RunDistrict(DistrictConfig{Tile: tile, Cache: cache}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(horizon.BuildCount()-before)/float64(b.N), "horizon-builds/op")
-}
-
 // BenchmarkHorizonBuild measures the horizon-map precomputation — the
 // dominant setup cost of the shadow model (the GIS stage the paper
 // runs once per roof) — on the serial path (workers=1) and on one
@@ -990,32 +797,4 @@ func BenchmarkEconomics(b *testing.B) {
 		npv = a.NPVUSD
 	}
 	b.ReportMetric(npv, "npv_usd")
-}
-
-// BenchmarkDistrictEconRanking measures the fleet economics pass in
-// isolation: the district is planned once, then each iteration
-// re-prices the fleet over the panel catalog, re-runs the greedy
-// budget admission and re-ranks by NPV — the pass is idempotent by
-// design, so re-applying it is exactly what -econ adds on top of a
-// sweep. It must stay microseconds: economics never touches the
-// physics hot path.
-func BenchmarkDistrictEconRanking(b *testing.B) {
-	res, err := RunDistrict(DistrictConfig{Tile: district.SyntheticNeighborhood()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := EconConfig{Enabled: true, RankBy: RankByNPV, BudgetUSD: 40000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := res.applyEconomics(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if res.Econ == nil || res.Econ.RoofsAdmitted == 0 {
-		b.Fatal("econ pass admitted no roofs")
-	}
-	b.ReportMetric(float64(res.Econ.RoofsAdmitted), "roofs_admitted")
-	b.ReportMetric(res.Econ.TotalNPVUSD, "fleet_npv_usd")
 }

@@ -326,6 +326,44 @@ func TestDistrictReportEconSurfaces(t *testing.T) {
 	}
 }
 
+// TestApplyEconomicsIdempotent pins the contract assessFleet documents:
+// re-running the economics pass over the same plans reproduces the
+// same report, and re-pricing at another budget leaves no trace once
+// the original budget is applied again.
+func TestApplyEconomicsIdempotent(t *testing.T) {
+	res, err := RunDistrict(DistrictConfig{Tile: district.SyntheticNeighborhood()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(ec EconConfig) []byte {
+		t.Helper()
+		if err := res.applyEconomics(ec); err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(NewDistrictReport(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	cfg := EconConfig{Enabled: true, RankBy: RankByNPV, BudgetUSD: 40000}
+	first := report(cfg)
+	if again := report(cfg); string(again) != string(first) {
+		t.Fatalf("second pass changed the report:\n%s\nvs\n%s", first, again)
+	}
+	if res.Econ == nil || res.Econ.RoofsAdmitted == 0 {
+		t.Fatal("econ pass admitted no roofs")
+	}
+	tight := cfg
+	tight.BudgetUSD = 10000
+	if string(report(tight)) == string(first) {
+		t.Fatalf("a %v USD budget priced the fleet like %v USD", tight.BudgetUSD, cfg.BudgetUSD)
+	}
+	if back := report(cfg); string(back) != string(first) {
+		t.Fatalf("re-pricing at %v USD left a trace:\n%s\nvs\n%s", tight.BudgetUSD, first, back)
+	}
+}
+
 // TestEconTableRendering smoke-tests the human-readable table: the
 // econ section appends to the district table with the fleet summary.
 func TestEconTableRendering(t *testing.T) {

@@ -105,9 +105,6 @@ func OpenDir(dir string, fsys faultfs.FS) (*Dir, error) {
 	return &Dir{dir: dir, fsys: fsys}, nil
 }
 
-// Root returns the backing directory.
-func (d *Dir) Root() string { return d.dir }
-
 // Path maps key to its file path without touching the filesystem.
 // Callers that need OS-level access to a blob (e.g. windowed raster
 // readers) combine it with Stat.

@@ -84,9 +84,6 @@ func OpenHTTP(baseURL string, opts HTTPOptions) (*HTTP, error) {
 	return &HTTP{base: strings.TrimRight(u.String(), "/"), opts: opts.withDefaults(), limit: maxBlobBytes}, nil
 }
 
-// BaseURL returns the remote mount this client talks to.
-func (h *HTTP) BaseURL() string { return h.base }
-
 func (h *HTTP) keyURL(key string) string { return h.base + "/" + url.PathEscape(key) }
 
 // errStatus marks a non-2xx answer; 5xx instances are retryable.

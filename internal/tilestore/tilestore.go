@@ -73,9 +73,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: d}, nil
 }
 
-// Root returns the backing directory.
-func (s *Store) Root() string { return s.dir.Root() }
-
 // Put validates, hashes and stores one uploaded tile. body is the
 // upload payload — a plain or gzip-compressed ASC grid (sniffed by
 // magic bytes). The whole grid is structurally validated (header,

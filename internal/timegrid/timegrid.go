@@ -71,10 +71,6 @@ func (g *Grid) SimulatedDays() int {
 	return (g.days + g.dayStride - 1) / g.dayStride
 }
 
-// CoveredDays returns the number of days the grid represents
-// (including the ones skipped by the stride).
-func (g *Grid) CoveredDays() int { return g.days }
-
 // Len returns the total number of samples.
 func (g *Grid) Len() int { return g.SimulatedDays() * g.stepsDay }
 
