@@ -547,20 +547,25 @@ func cropMask(m *geom.Mask, w, h int) *geom.Mask {
 
 // BenchmarkHorizonBuild measures the horizon-map precomputation — the
 // dominant setup cost of the shadow model (the GIS stage the paper
-// runs once per roof) — on the serial path (workers=1) and on one
-// worker per CPU (workers=0), the pool a per-roof run marches on.
+// runs once per roof) — as a per-roof run marches it: each Table I
+// roof's suitable cells at Fast fidelity, on the serial path
+// (workers=1) and on one worker per CPU (workers=0). The cells metric
+// is the number of cells marched.
 func BenchmarkHorizonBuild(b *testing.B) {
-	st := roofStates(b)[0]
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := horizon.BuildRegions(st.sc.Scene.Raster, []geom.Rect{st.sc.Scene.RoofRect},
-					scenario.FastHorizonOptions(), workers); err != nil {
-					b.Fatal(err)
+	for _, st := range roofStates(b) {
+		sc := st.sc
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("%s/workers=%d", sc.Name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := horizon.BuildMask(sc.Scene.Raster, sc.Scene.RoofRect, sc.Suitable,
+						scenario.FastHorizonOptions(), workers); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				b.ReportMetric(float64(sc.Suitable.Count()), "cells")
+			})
+		}
 	}
 }
 

@@ -30,18 +30,20 @@ const statsVersion = "stats-v2-sector"
 // Config.SharedHorizon when the shared map covers the roof and was
 // built with the same resolved options, else from the artifact cache
 // when Config.Cache is set and holds a verified entry, otherwise
-// ray-marched on the Config.Workers pool (and stored for the next
-// process).
-// The fingerprint covers the DSM raster content, the roof region and
-// the horizon options, so any surface or parameter change recomputes.
+// ray-marched over the Config.Suitable cells on the Config.Workers
+// pool (and stored for the next process). A marched map holds +0 on
+// the unsuitable cells, which nothing reads.
+// The fingerprint covers the DSM raster content, the roof region, the
+// suitable mask and the horizon options, so any surface, mask or
+// parameter change recomputes.
 // The fingerprint is computed whenever a cache is configured — also on
 // the shared path — so the statistics cache key is identical whether
 // the horizon came from a slice, the cache, or a cold build.
 func horizonMap(cfg Config, roof geom.Rect) (m *horizon.Map, fp string, fromCache bool, err error) {
 	if cfg.Cache != nil {
 		o := cfg.Horizon
-		fp = fmt.Sprintf("horizon-v1|%s|%v|%d|%x|%x|%x|%x|%x",
-			cfg.Scene.Raster.ContentHash(), roof,
+		fp = fmt.Sprintf("horizon-v2|%s|%v|%s|%d|%x|%x|%x|%x|%x",
+			cfg.Scene.Raster.ContentHash(), roof, maskDigest(cfg.Suitable),
 			o.Sectors, o.MaxDistanceM, o.NearStepM, o.NearFieldM, o.FarStepM, o.EyeHeightM)
 	}
 	if sh := cfg.SharedHorizon; sh != nil && sh.Covers(roof) &&
@@ -51,7 +53,7 @@ func horizonMap(cfg Config, roof geom.Rect) (m *horizon.Map, fp string, fromCach
 		}
 	}
 	if cfg.Cache == nil {
-		m, err = horizon.BuildRegions(cfg.Scene.Raster, []geom.Rect{roof}, cfg.Horizon, cfg.Workers)
+		m, err = horizon.BuildMask(cfg.Scene.Raster, roof, cfg.Suitable, cfg.Horizon, cfg.Workers)
 		return m, "", false, err
 	}
 	var restored horizon.Map
@@ -61,7 +63,7 @@ func horizonMap(cfg Config, roof geom.Rect) (m *horizon.Map, fp string, fromCach
 	}
 	// A miss, or a verified artifact of the wrong shape: recompute
 	// rather than trust it.
-	m, err = horizon.BuildRegions(cfg.Scene.Raster, []geom.Rect{roof}, cfg.Horizon, cfg.Workers)
+	m, err = horizon.BuildMask(cfg.Scene.Raster, roof, cfg.Suitable, cfg.Horizon, cfg.Workers)
 	if err != nil {
 		return nil, fp, false, err
 	}

@@ -16,6 +16,11 @@
 // in one pass, and StreamTraces replays the calendar for just the
 // cells covered by a candidate placement.
 //
+// Only suitable cells are ever read: the statistics pass accumulates
+// them alone and every placement covers them alone. The per-roof
+// horizon build therefore marches the suitable cells; the others hold
+// +0 and are never read, and StreamTraces rejects them.
+//
 // The statistics pass runs a sector-sweep kernel: day steps are held
 // in an SoA table grouped by horizon sector and sorted by solar
 // elevation tangent, so each cell resolves the shadow boundary of a
@@ -43,9 +48,9 @@
 // bit-identical results because workers only ever write disjoint
 // index ranges and never share accumulators. Evaluator.StatsPercentileSerial exposes the
 // serial reference directly for equivalence testing. An Evaluator is
-// immutable after New, so one field may serve concurrent Stats,
-// StreamTraces and CellIrradiance callers (the batch runner relies on
-// this to share a field across scenario variants). When Workers != 1
+// immutable after New, so one field may serve concurrent Stats and
+// StreamTraces callers (the batch runner relies on this to share a
+// field across scenario variants). When Workers != 1
 // the Weather provider must tolerate concurrent Sample calls — both
 // bundled providers (weather.Synthetic, weather.Trace) are stateless
 // after construction and qualify.
@@ -109,7 +114,8 @@ type Config struct {
 	Scene *dsm.Scene
 	// Suitable is the roof-local placement mask (from
 	// Scene.SuitableArea); statistics are only accumulated for
-	// suitable cells.
+	// suitable cells, only suitable cells may be traced, and the
+	// per-roof horizon build marches only suitable cells.
 	Suitable *geom.Mask
 	// Weather provides the clear-sky index and ambient temperature.
 	Weather weather.Provider
@@ -138,9 +144,11 @@ type Config struct {
 	// the roof's view out of it instead of ray-marching, provided the
 	// map covers Scene.RoofRect and its recorded build options match
 	// the resolved Horizon options; otherwise it silently falls back to
-	// the per-roof build. The sliced view is bit-identical to a direct
-	// build (each cell's horizon depends only on the raster and the
-	// cell), so results are unchanged either way.
+	// the per-roof build, which marches the suitable cells; the others
+	// hold +0 and are never read. On every suitable cell the sliced
+	// view is bit-identical to the per-roof build (each cell's horizon
+	// depends only on the raster and the cell), so results are
+	// unchanged either way.
 	SharedHorizon *horizon.Map
 	// Workers bounds the concurrency of evaluator construction —
 	// the horizon march included — and the statistics pass:
@@ -348,17 +356,6 @@ func (e *Evaluator) precomputeNight() {
 		e.night.count++
 		e.night.tact.Add(st.ambient)
 	}
-}
-
-// CellIrradiance returns the plane-of-array irradiance at the
-// roof-local cell for calendar step i, accounting for the cell's
-// horizon shadow and sky view factor.
-func (e *Evaluator) CellIrradiance(i int, c geom.Cell) float64 {
-	st := &e.sky[i]
-	if !st.up {
-		return 0
-	}
-	return e.cellIrr(st, c.Y*e.cfg.Suitable.W()+c.X)
 }
 
 // cellIrr is the dense-index hot path.
@@ -582,65 +579,21 @@ func (e *Evaluator) statsChunkScalar(cs *CellStats, cells []int32) {
 	}
 }
 
-// CellSummary streams the full irradiance-sample distribution of one
-// roof-local cell through a fixed-size accumulator and summarises it —
-// the per-cell view behind the paper's §III-C argument that irradiance
-// distributions are strongly right-skewed, making the mean
-// unrepresentative and the 75th percentile the better suitability
-// statistic.
-//
-// The moments and extrema are exact (bit-identical to materialising
-// the calendar-ordered sample vector and running stats.Summarize);
-// the percentiles are histogram estimates on the statistics pass's
-// irradiance binning (2 W/m² resolution, cumulative-count convention
-// — the same convention the suitability statistics use, rather than
-// the order-statistic interpolation of stats.Summarize). At paper
-// scale this replaces a ~35k-sample allocation and sort per call with
-// one histogram.
-func (e *Evaluator) CellSummary(c geom.Cell, daylightOnly bool) (stats.Summary, error) {
-	w, h := e.cfg.Suitable.W(), e.cfg.Suitable.H()
-	if c.X < 0 || c.X >= w || c.Y < 0 || c.Y >= h {
-		return stats.Summary{}, fmt.Errorf("field: cell %v outside roof region", c)
-	}
-	idx := c.Y*w + c.X
-	// Map summary-sample positions to calendar steps without
-	// materialising values: with daylightOnly the day steps are
-	// enumerated in calendar order, otherwise every step contributes
-	// (nights as zero).
-	var steps []int32
-	n := len(e.sky)
-	if daylightOnly {
-		steps = make([]int32, 0, e.daySteps)
-		for i := range e.sky {
-			if e.sky[i].up {
-				steps = append(steps, int32(i))
-			}
-		}
-		n = len(steps)
-	}
-	at := func(i int) float64 {
-		if steps != nil {
-			i = int(steps[i])
-		}
-		st := &e.sky[i]
-		if !st.up {
-			return 0
-		}
-		return e.cellIrr(st, idx)
-	}
-	return stats.SummarizeBinned(gLo, gHi, gBins, n, at)
-}
-
 // StreamTraces replays the calendar for the given roof-local cells,
 // invoking fn once per step with the irradiance and actual module
 // temperature of each requested cell. The g and tact slices are
-// reused across invocations; fn must not retain them.
+// reused across invocations; fn must not retain them. Every cell must
+// be suitable: the horizon of the others is not marched, so a cell
+// outside the roof region or the Config.Suitable mask is an error.
 func (e *Evaluator) StreamTraces(cells []geom.Cell, fn func(step int, g, tact []float64)) error {
 	w := e.cfg.Suitable.W()
 	idxs := make([]int, len(cells))
 	for i, c := range cells {
 		if c.X < 0 || c.X >= w || c.Y < 0 || c.Y >= e.cfg.Suitable.H() {
 			return fmt.Errorf("field: trace cell %v outside roof region", c)
+		}
+		if !e.cfg.Suitable.Get(c) {
+			return fmt.Errorf("field: trace cell %v outside the suitable mask", c)
 		}
 		idxs[i] = c.Y*w + c.X
 	}

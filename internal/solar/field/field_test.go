@@ -249,6 +249,14 @@ func TestStreamTracesRejectsOutOfRegion(t *testing.T) {
 	if err == nil {
 		t.Error("out-of-region cell must be rejected")
 	}
+	// A chimney cell: inside the roof, outside the suitable mask, so
+	// its horizon was never marched.
+	err = ev.StreamTraces([]geom.Cell{{X: 10, Y: 10}, {X: 33, Y: 9}}, func(int, []float64, []float64) {
+		t.Fatal("a rejected trace must not stream")
+	})
+	if err == nil {
+		t.Error("unsuitable cell must be rejected")
+	}
 }
 
 func TestHayDaviesAndEngererVariants(t *testing.T) {

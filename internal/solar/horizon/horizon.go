@@ -6,10 +6,13 @@
 // an instant iff the sun's elevation is below the stored horizon in
 // the sun's azimuth sector.
 //
-// There is one march path. BuildRegions marches the union of a list of
-// regions on a bounded worker pool; Build is BuildRegions over one
-// rect. Each ray stops early once no sample left on it can raise its
-// horizon, which changes no output bit (see kernel.sector).
+// There is one march path. BuildMask marches the cells set in a mask
+// over a region on a bounded worker pool; BuildRegions is BuildMask
+// over the union of a list of regions (the tile map district runs
+// share), and Build is BuildRegions over one rect. The solar field's
+// per-roof build marches the suitable cells; the others hold +0 and
+// are never read. Each ray stops early once no sample left on it can
+// raise its horizon, which changes no output bit (see kernel.sector).
 package horizon
 
 import (
@@ -120,9 +123,9 @@ func Build(r *dsm.Raster, region geom.Rect, opts Options) (*Map, error) {
 	return BuildRegions(r, []geom.Rect{region}, opts, 0)
 }
 
-// rowBlock is how many rows of the covered bounding rectangle a
-// worker claims at a time: small enough that the pool stays balanced
-// when obstacles make some rows dearer than others.
+// rowBlock is how many rows of the marched region a worker claims at
+// a time: small enough that the pool stays balanced when obstacles
+// make some rows dearer than others.
 const rowBlock = 2
 
 // BuildRegions computes one horizon map whose region is the bounding
@@ -132,17 +135,9 @@ const rowBlock = 2
 // region are left at zero (fully open horizon) and must not be read:
 // Slice out one of the requested regions instead. This is the
 // tile-level build district runs share across roofs; it counts as a
-// single build in BuildCount.
-//
-// workers bounds the construction concurrency (0 = one per CPU,
-// 1 = serial, on the calling goroutine). Workers claim blocks of
-// rows from a shared counter and march each cell into its own slot of
-// the map, so the result is bit-identical for every worker count.
+// single build in BuildCount. It is BuildMask over the bounding
+// rectangle with the covered cells set.
 func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int) (*Map, error) {
-	opts = opts.withDefaults(r.CellSize())
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("horizon: BuildRegions with no regions")
 	}
@@ -151,36 +146,63 @@ func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int)
 		if reg.Empty() {
 			return nil, fmt.Errorf("horizon: empty region %v", reg)
 		}
-		if reg.Intersect(r.Bounds()) != reg {
-			return nil, fmt.Errorf("horizon: region %v exceeds raster bounds %v", reg, r.Bounds())
-		}
 		bbox = bbox.Union(reg)
 	}
-	buildCount.Add(1)
-	w, h := bbox.W(), bbox.H()
-	covered := geom.NewMask(w, h)
+	covered := geom.NewMask(bbox.W(), bbox.H())
 	for _, reg := range regions {
 		covered.SetRect(geom.Rect{
 			X0: reg.X0 - bbox.X0, Y0: reg.Y0 - bbox.Y0,
 			X1: reg.X1 - bbox.X0, Y1: reg.Y1 - bbox.Y0,
 		}, true)
 	}
+	return BuildMask(r, bbox, covered, opts, workers)
+}
+
+// BuildMask computes the horizon map of region (raster coordinates),
+// ray-marching only the cells set in cells, a region-local mask of
+// the region's size. Every other cell holds +0 (fully open horizon,
+// zero sky view factor) and must not be read. A marched cell's
+// tangents and sky view factor are bit-identical to those of a build
+// over the whole region. This is the per-roof build: the solar field
+// marches the roof's suitable cells only. It counts as one build in
+// BuildCount.
+//
+// workers bounds the construction concurrency (0 = one per CPU,
+// 1 = serial, on the calling goroutine). Workers claim blocks of
+// rows from a shared counter and march each cell into its own slot of
+// the map, so the result is bit-identical for every worker count.
+func BuildMask(r *dsm.Raster, region geom.Rect, cells *geom.Mask, opts Options, workers int) (*Map, error) {
+	opts = opts.withDefaults(r.CellSize())
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	if region.Empty() {
+		return nil, fmt.Errorf("horizon: empty region %v", region)
+	}
+	if region.Intersect(r.Bounds()) != region {
+		return nil, fmt.Errorf("horizon: region %v exceeds raster bounds %v", region, r.Bounds())
+	}
+	w, h := region.W(), region.H()
+	if cells == nil || cells.W() != w || cells.H() != h {
+		return nil, fmt.Errorf("horizon: cell mask does not match the %dx%d region %v", w, h, region)
+	}
+	buildCount.Add(1)
 	m := &Map{
-		region:  bbox,
+		region:  region,
 		sectors: opts.Sectors,
 		opts:    opts,
-		tan:     make([]float32, bbox.Area()*opts.Sectors),
-		svf:     make([]float32, bbox.Area()),
+		tan:     make([]float32, region.Area()*opts.Sectors),
+		svf:     make([]float32, region.Area()),
 	}
 	k := newKernel(r, opts)
 	march := func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < w; x++ {
-				if !covered.Get(geom.Cell{X: x, Y: y}) {
+				if !cells.Get(geom.Cell{X: x, Y: y}) {
 					continue
 				}
 				idx := y*w + x
-				m.svf[idx] = k.cell(geom.Cell{X: bbox.X0 + x, Y: bbox.Y0 + y},
+				m.svf[idx] = k.cell(geom.Cell{X: region.X0 + x, Y: region.Y0 + y},
 					m.tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
 			}
 		}
@@ -359,18 +381,6 @@ func (m *Map) Sectors() int { return m.sectors }
 // Region returns the raster region the map covers.
 func (m *Map) Region() geom.Rect { return m.region }
 
-// cellIndex converts a region-local cell to the dense index.
-func (m *Map) cellIndex(c geom.Cell) int {
-	return c.Y*m.region.W() + c.X
-}
-
-// HorizonTan returns the horizon tangent at the region-local cell for
-// the given azimuth (radians clockwise from north).
-func (m *Map) HorizonTan(c geom.Cell, azimuthRad float64) float64 {
-	s := m.sectorOf(azimuthRad)
-	return float64(m.tan[m.cellIndex(c)*m.sectors+s])
-}
-
 func (m *Map) sectorOf(azimuthRad float64) int {
 	az := math.Mod(azimuthRad, 2*math.Pi)
 	if az < 0 {
@@ -383,18 +393,10 @@ func (m *Map) sectorOf(azimuthRad float64) int {
 	return s
 }
 
-// Shadowed reports whether the beam from a sun at the given azimuth
-// and elevation (radians) is blocked at the region-local cell.
-func (m *Map) Shadowed(c geom.Cell, azimuthRad, elevRad float64) bool {
-	if elevRad <= 0 {
-		return true
-	}
-	return math.Tan(elevRad) < m.HorizonTan(c, azimuthRad)
-}
-
-// ShadowedIdx is the allocation-free hot-path variant used by the
-// field evaluator: cell given by dense region index, sun by
-// precomputed sector and elevation tangent.
+// ShadowedIdx reports whether the beam is blocked at the dense-index
+// cell for a sun in the given sector whose elevation has the given
+// tangent. This is the field evaluator's allocation-free hot path: the
+// caller precomputes the sector and tangent once per timestep.
 func (m *Map) ShadowedIdx(cellIdx, sector int, tanElev float64) bool {
 	return tanElev < float64(m.tan[cellIdx*m.sectors+sector])
 }
@@ -411,13 +413,10 @@ func (m *Map) TanRow(cellIdx int) []float32 {
 // precompute it once per timestep.
 func (m *Map) SectorOf(azimuthRad float64) int { return m.sectorOf(azimuthRad) }
 
-// SVF returns the sky view factor of the region-local cell: the
+// SVFIdx returns the sky view factor of the dense-index cell: the
 // fraction of the isotropic sky dome left visible by the terrain
 // horizon (1 = unobstructed). The plane-of-array model multiplies
 // this into the diffuse component.
-func (m *Map) SVF(c geom.Cell) float64 { return float64(m.svf[m.cellIndex(c)]) }
-
-// SVFIdx is the dense-index variant of SVF.
 func (m *Map) SVFIdx(cellIdx int) float64 { return float64(m.svf[cellIdx]) }
 
 // mapHeaderLen is the fixed head of the binary encoding: the region's
@@ -536,30 +535,4 @@ func (m *Map) UnmarshalBinary(data []byte) error {
 	split := area * opts.Sectors
 	*m = Map{region: region, sectors: opts.Sectors, opts: opts, tan: vals[:split:split], svf: vals[split:]}
 	return nil
-}
-
-// ShadowMask returns the beam-shadow snapshot of the whole region for
-// a sun at the given azimuth and elevation (radians): set cells are
-// shadowed. This is the instantaneous "evolution of shadows over the
-// roof" view the paper's GIS stage computes at 15-minute intervals
-// (§IV); the field evaluator uses the O(1) per-cell test instead, but
-// the mask form feeds visualisation and debugging.
-func (m *Map) ShadowMask(azimuthRad, elevRad float64) *geom.Mask {
-	w, h := m.region.W(), m.region.H()
-	out := geom.NewMask(w, h)
-	if elevRad <= 0 {
-		out.Fill(true)
-		return out
-	}
-	sector := m.sectorOf(azimuthRad)
-	tanElev := math.Tan(elevRad)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			idx := y*w + x
-			if m.ShadowedIdx(idx, sector, tanElev) {
-				out.Set(geom.Cell{X: x, Y: y}, true)
-			}
-		}
-	}
-	return out
 }

@@ -750,3 +750,113 @@ func TestBuildMatchesBuildRegionsAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildMaskMatchesFullRect: a masked build marches the set cells
+// bit for bit as a build over the whole region does and leaves every
+// other cell at +0, for every worker count, on seeded surfaces with
+// below-datum and NaN cells and random masks from empty to full. Each
+// masked build counts once; a mask of the wrong size and an empty
+// region are rejected without counting.
+func TestBuildMaskMatchesFullRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	random := func(w, h int, lo, hi float64) *dsm.Raster {
+		r, err := dsm.NewRaster(w, h, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				r.Set(geom.Cell{X: x, Y: y}, lo+(hi-lo)*rng.Float64())
+			}
+		}
+		return r
+	}
+	withNaN := random(26, 22, -2, 3)
+	withNaN.Set(geom.Cell{X: 9, Y: 11}, math.NaN())
+	withNaN.Set(geom.Cell{X: 3, Y: 4}, math.NaN())
+	window := random(30, 24, -1, 4)
+	window.SetOrigin(geom.Cell{X: -57, Y: 203})
+	for _, tc := range []struct {
+		name   string
+		r      *dsm.Raster
+		region geom.Rect
+		opts   Options
+	}{
+		{"nan", withNaN, geom.Rect{X0: 2, Y0: 3, X1: 24, Y1: 20}, Options{Sectors: 16, MaxDistanceM: 6}},
+		{"sunken", random(20, 18, -4, -1), geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 18}, Options{Sectors: 32, MaxDistanceM: 40}},
+		{"window", window, geom.Rect{X0: 5, Y0: 1, X1: 28, Y1: 23}, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			full, err := BuildRegions(tc.r, []geom.Rect{tc.region}, tc.opts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := full.Snapshot()
+			zero := make([]float32, want.Sectors)
+			w, h := tc.region.W(), tc.region.H()
+			for _, density := range []float64{0, 0.1, 0.6, 1} {
+				cells := geom.NewMask(w, h)
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						cells.Set(geom.Cell{X: x, Y: y}, rng.Float64() < density)
+					}
+				}
+				for _, workers := range []int{1, 2, 8} {
+					before := BuildCount()
+					m, err := BuildMask(tc.r, tc.region, cells, tc.opts, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := BuildCount() - before; d != 1 {
+						t.Fatalf("BuildMask added %d to BuildCount, want 1", d)
+					}
+					got := m.Snapshot()
+					if got.Region != want.Region || got.Sectors != want.Sectors || m.BuildOptions() != full.BuildOptions() {
+						t.Fatalf("density %g workers %d: shape or options differ from the full build", density, workers)
+					}
+					for idx := range got.SVF {
+						c := geom.Cell{X: idx % w, Y: idx / w}
+						lo, hi := idx*got.Sectors, (idx+1)*got.Sectors
+						if cells.Get(c) {
+							if i, ok := sameBits(got.Tan[lo:hi], want.Tan[lo:hi]); !ok {
+								t.Fatalf("density %g workers %d cell %v sector %d: tan %v, full build %v",
+									density, workers, c, i, got.Tan[lo+i], want.Tan[lo+i])
+							}
+							if math.Float32bits(got.SVF[idx]) != math.Float32bits(want.SVF[idx]) {
+								t.Fatalf("density %g workers %d cell %v: svf %v, full build %v",
+									density, workers, c, got.SVF[idx], want.SVF[idx])
+							}
+							continue
+						}
+						if _, ok := sameBits(got.Tan[lo:hi], zero); !ok || math.Float32bits(got.SVF[idx]) != 0 {
+							t.Fatalf("density %g workers %d: unmarked cell %v is not +0", density, workers, c)
+						}
+					}
+				}
+			}
+		})
+	}
+
+	r := flatRasterWithWall(t)
+	region := geom.Rect{X0: 2, Y0: 2, X1: 12, Y1: 8}
+	before := BuildCount()
+	if _, err := BuildMask(r, region, geom.NewMask(10, 7), Options{}, 1); err == nil {
+		t.Error("mask taller than the region accepted")
+	}
+	if _, err := BuildMask(r, region, geom.NewMask(6, 10), Options{}, 1); err == nil {
+		t.Error("mask of another shape accepted")
+	}
+	if _, err := BuildMask(r, region, nil, Options{}, 1); err == nil {
+		t.Error("nil mask accepted")
+	}
+	_, err := BuildMask(r, geom.Rect{X0: 4, Y0: 4, X1: 4, Y1: 9}, geom.NewMask(0, 5), Options{}, 1)
+	if err == nil || !strings.Contains(err.Error(), "empty region") {
+		t.Errorf("empty region: got error %v, want an empty-region error", err)
+	}
+	if _, err := BuildMask(r, geom.Rect{X0: 30, Y0: 0, X1: 45, Y1: 5}, geom.NewMask(15, 5), Options{}, 1); err == nil {
+		t.Error("region outside the raster accepted")
+	}
+	if d := BuildCount() - before; d != 0 {
+		t.Errorf("rejected masked builds added %d to BuildCount, want 0", d)
+	}
+}
