@@ -408,15 +408,20 @@ func BenchmarkAnnealRefine(b *testing.B) {
 	})
 }
 
-// BenchmarkMultiStart measures the parallel multi-start annealer (8
-// restarts over one shared score table) against the single-walk
-// refinement budgeted identically, reporting the objective values.
+// BenchmarkMultiStart measures the parallel multi-start search (8
+// restarts over one shared score table, every candidate scored by its
+// evaluated net energy), reporting the net MWh it keeps.
 func BenchmarkMultiStart(b *testing.B) {
 	b.ReportAllocs()
 	st := roofStates(b)[1]
 	opts := planOpts(b, st, 32)
-	problem := optimize.Problem{Suit: st.suit, Mask: st.sc.Suitable, Opts: opts,
-		WiringWeight: objective.DefaultWiringWeight}
+	mod := pvmodel.PVMF165EB3()
+	spec := wiring.AWG10(scenario.CellSizeM)
+	problem := optimize.Problem{Suit: st.suit, Mask: st.sc.Suitable, Opts: opts, Spec: spec,
+		Yield: func(pl *floorplan.Placement) (float64, error) {
+			e, err := floorplan.Evaluate(st.ev, mod, pl, spec)
+			return e.NetMWh(), err
+		}}
 	const iters = 10000
 	for _, workers := range []int{1, 0} {
 		name := "serial"
@@ -425,20 +430,18 @@ func BenchmarkMultiStart(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			var val float64
+			var net float64
 			for i := 0; i < b.N; i++ {
 				ms := optimize.MultiStart{Seed: 7, Iterations: iters, Restarts: 8, Workers: workers}
 				pl, err := ms.Place(problem)
 				if err != nil {
 					b.Fatal(err)
 				}
-				v, err := optimize.Value(problem, pl)
-				if err != nil {
+				if net, err = problem.Yield(pl); err != nil {
 					b.Fatal(err)
 				}
-				val = v
 			}
-			b.ReportMetric(val, "objective")
+			b.ReportMetric(net, "net_MWh")
 		})
 	}
 }

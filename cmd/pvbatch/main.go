@@ -10,8 +10,7 @@
 //	pvbatch                          # all Table I roofs, N=16 and 32
 //	pvbatch -roofs all,residential   # include the home rooftop
 //	pvbatch -roofs 2 -n 8,16,24,32   # module-count sweep on Roof 2
-//	pvbatch -opt greedy,anneal,multistart
-//	                                 # optimizer-strategy sweep
+//	pvbatch -opt greedy,multistart   # optimizer-strategy sweep
 //	pvbatch -full -runs 2            # paper fidelity, 2 runs at a time
 //	pvbatch -json                    # machine-readable per-run output
 //	pvbatch -cache ~/.pvcache        # reuse horizon maps + statistics
@@ -43,8 +42,8 @@ func main() {
 	workers := flag.Int("workers", 0, "solar-field workers per shared field (0 = one per CPU, 1 = serial)")
 	noBaseline := flag.Bool("nobaseline", false, "skip the compact baseline placement")
 	asJSON := flag.Bool("json", false, "emit per-run results as JSON instead of text")
-	optNames := flag.String("opt", "greedy", "comma list of optimizer strategies: greedy, anneal, multistart, bnb")
-	seed := flag.Int64("seed", 1, "random seed for the stochastic strategies")
+	optNames := flag.String("opt", "greedy", "comma list of optimizer strategies: greedy, multistart, bnb")
+	seed := flag.Int64("seed", 1, "random seed for the multistart walks")
 	restarts := flag.Int("restarts", 0, "multistart restart count K (0 = default 8)")
 	cacheDir := flag.String("cache", "", "persistent field-artifact cache directory (horizon maps + statistics reused across invocations)")
 	flag.Parse()

@@ -71,8 +71,8 @@ func main() {
 	full := flag.Bool("full", false, "full fidelity (15-minute full year) — minutes per roof")
 	modules := flag.Int("n", 0, "fixed module count per roof (0 = auto-size from each roof's area)")
 	maxModules := flag.Int("maxn", 32, "auto-size cap on modules per roof")
-	optName := flag.String("opt", "greedy", "optimizer strategy: greedy, anneal, multistart, bnb")
-	seed := flag.Int64("seed", 1, "random seed for the stochastic strategies")
+	optName := flag.String("opt", "greedy", "optimizer strategy: greedy, multistart, bnb")
+	seed := flag.Int64("seed", 1, "random seed for the multistart walks")
 	restarts := flag.Int("restarts", 0, "multistart restart count K (0 = default 8)")
 	runs := flag.Int("runs", 0, "concurrent roof runs (0 = one per CPU)")
 	workers := flag.Int("workers", 0, "solar-field workers per roof (0 = one per CPU)")

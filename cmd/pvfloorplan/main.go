@@ -9,7 +9,7 @@
 //	pvfloorplan -roof 1 -n 16 -full      # paper-fidelity full year
 //	pvfloorplan -roof 3 -n 32 -pgm out/  # also dump PGM heat maps
 //	pvfloorplan -roof 2 -n 32 -opt multistart -restarts 8
-//	                                     # parallel multi-start anneal
+//	                                     # best net energy of greedy + 8 walks
 //	pvfloorplan -roof 1 -full -cache ~/.pvcache
 //	                                     # warm re-runs skip horizon +
 //	                                     # statistics via the disk cache
@@ -37,8 +37,8 @@ func main() {
 	full := flag.Bool("full", false, "full fidelity (15-minute full year)")
 	noMaps := flag.Bool("nomaps", false, "suppress ASCII maps")
 	pgmDir := flag.String("pgm", "", "directory to write PGM heat maps into")
-	optName := flag.String("opt", "greedy", "optimizer strategy: greedy, anneal, multistart or bnb")
-	seed := flag.Int64("seed", 1, "random seed for the stochastic strategies")
+	optName := flag.String("opt", "greedy", "optimizer strategy: greedy, multistart or bnb")
+	seed := flag.Int64("seed", 1, "random seed for the multistart walks")
 	iters := flag.Int("iters", 0, "annealing iterations per walk (0 = default 20000)")
 	restarts := flag.Int("restarts", 0, "multistart restart count K (0 = default 8)")
 	cacheDir := flag.String("cache", "", "persistent field-artifact cache directory (horizon maps + statistics reused across invocations)")

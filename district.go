@@ -65,8 +65,8 @@ type DistrictConfig struct {
 	// (0 = one per CPU; the RunBatch pool).
 	Concurrency int
 	// FieldWorkers bounds each roof's solar-field worker pool and
-	// the tile's shared horizon march (0 = one per CPU). Results are
-	// identical for every value.
+	// multistart restart pool, and the tile's shared horizon march
+	// (0 = one per CPU). Results are identical for every value.
 	FieldWorkers int
 	// Context, when non-nil, bounds the run: once cancelled, no
 	// further roof starts (in-flight roofs finish — a run is never
@@ -438,6 +438,7 @@ func (cfg DistrictConfig) roofConfig(sc *scenario.Scenario, n int) Config {
 		Grid:         cfg.Grid,
 		Optimizer:    cfg.Optimizer,
 		SkipBaseline: cfg.SkipBaseline,
+		Workers:      cfg.FieldWorkers,
 		Cache:        cfg.Cache,
 	}
 }

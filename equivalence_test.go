@@ -353,10 +353,9 @@ func TestObjectiveTraceEquivalenceOnRoofs(t *testing.T) {
 }
 
 // TestMultiStartWorkerEquivalenceThroughConfig runs the public
-// multistart strategy end to end with SearchWorkers 1, 2 and 8 and
-// requires identical proposed placements and energies — the same
-// determinism contract the solar-field engine gives for
-// Config.Workers.
+// multistart strategy end to end with Workers 1, 2 and 8 — the one
+// knob that bounds both the solar-field engine and the restart pool —
+// and requires identical proposed placements and energies.
 func TestMultiStartWorkerEquivalenceThroughConfig(t *testing.T) {
 	sc, err := Residential()
 	if err != nil {
@@ -368,12 +367,12 @@ func TestMultiStartWorkerEquivalenceThroughConfig(t *testing.T) {
 			Scenario: sc,
 			Modules:  8,
 			Optimizer: OptimizerConfig{
-				Strategy:      StrategyMultiStart,
-				Seed:          5,
-				Iterations:    2000,
-				Restarts:      6,
-				SearchWorkers: workers,
+				Strategy:   StrategyMultiStart,
+				Seed:       5,
+				Iterations: 2000,
+				Restarts:   6,
 			},
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -383,12 +382,12 @@ func TestMultiStartWorkerEquivalenceThroughConfig(t *testing.T) {
 			continue
 		}
 		if res.ProposedEval.NetMWh() != ref.ProposedEval.NetMWh() {
-			t.Errorf("SearchWorkers=%d energy %v differs from serial %v",
+			t.Errorf("Workers=%d energy %v differs from serial %v",
 				workers, res.ProposedEval.NetMWh(), ref.ProposedEval.NetMWh())
 		}
 		for i := range ref.Proposed.Rects {
 			if res.Proposed.Rects[i] != ref.Proposed.Rects[i] {
-				t.Errorf("SearchWorkers=%d module %d at %v, serial at %v",
+				t.Errorf("Workers=%d module %d at %v, serial at %v",
 					workers, i, res.Proposed.Rects[i], ref.Proposed.Rects[i])
 			}
 		}

@@ -158,7 +158,7 @@ func TestGoldenRunBatch(t *testing.T) {
 	checkGolden(t, "runbatch_residential.json", golden)
 }
 
-// TestGoldenRunStrategies pins the single-walk annealer and the exact
+// TestGoldenRunStrategies pins the multi-start search and the exact
 // branch-and-bound placer on the residential roof (one shared field).
 func TestGoldenRunStrategies(t *testing.T) {
 	sc, err := Residential()
@@ -166,7 +166,7 @@ func TestGoldenRunStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cfgs []Config
-	for _, strat := range []Strategy{StrategyAnneal, StrategyBranchBound} {
+	for _, strat := range []Strategy{StrategyMultiStart, StrategyBranchBound} {
 		cfgs = append(cfgs, Config{
 			Scenario: sc, Modules: 8,
 			Optimizer: OptimizerConfig{Strategy: strat, Seed: 1},

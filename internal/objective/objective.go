@@ -2,8 +2,8 @@
 // optimizer layer: the suitability sum of the placed modules minus a
 // wiring-length penalty (the combined criterion of the annealing
 // extension, ablation A4, generalising the paper's §III-C greedy
-// score). Every placer — greedy, simulated annealing, branch and
-// bound, multi-start — optimises this one function through one of two
+// score). Every placer — greedy, branch and bound, the multi-start
+// annealing walks — searches this one function through one of two
 // evaluation paths:
 //
 //   - a precomputed per-anchor footprint score table, built once per

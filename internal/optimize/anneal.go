@@ -18,27 +18,6 @@ const defaultIterations = 20000
 // objective units.
 const startTemp, endTemp float64 = 5, 0.01
 
-// Annealed runs the greedy placer and refines its placement by
-// simulated annealing against the shared objective.
-type Annealed struct {
-	// Seed fixes the random walk.
-	Seed int64
-	// Iterations is the move budget (0 = 20000).
-	Iterations int
-}
-
-// Name implements Placer.
-func (Annealed) Name() string { return "anneal" }
-
-// Place implements Placer.
-func (a Annealed) Place(p Problem) (*floorplan.Placement, error) {
-	seed, obj, err := p.greedySeed()
-	if err != nil {
-		return nil, err
-	}
-	return Refine(obj, seed, a.Seed, a.Iterations)
-}
-
 // Refine is the simulated-annealing refinement — the natural "future
 // work" extension of the paper's greedy heuristic. Starting from pl,
 // single-module relocation moves are accepted by the Metropolis rule

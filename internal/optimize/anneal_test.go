@@ -137,25 +137,3 @@ func TestRefineEscapesDeliberatelyBadStart(t *testing.T) {
 		t.Errorf("annealer failed to escape: %.1f -> %.1f", bad.SuitabilitySum, refined.SuitabilitySum)
 	}
 }
-
-func TestExplicitZeroWiringWeightDisablesPenalty(t *testing.T) {
-	// Two hot islands far apart: with the penalty disabled the
-	// annealer is free to split the string across both; the pure
-	// suitability sum of the refined placement must therefore be at
-	// least as good as the penalised run's.
-	p := problemFixture(48, 24)
-	p.WiringWeight = 0
-	free, err := Annealed{Seed: 1}.Place(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.WiringWeight = 5
-	taxed, err := Annealed{Seed: 1}.Place(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.SuitabilitySum < taxed.SuitabilitySum-1e-9 {
-		t.Errorf("penalty-free refinement scored %f below the heavily taxed %f",
-			free.SuitabilitySum, taxed.SuitabilitySum)
-	}
-}

@@ -8,23 +8,26 @@ import (
 	"repro/internal/floorplan"
 )
 
-// MultiStart is the parallel multi-start annealer: K independent
-// annealing restarts from the greedy seed, each with a
+// MultiStart is the parallel multi-start search: K independent
+// annealing walks (Refine) from the greedy seed, each with a
 // deterministically derived RNG seed, fanned out on a bounded worker
-// pool, best restart wins.
+// pool. The walks climb the shared objective, but the result is judged
+// by Problem.Yield: the greedy seed and every walk's placement are
+// scored, and the best-yielding candidate wins — so the returned
+// placement never yields less than the greedy one.
 //
 // Determinism contract (same as the solar-field engine): restart i's
-// seed is a pure function of (Seed, i), every restart writes only its
-// own result slot, and best-of selection scans restarts in index
-// order with strict improvement — so the returned placement is
-// bit-identical for every Workers value, including the serial
-// reference path Workers=1.
+// seed is a pure function of (Seed, i), every candidate writes only
+// its own result slot, and selection scans the greedy seed first, then
+// the restarts in index order, keeping a candidate only on strict
+// improvement — so the returned placement is bit-identical for every
+// Workers value, including the serial reference path Workers=1.
 type MultiStart struct {
 	// Seed is the base seed the restart seeds derive from.
 	Seed int64
 	// Iterations is the per-restart move budget (0 = 20000).
 	Iterations int
-	// Restarts is K, the number of independent annealing runs
+	// Restarts is K, the number of independent annealing walks
 	// (default 8).
 	Restarts int
 	// Workers bounds the restart pool: 0 = one worker per CPU, 1 =
@@ -42,10 +45,8 @@ func (m MultiStart) Name() string {
 }
 
 // restartSeed derives restart i's RNG seed from the base seed.
-// Restart 0 anneals with the base seed itself, so a multi-start
-// search subsumes the corresponding single-walk refinement and its
-// best-of result is never worse. Later restarts take a splitmix64
-// step — decorrelated walks even for adjacent bases, and a pure
+// Restart 0 anneals with the base seed itself. Later restarts take a
+// splitmix64 step — decorrelated walks even for adjacent bases, and a pure
 // function of (base, i) so the schedule is identical no matter which
 // worker runs the restart.
 func restartSeed(base int64, i int) int64 {
@@ -58,10 +59,13 @@ func restartSeed(base int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Place implements Placer: greedy seed once, K annealing restarts
-// over one shared score table (objective.Fork per restart), best-of
-// selection in restart order.
+// Place implements Placer: greedy seed once, K annealing walks over
+// one shared score table (objective.Fork per walk), every candidate
+// scored by p.Yield, best-of selection in candidate order.
 func (m MultiStart) Place(p Problem) (*floorplan.Placement, error) {
+	if p.Yield == nil {
+		return nil, fmt.Errorf("optimize: multistart needs a Yield function")
+	}
 	restarts := m.Restarts
 	if restarts <= 0 {
 		restarts = 8
@@ -74,30 +78,37 @@ func (m MultiStart) Place(p Problem) (*floorplan.Placement, error) {
 		return nil, err
 	}
 
+	// Candidate 0 is the greedy seed, candidate i+1 restart i's walk.
 	type outcome struct {
 		pl    *floorplan.Placement
-		value float64
+		yield float64
 		err   error
 	}
-	results := make([]outcome, restarts)
+	results := make([]outcome, restarts+1)
 	run := func(i int) {
-		o := obj.Fork()
-		pl, err := Refine(o, seedPl, restartSeed(m.Seed, i), m.Iterations)
-		if err != nil {
-			results[i] = outcome{err: err}
-			return
+		pl := seedPl
+		if i > 0 {
+			var err error
+			pl, err = Refine(obj.Fork(), seedPl, restartSeed(m.Seed, i-1), m.Iterations)
+			if err != nil {
+				results[i] = outcome{err: fmt.Errorf("optimize: restart %d: %w", i-1, err)}
+				return
+			}
 		}
-		v, err := o.FromScratch(pl.Rects)
-		results[i] = outcome{pl: pl, value: v, err: err}
+		y, err := p.Yield(pl)
+		if err != nil {
+			err = fmt.Errorf("optimize: yield of candidate %d: %w", i, err)
+		}
+		results[i] = outcome{pl: pl, yield: y, err: err}
 	}
-	forIndices(restarts, m.Workers, run)
+	forIndices(len(results), m.Workers, run)
 
-	best := -1
+	best := 0
 	for i, r := range results {
 		if r.err != nil {
-			return nil, fmt.Errorf("optimize: restart %d: %w", i, r.err)
+			return nil, r.err
 		}
-		if best < 0 || r.value > results[best].value {
+		if r.yield > results[best].yield {
 			best = i
 		}
 	}

@@ -1,23 +1,21 @@
 // Package optimize unifies the placement strategies behind one
 // Placer interface over one shared objective (internal/objective):
-// the paper's greedy heuristic (§III-C), the simulated-annealing
-// refinement (ablation A4), the exact branch-and-bound reference
-// (ablation A3), and a parallel multi-start annealer. Callers select
-// a strategy and get back a floorplan.Placement; everything downstream
+// the paper's greedy heuristic (§III-C), the exact branch-and-bound
+// reference (ablation A3), and a parallel multi-start search that
+// anneals the greedy seed (Refine, ablation A4) from K seeds and keeps
+// the candidate with the best evaluated yield. Callers select a
+// strategy and get back a floorplan.Placement; everything downstream
 // (energy evaluation, wiring assessment, reports) is
 // strategy-agnostic.
 //
 // Every strategy here is deterministic: the greedy and branch and
-// bound by construction, the annealers per seed, and the multi-start
-// search for every worker count (restart seeds are derived from the
-// base seed by index, and best-of selection scans restarts in index
-// order — the same contract as the solar-field engine in
-// internal/solar/field).
+// bound by construction, Refine per seed, and the multi-start search
+// for every worker count (restart seeds are derived from the base seed
+// by index, and best-of selection scans candidates in index order —
+// the same contract as the solar-field engine in internal/solar/field).
 package optimize
 
 import (
-	"math"
-
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/objective"
@@ -26,8 +24,8 @@ import (
 
 // Problem is the placement instance every Placer solves: the
 // suitability field and mask the roof was simulated on, the greedy
-// planner options (shape, topology, distance policy), and the wiring
-// terms of the shared objective.
+// planner options (shape, topology, distance policy), the wiring spec
+// of the shared objective, and the yield a placement is judged by.
 type Problem struct {
 	// Suit is the per-cell suitability matrix (required).
 	Suit *floorplan.Suitability
@@ -36,13 +34,14 @@ type Problem struct {
 	// Opts configures the greedy planner and fixes Shape/Topology for
 	// every strategy.
 	Opts floorplan.Options
-	// WiringWeight prices extra cable metres in the refinement
-	// objective (0 disables the penalty; objective.DefaultWiringWeight
-	// is the standard price).
-	WiringWeight float64
 	// Spec prices the wiring (zero value defaults to AWG10 at 0.2 m
 	// cells).
 	Spec wiring.Spec
+	// Yield scores a placement by the energy it is reported on —
+	// higher is better (pvfloor passes the net MWh of
+	// floorplan.Evaluate). MultiStart requires it and may call it
+	// concurrently.
+	Yield func(*floorplan.Placement) (float64, error)
 }
 
 // newObjective builds the problem's shared objective.
@@ -50,13 +49,13 @@ func (p Problem) newObjective() (*objective.Objective, error) {
 	return objective.New(p.Suit, p.Mask, objective.Params{
 		Shape:        p.Opts.Shape,
 		Topology:     p.Opts.Topology,
-		WiringWeight: p.WiringWeight,
+		WiringWeight: objective.DefaultWiringWeight,
 		Spec:         p.Spec,
 	})
 }
 
-// greedySeed plans the greedy placement the annealers start from and
-// builds the objective they refine it against.
+// greedySeed plans the greedy placement the multi-start walks start
+// from and builds the objective they refine it against.
 func (p Problem) greedySeed() (*floorplan.Placement, *objective.Objective, error) {
 	pl, err := floorplan.Plan(p.Suit, p.Mask, p.Opts)
 	if err != nil {
@@ -88,14 +87,4 @@ func (Greedy) Name() string { return "greedy" }
 // Place implements Placer.
 func (Greedy) Place(p Problem) (*floorplan.Placement, error) {
 	return floorplan.Plan(p.Suit, p.Mask, p.Opts)
-}
-
-// Value evaluates a placement under the problem's objective — the
-// number strategies are compared on.
-func Value(p Problem, pl *floorplan.Placement) (float64, error) {
-	obj, err := p.newObjective()
-	if err != nil {
-		return math.NaN(), err
-	}
-	return obj.FromScratch(pl.Rects)
 }

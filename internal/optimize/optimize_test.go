@@ -1,12 +1,12 @@
 package optimize
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
-	"repro/internal/objective"
 	"repro/internal/panel"
 )
 
@@ -48,7 +48,8 @@ func gradientSuit(w, h int) *floorplan.Suitability {
 }
 
 // problemFixture is a w x h hotspot roof for four 8x4 modules in two
-// strings under the standard objective.
+// strings under the standard objective, judged by a stand-in yield:
+// the placement's suitability sum.
 func problemFixture(w, h int) Problem {
 	return Problem{
 		Suit: hotspotSuit(w, h),
@@ -57,8 +58,20 @@ func problemFixture(w, h int) Problem {
 			Shape:    floorplan.ModuleShape{W: 8, H: 4},
 			Topology: panel.Topology{SeriesPerString: 2, Strings: 2},
 		},
-		WiringWeight: objective.DefaultWiringWeight,
+		Yield: func(pl *floorplan.Placement) (float64, error) { return pl.SuitabilitySum, nil },
 	}
+}
+
+func sameRects(a, b *floorplan.Placement) bool {
+	if len(a.Rects) != len(b.Rects) {
+		return false
+	}
+	for i := range a.Rects {
+		if a.Rects[i] != b.Rects[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestGreedyPlacerMatchesPlan(t *testing.T) {
@@ -81,58 +94,76 @@ func TestGreedyPlacerMatchesPlan(t *testing.T) {
 	}
 }
 
-func TestAnnealedNeverWorseThanGreedyUnderObjective(t *testing.T) {
+func TestMultiStartKeepsBestYieldingCandidate(t *testing.T) {
+	p := problemFixture(64, 32)
+	const iters, restarts, seed = 4000, 6, 1
+	got, err := MultiStart{Seed: seed, Iterations: iters, Restarts: restarts}.Place(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replay the candidates: the greedy seed, then each restart's walk;
+	// the first strictly best yield wins.
+	seedPl, obj, err := p.greedySeed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantYield := seedPl, seedPl.SuitabilitySum
+	for i := 0; i < restarts; i++ {
+		pl, err := Refine(obj.Fork(), seedPl, restartSeed(seed, i), iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.SuitabilitySum > wantYield {
+			want, wantYield = pl, pl.SuitabilitySum
+		}
+	}
+	if !sameRects(got, want) {
+		t.Errorf("multistart placed %v, best-yielding candidate is %v", got.Rects, want.Rects)
+	}
+	if got.SuitabilitySum < seedPl.SuitabilitySum {
+		t.Errorf("multistart yield %f below greedy %f", got.SuitabilitySum, seedPl.SuitabilitySum)
+	}
+	if !got.OverlapFree() || !got.WithinMask(p.Mask) {
+		t.Error("multistart placement infeasible")
+	}
+}
+
+func TestMultiStartFallsBackToGreedySeed(t *testing.T) {
+	// A yield that prefers the greedy placement over any move away from
+	// it: ties keep the earlier candidate, so the seed must win.
 	p := problemFixture(64, 32)
 	greedy, err := Greedy{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Annealed{Seed: 3, Iterations: 8000}.Place(p)
+	p.Yield = func(pl *floorplan.Placement) (float64, error) {
+		moved := 0
+		for i := range pl.Rects {
+			if pl.Rects[i] != greedy.Rects[i] {
+				moved++
+			}
+		}
+		return -float64(moved), nil
+	}
+	got, err := MultiStart{Seed: 3, Iterations: 4000, Restarts: 4}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vg, err := Value(p, greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr, err := Value(p, refined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vr < vg-1e-9 {
-		t.Errorf("annealed objective %f below greedy %f", vr, vg)
-	}
-	if !refined.OverlapFree() || !refined.WithinMask(p.Mask) {
-		t.Error("annealed placement infeasible")
+	if !sameRects(got, greedy) {
+		t.Errorf("multistart placed %v, want the greedy seed %v", got.Rects, greedy.Rects)
 	}
 }
 
-func TestMultiStartNeverWorseThanSingleAnneal(t *testing.T) {
+func TestMultiStartYieldRequiredAndErrorsPropagate(t *testing.T) {
 	p := problemFixture(64, 32)
-	const iters = 4000
-	single, err := Annealed{Seed: 1, Iterations: iters}.Place(p)
-	if err != nil {
-		t.Fatal(err)
+	p.Yield = nil
+	if _, err := (MultiStart{Seed: 1, Iterations: 100}).Place(p); err == nil {
+		t.Error("multistart without a Yield must error")
 	}
-	// Restart 0 anneals with the base seed itself, so the multistart
-	// subsumes the single walk and its best-of can never be worse.
-	multi, err := MultiStart{Seed: 1, Iterations: iters, Restarts: 6}.Place(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := Value(p, single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := Value(p, multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm < vs-1e-9 {
-		t.Errorf("multistart objective %f below single-anneal %f", vm, vs)
-	}
-	if !multi.OverlapFree() || !multi.WithinMask(p.Mask) {
-		t.Error("multistart placement infeasible")
+	boom := errors.New("boom")
+	p.Yield = func(*floorplan.Placement) (float64, error) { return 0, boom }
+	if _, err := (MultiStart{Seed: 1, Iterations: 100, Restarts: 2}).Place(p); !errors.Is(err, boom) {
+		t.Errorf("yield error not propagated: %v", err)
 	}
 }
 
@@ -140,31 +171,20 @@ func TestMultiStartDeterministicAcrossWorkerCounts(t *testing.T) {
 	p := problemFixture(64, 32)
 	const iters = 3000
 	var ref *floorplan.Placement
-	var refVal float64
 	for _, workers := range []int{1, 2, 8} {
 		pl, err := MultiStart{Seed: 42, Iterations: iters, Restarts: 7, Workers: workers}.Place(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := Value(p, pl)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if ref == nil {
-			ref, refVal = pl, v
+			ref = pl
 			continue
 		}
-		if math.Float64bits(v) != math.Float64bits(refVal) {
-			t.Errorf("Workers=%d objective %v differs from Workers=1 %v", workers, v, refVal)
+		if math.Float64bits(pl.SuitabilitySum) != math.Float64bits(ref.SuitabilitySum) {
+			t.Errorf("Workers=%d yield %v differs from Workers=1 %v", workers, pl.SuitabilitySum, ref.SuitabilitySum)
 		}
-		if len(pl.Rects) != len(ref.Rects) {
-			t.Fatalf("Workers=%d module count differs", workers)
-		}
-		for i := range pl.Rects {
-			if pl.Rects[i] != ref.Rects[i] {
-				t.Errorf("Workers=%d module %d at %v, Workers=1 at %v",
-					workers, i, pl.Rects[i], ref.Rects[i])
-			}
+		if !sameRects(pl, ref) {
+			t.Errorf("Workers=%d placed %v, Workers=1 %v", workers, pl.Rects, ref.Rects)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,13 +25,10 @@ import (
 // (all fields optional; the zero value is the paper's greedy
 // heuristic).
 type OptimizerRequest struct {
-	Strategy        string  `json:"strategy,omitempty"`
-	Seed            int64   `json:"seed,omitempty"`
-	Iterations      int     `json:"iterations,omitempty"`
-	Restarts        int     `json:"restarts,omitempty"`
-	SearchWorkers   int     `json:"search_workers,omitempty"`
-	WiringWeight    float64 `json:"wiring_weight,omitempty"`
-	NoWiringPenalty bool    `json:"no_wiring_penalty,omitempty"`
+	Strategy   string `json:"strategy,omitempty"`
+	Seed       int64  `json:"seed,omitempty"`
+	Iterations int    `json:"iterations,omitempty"`
+	Restarts   int    `json:"restarts,omitempty"`
 }
 
 // RunRequest is one pipeline run: a named built-in scenario plus a
@@ -230,10 +226,10 @@ const (
 	maxRestarts   = 64
 )
 
-// config validates the optimizer block and clamps its search pool to
-// the server's field-worker pool (results are identical for every
-// worker count).
-func (or OptimizerRequest) config(fieldWorkers int) (pvfloor.OptimizerConfig, error) {
+// config validates the optimizer block. The multistart restart pool
+// is the run's Workers, which the server sets to its field-worker
+// pool.
+func (or OptimizerRequest) config() (pvfloor.OptimizerConfig, error) {
 	strat, err := pvfloor.ParseStrategy(or.Strategy)
 	if err != nil {
 		return pvfloor.OptimizerConfig{}, err
@@ -243,26 +239,12 @@ func (or OptimizerRequest) config(fieldWorkers int) (pvfloor.OptimizerConfig, er
 		return pvfloor.OptimizerConfig{}, fmt.Errorf("optimizer iterations %d outside [0, %d]", or.Iterations, maxIterations)
 	case or.Restarts < 0 || or.Restarts > maxRestarts:
 		return pvfloor.OptimizerConfig{}, fmt.Errorf("optimizer restarts %d outside [0, %d]", or.Restarts, maxRestarts)
-	case or.SearchWorkers < 0:
-		return pvfloor.OptimizerConfig{}, fmt.Errorf("negative optimizer search_workers %d", or.SearchWorkers)
-	case or.WiringWeight < 0:
-		return pvfloor.OptimizerConfig{}, fmt.Errorf("negative optimizer wiring_weight %g", or.WiringWeight)
-	}
-	if fieldWorkers <= 0 {
-		fieldWorkers = runtime.GOMAXPROCS(0)
-	}
-	workers := or.SearchWorkers
-	if workers == 0 || workers > fieldWorkers {
-		workers = fieldWorkers
 	}
 	return pvfloor.OptimizerConfig{
-		Strategy:        strat,
-		Seed:            or.Seed,
-		Iterations:      or.Iterations,
-		Restarts:        or.Restarts,
-		SearchWorkers:   workers,
-		WiringWeight:    or.WiringWeight,
-		NoWiringPenalty: or.NoWiringPenalty,
+		Strategy:   strat,
+		Seed:       or.Seed,
+		Iterations: or.Iterations,
+		Restarts:   or.Restarts,
 	}, nil
 }
 
@@ -280,7 +262,7 @@ func (s *Server) runConfig(req RunRequest) (pvfloor.Config, error) {
 	if err != nil {
 		return pvfloor.Config{}, err
 	}
-	opt, err := req.Optimizer.config(s.opts.FieldWorkers)
+	opt, err := req.Optimizer.config()
 	if err != nil {
 		return pvfloor.Config{}, err
 	}
@@ -307,7 +289,7 @@ func (s *Server) districtConfig(req DistrictRequest, tile *dsm.Raster, nodata *g
 	if err != nil {
 		return pvfloor.DistrictConfig{}, err
 	}
-	opt, err := req.Optimizer.config(s.opts.FieldWorkers)
+	opt, err := req.Optimizer.config()
 	if err != nil {
 		return pvfloor.DistrictConfig{}, err
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/solar/clearsky"
 	"repro/internal/solar/poa"
 	"repro/internal/solar/sunpos"
-	"repro/internal/stats"
 	"repro/internal/timegrid"
 	"repro/internal/weather"
 )
@@ -297,75 +296,13 @@ func TestSeasonalEnergyOrdering(t *testing.T) {
 	}
 }
 
-// TestCellSummaryStreamingPinned pins the streaming CellSummary
-// against the retired materialise-and-sort implementation: moments and
-// extrema must be bit-identical (same accumulation order), and the
-// percentiles must equal — bit-for-bit — the histogram percentiles of
-// the materialised sample vector on the same binning (the streaming
-// path may not drop or double-count a single sample).
-func TestCellSummaryStreamingPinned(t *testing.T) {
-	ev := testEvaluator(t, nil)
-	for _, daylightOnly := range []bool{false, true} {
-		c := geom.Cell{X: 10, Y: 10}
-		got, err := ev.CellSummary(c, daylightOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Materialise the trace the way the old implementation did.
-		idx := c.Y*ev.cfg.Suitable.W() + c.X
-		var samples []float64
-		for i := range ev.sky {
-			st := &ev.sky[i]
-			if !st.up {
-				if !daylightOnly {
-					samples = append(samples, 0)
-				}
-				continue
-			}
-			samples = append(samples, ev.cellIrr(st, idx))
-		}
-		want, err := stats.Summarize(samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.N != want.N ||
-			math.Float64bits(got.Min) != math.Float64bits(want.Min) ||
-			math.Float64bits(got.Max) != math.Float64bits(want.Max) ||
-			math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
-			math.Float64bits(got.StdDev) != math.Float64bits(want.StdDev) ||
-			math.Float64bits(got.Skewness) != math.Float64bits(want.Skewness) {
-			t.Errorf("daylightOnly=%t: streaming moments differ:\n got %+v\nwant %+v",
-				daylightOnly, got, want)
-		}
-		// Percentiles: identical to a histogram of the materialised
-		// samples on the statistics binning.
-		h := stats.NewHistogram(0, 1400, 700)
-		for _, x := range samples {
-			h.Add(x)
-		}
-		for _, q := range []struct {
-			p   float64
-			got float64
-		}{{25, got.P25}, {50, got.P50}, {75, got.P75}, {90, got.P90}} {
-			want, err := h.Percentile(q.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(q.got) != math.Float64bits(want) {
-				t.Errorf("daylightOnly=%t: streaming p%g = %v, histogram of materialised samples %v",
-					daylightOnly, q.p, q.got, want)
-			}
-		}
-	}
-}
-
 func TestCellSummarySkewness(t *testing.T) {
 	// The §III-C premise: the all-samples irradiance distribution of
 	// any open cell is strongly right-skewed (nights and low-sun
 	// hours dominate), so mean < p75 fails to hold in general but
 	// skewness stays clearly positive.
 	ev := testEvaluator(t, nil)
-	sum, err := ev.CellSummary(geom.Cell{X: 10, Y: 10}, false)
+	sum, err := ev.cellSummary(geom.Cell{X: 10, Y: 10}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +316,7 @@ func TestCellSummarySkewness(t *testing.T) {
 		t.Errorf("min = %g, nights must contribute zeros", sum.Min)
 	}
 	// Daylight-only restriction removes the night mass.
-	day, err := ev.CellSummary(geom.Cell{X: 10, Y: 10}, true)
+	day, err := ev.cellSummary(geom.Cell{X: 10, Y: 10}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +327,7 @@ func TestCellSummarySkewness(t *testing.T) {
 		t.Error("daylight-only mean must rise")
 	}
 	// Out-of-region cell rejected.
-	if _, err := ev.CellSummary(geom.Cell{X: -1, Y: 0}, false); err == nil {
+	if _, err := ev.cellSummary(geom.Cell{X: -1, Y: 0}, false); err == nil {
 		t.Error("out-of-region cell must error")
 	}
 }

@@ -18,51 +18,38 @@ func (e *Evaluator) CellIrradiance(i int, c geom.Cell) float64 {
 	return e.cellIrr(st, c.Y*e.cfg.Suitable.W()+c.X)
 }
 
-// CellSummary streams the full irradiance-sample distribution of one
-// roof-local cell through a fixed-size accumulator and summarises it —
-// the per-cell view behind the paper's §III-C argument that irradiance
-// distributions are strongly right-skewed, making the mean
-// unrepresentative and the 75th percentile the better suitability
-// statistic.
-//
-// The moments and extrema are exact (bit-identical to materialising
-// the calendar-ordered sample vector and running stats.Summarize);
-// the percentiles are histogram estimates on the statistics pass's
-// irradiance binning (2 W/m² resolution, cumulative-count convention
-// — the same convention the suitability statistics use, rather than
-// the order-statistic interpolation of stats.Summarize). At paper
-// scale this replaces a ~35k-sample allocation and sort per call with
-// one histogram.
-func (e *Evaluator) CellSummary(c geom.Cell, daylightOnly bool) (stats.Summary, error) {
+// cellTrace materialises the irradiance samples of one roof-local
+// cell in calendar order — every step with nights as zero, or only the
+// daylight steps — for stats.Summarize: the per-cell view behind the
+// paper's §III-C argument that irradiance distributions are strongly
+// right-skewed, making the mean unrepresentative and the 75th
+// percentile the better suitability statistic.
+func (e *Evaluator) cellTrace(c geom.Cell, daylightOnly bool) ([]float64, error) {
 	w, h := e.cfg.Suitable.W(), e.cfg.Suitable.H()
 	if c.X < 0 || c.X >= w || c.Y < 0 || c.Y >= h {
-		return stats.Summary{}, fmt.Errorf("field: cell %v outside roof region", c)
+		return nil, fmt.Errorf("field: cell %v outside roof region", c)
 	}
 	idx := c.Y*w + c.X
-	// Map summary-sample positions to calendar steps without
-	// materialising values: with daylightOnly the day steps are
-	// enumerated in calendar order, otherwise every step contributes
-	// (nights as zero).
-	var steps []int32
-	n := len(e.sky)
-	if daylightOnly {
-		steps = make([]int32, 0, e.daySteps)
-		for i := range e.sky {
-			if e.sky[i].up {
-				steps = append(steps, int32(i))
-			}
-		}
-		n = len(steps)
-	}
-	at := func(i int) float64 {
-		if steps != nil {
-			i = int(steps[i])
-		}
+	var samples []float64
+	for i := range e.sky {
 		st := &e.sky[i]
 		if !st.up {
-			return 0
+			if !daylightOnly {
+				samples = append(samples, 0)
+			}
+			continue
 		}
-		return e.cellIrr(st, idx)
+		samples = append(samples, e.cellIrr(st, idx))
 	}
-	return stats.SummarizeBinned(gLo, gHi, gBins, n, at)
+	return samples, nil
+}
+
+// cellSummary summarises cellTrace with exact order-statistic
+// percentiles.
+func (e *Evaluator) cellSummary(c geom.Cell, daylightOnly bool) (stats.Summary, error) {
+	trace, err := e.cellTrace(c, daylightOnly)
+	if err != nil {
+		return stats.Summary{}, err
+	}
+	return stats.Summarize(trace)
 }

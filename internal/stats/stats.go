@@ -101,67 +101,6 @@ func Summarize(xs []float64) (Summary, error) {
 	return s, nil
 }
 
-// SummarizeBinned computes a Summary of the n samples yielded by
-// at(0..n-1) without materialising them: the moments (mean, standard
-// deviation, skewness) and the extrema are exact and accumulated in
-// index order — bit-identical to Summarize over the same sequence —
-// while the percentiles come from an equal-width histogram over
-// [lo, hi] with the given bin count. Histogram percentiles follow the
-// cumulative-count convention of Histogram.Percentile, with one bin
-// width of value resolution; on sparse samples they can differ from
-// Summarize's order-statistic interpolation by more than a bin, but
-// they are always a valid p-th percentile of the binned distribution.
-//
-// The solar field's CellSummary uses this to stream a full-year
-// per-cell trace (≈35k samples at paper scale) through a fixed-size
-// accumulator instead of allocating and sorting the whole sample
-// vector. at is invoked twice per index (one pass for the mean and
-// histogram, one for the central moments) and must be deterministic.
-func SummarizeBinned(lo, hi float64, bins, n int, at func(i int) float64) (Summary, error) {
-	if n <= 0 {
-		return Summary{}, ErrNoSamples
-	}
-	h := NewHistogram(lo, hi, bins)
-	s := Summary{N: n, Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := at(i)
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		sum += x
-		h.Add(x)
-	}
-	s.Mean = sum / float64(n)
-	var m2, m3 float64
-	for i := 0; i < n; i++ {
-		d := at(i) - s.Mean
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= float64(n)
-	m3 /= float64(n)
-	s.StdDev = math.Sqrt(m2)
-	if m2 > 0 {
-		s.Skewness = m3 / math.Pow(m2, 1.5)
-	}
-	// Percentiles come from the histogram: exact to the bin width.
-	for _, q := range []struct {
-		p   float64
-		dst *float64
-	}{{25, &s.P25}, {50, &s.P50}, {75, &s.P75}, {90, &s.P90}} {
-		v, err := h.Percentile(q.p)
-		if err != nil {
-			return Summary{}, err
-		}
-		*q.dst = v
-	}
-	return s, nil
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -315,54 +315,6 @@ func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSummarizeBinnedMatchesSummarizeMoments(t *testing.T) {
-	// Right-skewed synthetic data resembling an irradiance trace:
-	// many zeros (nights) plus a day ramp.
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 0, 4000)
-	for i := 0; i < 4000; i++ {
-		if i%3 == 0 {
-			xs = append(xs, 0)
-			continue
-		}
-		xs = append(xs, 1400*math.Pow(rng.Float64(), 2.2))
-	}
-	want, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bins, lo, hi = 700, 0.0, 1400.0
-	got, err := SummarizeBinned(lo, hi, bins, len(xs), func(i int) float64 { return xs[i] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Moments and extrema accumulate in the same index order and must
-	// be bit-identical to the materialised path.
-	if got.N != want.N ||
-		math.Float64bits(got.Min) != math.Float64bits(want.Min) ||
-		math.Float64bits(got.Max) != math.Float64bits(want.Max) ||
-		math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
-		math.Float64bits(got.StdDev) != math.Float64bits(want.StdDev) ||
-		math.Float64bits(got.Skewness) != math.Float64bits(want.Skewness) {
-		t.Errorf("streaming moments differ:\n got %+v\nwant %+v", got, want)
-	}
-	// Percentiles are histogram estimates: exact to one bin width.
-	binW := (hi - lo) / bins
-	for _, q := range []struct{ got, want float64 }{
-		{got.P25, want.P25}, {got.P50, want.P50}, {got.P75, want.P75}, {got.P90, want.P90},
-	} {
-		if math.Abs(q.got-q.want) > binW+1e-9 {
-			t.Errorf("binned percentile %g deviates from exact %g by more than a bin", q.got, q.want)
-		}
-	}
-}
-
-func TestSummarizeBinnedEmpty(t *testing.T) {
-	if _, err := SummarizeBinned(0, 1, 10, 0, func(int) float64 { return 0 }); err == nil {
-		t.Error("empty input must error")
-	}
-}
-
 func TestPercentileOfCountsMatchesHistogram(t *testing.T) {
 	h := NewHistogram(0, 100, 50)
 	rng := rand.New(rand.NewSource(11))

@@ -34,13 +34,15 @@
 // # Optimizer strategies
 //
 // Config.Optimizer selects how the proposed placement is searched
-// for: the paper's greedy heuristic (the default), a
-// simulated-annealing refinement, a parallel multi-start annealer, or
-// the exact branch-and-bound reference on reduced instances. All
-// strategies optimise one shared objective with O(1)-per-move
-// incremental evaluation (see internal/objective), and all are
-// deterministic — multistart returns a bit-identical placement for
-// every SearchWorkers value.
+// for: the paper's greedy heuristic (the default), a parallel
+// multi-start annealer, or the exact branch-and-bound reference on
+// reduced instances. The searches share one objective with
+// O(1)-per-move incremental evaluation (see internal/objective);
+// multistart then keeps whichever of the greedy seed and its K walks
+// has the best evaluated net energy, so it never reports less than
+// greedy. All strategies are deterministic — multistart returns a
+// bit-identical placement for every Config.Workers value, which also
+// bounds its restart pool.
 //
 //	res, _ := pvfloor.Run(pvfloor.Config{
 //	    Scenario:  sc,
@@ -147,10 +149,10 @@ type Config struct {
 	// SkipBaseline skips the compact reference (saves its sweep when
 	// only the proposed placement is wanted).
 	SkipBaseline bool
-	// Workers bounds the solar-field engine's concurrency for this
-	// run — the roof's horizon march, the sky precompute and the
-	// statistics pass: 0 = one worker per CPU, 1 = serial reference
-	// path.
+	// Workers bounds the concurrency of this run — the roof's horizon
+	// march, the sky precompute, the statistics pass and the
+	// multistart restart pool: 0 = one worker per CPU, 1 = serial
+	// reference path.
 	// Results are identical for every value (see the package
 	// documentation's Concurrency section). Within RunBatch, shared
 	// field groups use BatchOptions.FieldWorkers instead.
@@ -316,16 +318,19 @@ func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 		Stats:       cs,
 		Suitability: suit,
 	}
-	placer, err := cfg.Optimizer.placer()
+	placer, err := cfg.Optimizer.placer(cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	res.Proposed, err = placer.Place(optimize.Problem{
-		Suit:         suit,
-		Mask:         cfg.Scenario.Suitable,
-		Opts:         planOpts,
-		WiringWeight: cfg.Optimizer.wiringWeight(),
-		Spec:         spec,
+		Suit: suit,
+		Mask: cfg.Scenario.Suitable,
+		Opts: planOpts,
+		Spec: spec,
+		Yield: func(pl *floorplan.Placement) (float64, error) {
+			e, err := floorplan.Evaluate(ev, mod, pl, spec)
+			return e.NetMWh(), err
+		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pvfloor: proposed placement (%s): %w", placer.Name(), err)

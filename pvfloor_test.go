@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/fieldcache"
-	"repro/internal/objective"
 	"repro/internal/scenario"
+	"repro/internal/solar/field"
 )
 
 // openTestCache opens an artifact cache handle on dir through the
@@ -159,7 +159,6 @@ func TestParseStrategy(t *testing.T) {
 	for in, want := range map[string]Strategy{
 		"":            StrategyGreedy,
 		"greedy":      StrategyGreedy,
-		"anneal":      StrategyAnneal,
 		"multistart":  StrategyMultiStart,
 		"bnb":         StrategyBranchBound,
 		"branchbound": StrategyBranchBound,
@@ -172,8 +171,10 @@ func TestParseStrategy(t *testing.T) {
 			t.Errorf("ParseStrategy(%q) = %q, want %q", in, got, want)
 		}
 	}
-	if _, err := ParseStrategy("tabu"); err == nil {
-		t.Error("unknown strategy must error")
+	for _, bad := range []string{"tabu", "anneal"} {
+		if _, err := ParseStrategy(bad); err == nil {
+			t.Errorf("ParseStrategy(%q) must error", bad)
+		}
 	}
 }
 
@@ -184,12 +185,11 @@ func TestOptimizerPlacer(t *testing.T) {
 	}{
 		{OptimizerConfig{}, "greedy"},
 		{OptimizerConfig{Strategy: StrategyGreedy}, "greedy"},
-		{OptimizerConfig{Strategy: StrategyAnneal}, "anneal"},
 		{OptimizerConfig{Strategy: StrategyMultiStart}, "multistart"},
 		{OptimizerConfig{Strategy: StrategyMultiStart, Restarts: 5}, "multistart(5)"},
 		{OptimizerConfig{Strategy: StrategyBranchBound}, "bnb"},
 	} {
-		pl, err := tc.cfg.placer()
+		pl, err := tc.cfg.placer(0)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.cfg, err)
 		}
@@ -197,45 +197,32 @@ func TestOptimizerPlacer(t *testing.T) {
 			t.Errorf("%+v placer = %q, want %q", tc.cfg, got, tc.want)
 		}
 	}
-	if _, err := (OptimizerConfig{Strategy: "quantum"}).placer(); err == nil {
+	if _, err := (OptimizerConfig{Strategy: "quantum"}).placer(0); err == nil {
 		t.Error("unknown strategy must error")
-	}
-}
-
-func TestOptimizerWiringWeight(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  OptimizerConfig
-		want float64
-	}{
-		{OptimizerConfig{}, objective.DefaultWiringWeight},
-		{OptimizerConfig{WiringWeight: 1.5}, 1.5},
-		{OptimizerConfig{NoWiringPenalty: true}, 0},
-		{OptimizerConfig{WiringWeight: 1.5, NoWiringPenalty: true}, 0},
-	} {
-		if got := tc.cfg.wiringWeight(); got != tc.want {
-			t.Errorf("%+v wiring weight = %g, want %g", tc.cfg, got, tc.want)
-		}
 	}
 }
 
 func TestOptimizerStrategySelection(t *testing.T) {
 	base := residentialRun(t) // default greedy
 	sc := base.Scenario
-	// anneal must reuse the cached field (same evaluator) and give a
-	// feasible placement at least as good under the shared objective.
-	annealed, err := RunWithField(Config{
+	// multistart must reuse the cached field (same evaluator) and give
+	// a feasible placement yielding at least the greedy net energy.
+	multi, err := RunWithField(Config{
 		Scenario:  sc,
 		Modules:   8,
-		Optimizer: OptimizerConfig{Strategy: StrategyAnneal, Seed: 2, Iterations: 4000},
+		Optimizer: OptimizerConfig{Strategy: StrategyMultiStart, Seed: 2, Iterations: 4000, Restarts: 3},
 	}, base.Evaluator)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !annealed.Proposed.OverlapFree() || !annealed.Proposed.WithinMask(sc.Suitable) {
-		t.Error("annealed placement infeasible")
+	if !multi.Proposed.OverlapFree() || !multi.Proposed.WithinMask(sc.Suitable) {
+		t.Error("multistart placement infeasible")
 	}
-	if len(annealed.Proposed.Rects) != len(base.Proposed.Rects) {
-		t.Error("annealed module count differs")
+	if len(multi.Proposed.Rects) != len(base.Proposed.Rects) {
+		t.Error("multistart module count differs")
+	}
+	if multi.ProposedEval.NetMWh() < base.ProposedEval.NetMWh() {
+		t.Errorf("multistart net %v MWh below greedy %v", multi.ProposedEval.NetMWh(), base.ProposedEval.NetMWh())
 	}
 	// An unknown strategy must fail loudly, not fall back to greedy.
 	if _, err := RunWithField(Config{
@@ -244,6 +231,53 @@ func TestOptimizerStrategySelection(t *testing.T) {
 		Optimizer: OptimizerConfig{Strategy: Strategy("tabu")},
 	}, base.Evaluator); err == nil {
 		t.Error("unknown strategy must error")
+	}
+}
+
+// TestStrategyNetEnergyNotBelowGreedy holds the stochastic placer to
+// the measure the reports judge it by: on the paper's Table I cases
+// (Roofs 1-3 x N in {16, 32}, one Fast field per roof, Seed 1, default
+// restarts and iterations) multistart's net energy must never fall
+// below the greedy heuristic's, and must beat it on most cases.
+func TestStrategyNetEnergyNotBelowGreedy(t *testing.T) {
+	better := 0
+	for _, mk := range []func() (*scenario.Scenario, error){Roof1, Roof2, Roof3} {
+		sc, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev *field.Evaluator
+		for _, n := range []int{16, 32} {
+			cfg := Config{Scenario: sc, Modules: n, SkipBaseline: true}
+			var greedy *Result
+			if ev == nil {
+				greedy, err = Run(cfg)
+				if err == nil {
+					ev = greedy.Evaluator
+				}
+			} else {
+				greedy, err = RunWithField(cfg, ev)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Optimizer = OptimizerConfig{Strategy: StrategyMultiStart, Seed: 1}
+			multi, err := RunWithField(cfg, ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, m := greedy.ProposedEval.NetMWh(), multi.ProposedEval.NetMWh()
+			t.Logf("%s N=%d: greedy %.4f MWh, multistart %.4f MWh", sc.Name, n, g, m)
+			if m < g {
+				t.Errorf("%s N=%d: multistart net %v MWh below greedy %v", sc.Name, n, m, g)
+			}
+			if m > g {
+				better++
+			}
+		}
+	}
+	if better < 4 {
+		t.Errorf("multistart beat greedy on %d of 6 cases, want at least 4", better)
 	}
 }
 
