@@ -46,9 +46,9 @@ func (m MultiStart) Name() string {
 
 // restartSeed derives restart i's RNG seed from the base seed.
 // Restart 0 anneals with the base seed itself. Later restarts take a
-// splitmix64 step — decorrelated walks even for adjacent bases, and a pure
-// function of (base, i) so the schedule is identical no matter which
-// worker runs the restart.
+// splitmix64 step — decorrelated walks even for adjacent bases, and a
+// pure function of (base, i) so the schedule is identical no matter
+// which worker runs the restart.
 func restartSeed(base int64, i int) int64 {
 	if i == 0 {
 		return base
