@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/solar/field"
 )
 
@@ -286,4 +287,37 @@ func TestGoldenDistrictReportEcon(t *testing.T) {
 		t.Fatalf("econ pass admitted no roofs: %+v", res.Econ)
 	}
 	checkGolden(t, "districtreport_econ.json", NewDistrictReport(res))
+}
+
+// TestGoldenRunTable1 pins the paper's Table I cases: Roofs 1–3 at
+// N = 16 and 32, Fast fidelity, for the greedy heuristic and for
+// multistart (Seed 1) — both placements and every Evaluation field.
+func TestGoldenRunTable1(t *testing.T) {
+	var cfgs []Config
+	for _, mk := range []func() (*scenario.Scenario, error){Roof1, Roof2, Roof3} {
+		sc, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{16, 32} {
+			for _, strat := range []Strategy{StrategyGreedy, StrategyMultiStart} {
+				cfgs = append(cfgs, Config{
+					Scenario: sc, Modules: n,
+					Optimizer: OptimizerConfig{Strategy: strat, Seed: 1},
+				})
+			}
+		}
+	}
+	runs, err := RunBatch(cfgs, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []goldenRun
+	for _, br := range runs {
+		if br.Err != nil {
+			t.Fatalf("%s: %v", br.Name, br.Err)
+		}
+		golden = append(golden, goldenFromResult(br.Name, br.Config.Modules, br.Result))
+	}
+	checkGolden(t, "run_table1.json", golden)
 }
