@@ -74,7 +74,7 @@ type BatchRun struct {
 }
 
 // fieldGroup shares one constructed solar field among all runs that
-// agree on scenario, horizon fidelity and calendar.
+// agree on scenario, fidelity and cache handle.
 type fieldGroup struct {
 	once    sync.Once
 	workers int // BatchOptions.FieldWorkers, fixed at batch start
@@ -84,13 +84,11 @@ type fieldGroup struct {
 }
 
 // groupKey identifies a shareable field: same scenario object, same
-// horizon fidelity, a calendar with the same fingerprint (two Grid
-// instances enumerating identical instants share), and the same
-// artifact cache handle.
+// fidelity (which fixes both the horizon options and the calendar),
+// and the same artifact cache handle.
 type groupKey struct {
 	sc    *scenario.Scenario
 	fast  bool
-	grid  string
 	cache *fieldcache.Cache
 }
 
@@ -128,7 +126,6 @@ func RunBatch(cfgs []Config, opts BatchOptions) ([]BatchRun, error) {
 		k := groupKey{
 			sc:    cfg.Scenario,
 			fast:  cfg.Fidelity != Full,
-			grid:  cfg.effectiveGrid().Fingerprint(),
 			cache: cfg.Cache,
 		}
 		keys[i] = k

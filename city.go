@@ -16,7 +16,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/scenario"
 	"repro/internal/solar/horizon"
-	"repro/internal/timegrid"
 )
 
 // ErrInterrupted is returned by RunCity when a Drain request stopped
@@ -72,7 +71,6 @@ type CityConfig struct {
 	Modules      int
 	MaxModules   int
 	Fidelity     Fidelity
-	Grid         *timegrid.Grid
 	Optimizer    OptimizerConfig
 	SkipBaseline bool
 	Cache        *fieldcache.Cache
@@ -508,7 +506,7 @@ func (cfg CityConfig) runTileAttempt(ctx context.Context, t int, core, window, b
 		Tile: win, NoData: mask,
 		Extract: extract, Site: cfg.Site,
 		Modules: cfg.Modules, MaxModules: cfg.MaxModules,
-		Fidelity: cfg.Fidelity, Grid: cfg.Grid,
+		Fidelity:  cfg.Fidelity,
 		Optimizer: cfg.Optimizer, SkipBaseline: cfg.SkipBaseline,
 		Cache: cfg.Cache, Concurrency: cfg.Concurrency, FieldWorkers: cfg.FieldWorkers,
 		Context: ctx,

@@ -16,7 +16,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/solar/field"
 	"repro/internal/solar/horizon"
-	"repro/internal/timegrid"
 )
 
 // DistrictConfig parameterises one whole-tile district run: automatic
@@ -38,11 +37,8 @@ type DistrictConfig struct {
 	// MaxModules caps the auto-sized count (0 = 32). Ignored when
 	// Modules is set.
 	MaxModules int
-	// Fidelity selects Fast (default) or Full simulation; Grid
-	// overrides the implied calendar.
+	// Fidelity selects Fast (default) or Full simulation.
 	Fidelity Fidelity
-	// Grid overrides the calendar implied by Fidelity.
-	Grid *timegrid.Grid
 	// Optimizer selects the placement-search strategy for every roof.
 	Optimizer OptimizerConfig
 	// SkipBaseline skips the compact reference placements.
@@ -435,7 +431,6 @@ func (cfg DistrictConfig) roofConfig(sc *scenario.Scenario, n int) Config {
 		Scenario:     sc,
 		Modules:      n,
 		Fidelity:     cfg.Fidelity,
-		Grid:         cfg.Grid,
 		Optimizer:    cfg.Optimizer,
 		SkipBaseline: cfg.SkipBaseline,
 		Workers:      cfg.FieldWorkers,

@@ -4,16 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/econ"
 	"repro/internal/floorplan"
-	"repro/internal/geom"
-	"repro/internal/panel"
 	"repro/internal/pvmodel"
-	"repro/internal/scenario"
-	"repro/internal/timegrid"
-	"repro/internal/wiring"
 )
 
 // TestPipelineRoof1Integration exercises the whole stack on the
@@ -122,117 +116,5 @@ func TestPipelineFailureInjection(t *testing.T) {
 		if _, err := Run(Config{Scenario: sc, Modules: n}); err == nil {
 			t.Errorf("Modules=%d should fail", n)
 		}
-	}
-
-	// Explicit topology overrides the module count entirely.
-	res, err := Run(Config{
-		Scenario: sc,
-		Plan: floorplan.Options{
-			Topology: panel.Topology{SeriesPerString: 4, Strings: 2},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Proposed.Rects) != 8 {
-		t.Errorf("explicit topology ignored: %d modules", len(res.Proposed.Rects))
-	}
-
-	// A custom calendar flows through.
-	grid, err := timegrid.New(time.Date(2017, 7, 1, 0, 0, 0, 0, scenario.CETZone), 2*time.Hour, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(Config{Scenario: sc, Modules: 8, Grid: grid}); err != nil {
-		t.Errorf("custom grid rejected: %v", err)
-	}
-}
-
-// TestAlternativeModuleTechnology swaps in the 320 W module preset
-// (8x5 cells) and checks the pipeline adapts end to end.
-func TestAlternativeModuleTechnology(t *testing.T) {
-	sc, err := Residential()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := pvmodel.Generic320()
-	w, h := mod.Geometry()
-	shape, err := floorplan.ShapeOnGrid(w, h, scenario.CellSizeM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{
-		Scenario: sc,
-		Modules:  8,
-		Module:   mod,
-		Plan:     floorplan.Options{Shape: shape},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Proposed.Rects {
-		if r.W() != 8 || r.H() != 5 {
-			t.Fatalf("module footprint %dx%d, want 8x5", r.W(), r.H())
-		}
-	}
-	// The 320 W module on the same roof must out-produce the 165 W
-	// baseline with the same module count.
-	base, err := RunWithField(Config{Scenario: sc, Modules: 8}, res.Evaluator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(res.ProposedEval.GrossMWh > 1.5*base.ProposedEval.GrossMWh) {
-		t.Errorf("320 W module gross %.3f should be ≈2x the 165 W %.3f",
-			res.ProposedEval.GrossMWh, base.ProposedEval.GrossMWh)
-	}
-}
-
-// TestWiringSpecOverride injects a lossier cable and checks the
-// evaluation reacts.
-func TestWiringSpecOverride(t *testing.T) {
-	sc, err := Residential()
-	if err != nil {
-		t.Fatal(err)
-	}
-	normal, err := Run(Config{Scenario: sc, Modules: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := RunWithField(Config{
-		Scenario: sc, Modules: 8,
-		Wiring: wiring.Spec{OhmPerM: 0.7, CostPerM: 1, CellSizeM: scenario.CellSizeM}, // 100x AWG10
-	}, normal.Evaluator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if normal.ProposedEval.WiringExtraM > 0 &&
-		lossy.ProposedEval.WiringLossMWh <= normal.ProposedEval.WiringLossMWh {
-		t.Error("100x cable resistance should raise the wiring loss")
-	}
-}
-
-// TestRotationThroughFacade runs the orientation extension end to end.
-func TestRotationThroughFacade(t *testing.T) {
-	sc, err := Residential()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{
-		Scenario: sc,
-		Modules:  8,
-		Plan:     floorplan.Options{AllowRotation: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Proposed.OverlapFree() || !res.Proposed.WithinMask(sc.Suitable) {
-		t.Error("rotated placement infeasible")
-	}
-	cells := map[geom.Cell]bool{}
-	for _, c := range res.Proposed.CoveredCells() {
-		if cells[c] {
-			t.Fatal("double-covered cell under rotation")
-		}
-		cells[c] = true
 	}
 }

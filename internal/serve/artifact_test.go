@@ -14,14 +14,16 @@ import (
 
 	pvfloor "repro"
 	"repro/internal/blobstore"
+	"repro/internal/gis"
 	"repro/internal/jobs"
 	"repro/internal/solar/horizon"
 	"repro/internal/tilestore"
 )
 
 // This file is the serve slice of the artifact-store layer: the tile
-// upload API and tile_ref requests (pinned byte-equal to inline
-// tile_asc, synchronously and across a job kill-and-resume), the
+// upload API and tile_ref requests (pinned byte-equal to in-process
+// RunDistrict/RunCity over the parsed fixture, synchronously and
+// across a job kill-and-resume), the
 // remote blob tier (a peer-warmed run ray-marches nothing; a dead or
 // lying remote degrades to recompute with byte-identical results),
 // and the unified {"error":{"code","message"}} envelope across every
@@ -94,53 +96,61 @@ func TestTileUploadAPI(t *testing.T) {
 }
 
 // TestTileRefDistrictEquivalence pins acceptance: a district request
-// naming an uploaded tile by tile_ref streams a final result
-// byte-identical to the same tile shipped inline as tile_asc.
+// naming a gzipped upload by tile_ref streams a final result
+// byte-identical to an in-process RunDistrict over the parsed fixture.
 func TestTileRefDistrictEquivalence(t *testing.T) {
 	s := newTestServer(t, Options{TilesDir: t.TempDir()})
 	asc := loadTileASC(t)
-	info := uploadTile(t, s, []byte(asc))
+	info := uploadTile(t, s, gzipBytes(t, []byte(asc)))
+	byRef := checkDistrictResult(t, districtStream(t, s, info.Ref))
 
-	inline := checkDistrictResult(t, districtStream(t, s, asc))
-
-	req, err := json.Marshal(DistrictRequest{TileRef: info.Ref})
+	res, err := pvfloor.RunDistrict(pvfloor.DistrictConfig{Tile: parseTile(t, asc)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := postJSON(t, s, "/v1/district", string(req))
-	if w.Code != http.StatusOK {
-		t.Fatalf("tile_ref district = %d: %s", w.Code, w.Body)
+	want, err := json.Marshal(pvfloor.NewDistrictReport(res))
+	if err != nil {
+		t.Fatal(err)
 	}
-	byRef := checkDistrictResult(t, ndjsonLines(t, w.Body.String()))
+	var got bytes.Buffer
+	if err := json.Compact(&got, byRef); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("tile_ref result differs from in-process RunDistrict:\nref:        %s\nin-process: %s", got.Bytes(), want)
+	}
+}
 
-	var a, b bytes.Buffer
-	if err := json.Compact(&a, inline); err != nil {
+// inProcessCity sweeps the parsed fixture with an in-process RunCity
+// in 80-cell work tiles and returns its normalised report: the
+// reference every served tile_ref city sweep must match byte for byte.
+func inProcessCity(t *testing.T) []byte {
+	t.Helper()
+	res, err := pvfloor.RunCity(pvfloor.CityConfig{
+		Source:    &gis.RasterSource{Raster: parseTile(t, loadTileASC(t))},
+		TileCells: 80,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Compact(&b, byRef); err != nil {
+	raw, err := json.Marshal(pvfloor.NewCityReport(res))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("tile_ref result differs from inline tile_asc:\nref:    %s\ninline: %s", b.Bytes(), a.Bytes())
-	}
+	return remarshal(t, raw)
 }
 
 // TestTileRefCityEquivalence pins the out-of-core side of the same
 // acceptance: a city sweep over a tile_ref — served through the
 // windowed reader on the stored gzipped upload — is byte-identical to
-// the in-memory tile_asc sweep.
+// the in-memory RunCity sweep.
 func TestTileRefCityEquivalence(t *testing.T) {
 	s := newTestServer(t, Options{TilesDir: t.TempDir()})
-	asc := loadTileASC(t)
-	info := uploadTile(t, s, []byte(asc))
-
-	inline := cityStream(t, s, CityRequest{DistrictRequest: DistrictRequest{TileASC: asc}, TileCells: 80})
-	byRef := cityStream(t, s, CityRequest{DistrictRequest: DistrictRequest{TileRef: info.Ref}, TileCells: 80})
+	byRef := cityStream(t, s, CityRequest{DistrictRequest: DistrictRequest{TileRef: uploadFixture(t, s)}, TileCells: 80})
 
 	got := remarshal(t, byRef[len(byRef)-1]["city"])
-	want := remarshal(t, inline[len(inline)-1]["city"])
-	if !bytes.Equal(got, want) {
-		t.Errorf("tile_ref city result differs from inline tile_asc:\nref:    %s\ninline: %s", got, want)
+	if want := inProcessCity(t); !bytes.Equal(got, want) {
+		t.Errorf("tile_ref city result differs from in-process RunCity:\nref:        %s\nin-process: %s", got, want)
 	}
 }
 
@@ -148,8 +158,8 @@ func TestTileRefCityEquivalence(t *testing.T) {
 // acceptance: a job submitted by tile_ref survives a mid-run shutdown
 // — the manifest persists only the ref — and the resumed job on a
 // fresh server over the same stores re-opens the uploaded tile and
-// finishes with a result byte-identical to an uninterrupted inline
-// tile_asc run.
+// finishes with a result byte-identical to an uninterrupted in-process
+// RunCity.
 func TestTileRefJobKillResume(t *testing.T) {
 	jobsDir, tilesDir := t.TempDir(), t.TempDir()
 	store, err := jobs.Open(jobsDir)
@@ -157,8 +167,7 @@ func TestTileRefJobKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Options{Jobs: store, TilesDir: tilesDir})
-	asc := loadTileASC(t)
-	info := uploadTile(t, s, []byte(asc))
+	ref := uploadFixture(t, s)
 
 	started := make(chan struct{})
 	var once sync.Once
@@ -173,7 +182,7 @@ func TestTileRefJobKillResume(t *testing.T) {
 			return nil
 		}
 	}
-	m := submitCityJob(t, s, CityRequest{DistrictRequest: DistrictRequest{TileRef: info.Ref}, TileCells: 80})
+	m := submitCityJob(t, s, CityRequest{DistrictRequest: DistrictRequest{TileRef: ref}, TileCells: 80})
 	<-started
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -196,11 +205,9 @@ func TestTileRefJobKillResume(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("resumed result = %d: %s", w.Code, w.Body)
 	}
-	syncLines := cityStream(t, s2, CityRequest{DistrictRequest: DistrictRequest{TileASC: asc}, TileCells: 80})
 	got := remarshal(t, w.Body.Bytes())
-	want := remarshal(t, syncLines[len(syncLines)-1]["city"])
-	if !bytes.Equal(got, want) {
-		t.Errorf("resumed tile_ref result differs from inline run:\nref:    %s\ninline: %s", got, want)
+	if want := inProcessCity(t); !bytes.Equal(got, want) {
+		t.Errorf("resumed tile_ref result differs from in-process RunCity:\nref:        %s\nin-process: %s", got, want)
 	}
 }
 
@@ -211,19 +218,20 @@ func TestTileRefJobKillResume(t *testing.T) {
 // from the remote tier — zero horizon ray-marches — with the
 // golden-exact result, and /healthz attributes the traffic per tier.
 func TestDistrictRemoteWarmCache(t *testing.T) {
-	peer := newTestServer(t, Options{CacheDir: t.TempDir()})
-	asc := loadTileASC(t)
-	checkDistrictResult(t, districtStream(t, peer, asc)) // warm the peer
+	peer := newTestServer(t, Options{CacheDir: t.TempDir(), TilesDir: t.TempDir()})
+	checkDistrictResult(t, districtStream(t, peer, uploadFixture(t, peer))) // warm the peer
 
 	peerSrv := httptest.NewServer(peer)
 	defer peerSrv.Close()
 
 	s := newTestServer(t, Options{
 		CacheDir:    t.TempDir(),
+		TilesDir:    t.TempDir(),
 		CacheRemote: peerSrv.URL + "/v1/blobs",
 	})
+	ref := uploadFixture(t, s)
 	before := horizon.BuildCount()
-	checkDistrictResult(t, districtStream(t, s, asc))
+	checkDistrictResult(t, districtStream(t, s, ref))
 	if d := horizon.BuildCount() - before; d != 0 {
 		t.Errorf("remote-warm district request ray-marched %d horizon maps, want 0", d)
 	}
@@ -264,9 +272,8 @@ func (corruptBackend) Stat(key string) (int64, error) { return 0, blobstore.ErrN
 // tier at all. Run under -race this also exercises the tiered cache's
 // concurrent counters.
 func TestDistrictRemoteDegradation(t *testing.T) {
-	asc := loadTileASC(t)
-	baseline := newTestServer(t, Options{CacheDir: t.TempDir()})
-	want := checkDistrictResult(t, districtStream(t, baseline, asc))
+	baseline := newTestServer(t, Options{CacheDir: t.TempDir(), TilesDir: t.TempDir()})
+	want := checkDistrictResult(t, districtStream(t, baseline, uploadFixture(t, baseline)))
 
 	slowOrBroken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(80 * time.Millisecond)
@@ -289,8 +296,8 @@ func TestDistrictRemoteDegradation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newTestServer(t, Options{CacheDir: t.TempDir(), RemoteCache: tc.remote})
-			got := checkDistrictResult(t, districtStream(t, s, asc))
+			s := newTestServer(t, Options{CacheDir: t.TempDir(), TilesDir: t.TempDir(), RemoteCache: tc.remote})
+			got := checkDistrictResult(t, districtStream(t, s, uploadFixture(t, s)))
 			var a, b bytes.Buffer
 			if err := json.Compact(&a, want); err != nil {
 				t.Fatal(err)

@@ -28,17 +28,17 @@ func cityStream(t *testing.T, s *Server, req CityRequest) []map[string]json.RawM
 // report whose per-roof rows and totals are float-exact against the
 // monolithic district endpoint over the same grid.
 func TestCityStreamMatchesDistrict(t *testing.T) {
-	s := newTestServer(t, Options{CacheDir: t.TempDir()})
-	asc := loadTileASC(t)
+	s := newTestServer(t, Options{CacheDir: t.TempDir(), TilesDir: t.TempDir()})
+	ref := uploadFixture(t, s)
 
-	dLines := districtStream(t, s, asc)
+	dLines := districtStream(t, s, ref)
 	var district pvfloor.DistrictReport
 	if err := json.Unmarshal(dLines[len(dLines)-1]["district"], &district); err != nil {
 		t.Fatal(err)
 	}
 
 	lines := cityStream(t, s, CityRequest{
-		DistrictRequest: DistrictRequest{TileASC: asc},
+		DistrictRequest: DistrictRequest{TileRef: ref},
 		TileCells:       80, // the 160×120 fixture → 4 work tiles
 	})
 
@@ -115,7 +115,8 @@ func TestCityRequestValidation(t *testing.T) {
 	s := newTestServer(t, Options{})
 	for name, body := range map[string]string{
 		"no tile":               `{}`,
-		"demo and tile":         `{"demo":true,"tile_asc":"x"}`,
+		"demo and tile":         `{"demo":true,"tile_ref":"asc-ffff"}`,
+		"retired tile_asc":      `{"tile_asc":"x"}`,
 		"negative tile cells":   `{"demo":true,"tile_cells":-1}`,
 		"negative workers":      `{"demo":true,"tile_workers":-1}`,
 		"bad modules":           `{"demo":true,"modules":12}`,

@@ -206,12 +206,29 @@ func (s *Server) runJob(j *jobs.Job) {
 	}
 	defer release()
 
+	ctx, cancel := context.WithCancel(s.jobCtx)
+	defer cancel()
+	run := &jobRun{cancel: cancel}
+	s.jobRuns.Store(j.ID(), run)
+	defer s.jobRuns.Delete(j.ID())
+	// The job runs from here on, so a stored request that cannot start
+	// fails (a queued job cannot).
+	if err := j.Transition(jobs.Running, ""); err != nil {
+		return // cancelled while queued
+	}
 	fail := func(err error) {
 		_ = j.Transition(jobs.Failed, err.Error())
 	}
 	var req JobRequest
 	if err := json.Unmarshal(j.Manifest().Request, &req); err != nil || req.City == nil {
 		fail(fmt.Errorf("stored request is unusable: %v", err))
+		return
+	}
+	// A stored request may come from an earlier server: one naming an
+	// inline tile_asc grid (no longer decoded) has no tile left, and a
+	// tile_ref needs a tile store this process may lack.
+	if err := s.validateTile(req.City.DistrictRequest); err != nil {
+		fail(err)
 		return
 	}
 	cfg, err := s.cityConfig(*req.City)
@@ -238,12 +255,6 @@ func (s *Server) runJob(j *jobs.Job) {
 	}
 	cfg.Checkpoint = jobCheckpoint{inner: ck, job: j}
 	cfg.Drain = s.drain
-
-	ctx, cancel := context.WithCancel(s.jobCtx)
-	defer cancel()
-	run := &jobRun{cancel: cancel}
-	s.jobRuns.Store(j.ID(), run)
-	defer s.jobRuns.Delete(j.ID())
 	cfg.Context = ctx
 	var tilesOnce sync.Once
 	cfg.Progress = func(ev pvfloor.CityEvent) {
@@ -251,10 +262,6 @@ func (s *Server) runJob(j *jobs.Job) {
 	}
 	if s.cityHook != nil {
 		s.cityHook(&cfg)
-	}
-
-	if err := j.Transition(jobs.Running, ""); err != nil {
-		return // cancelled while queued
 	}
 	res, err := pvfloor.RunCity(cfg)
 	switch {

@@ -110,9 +110,8 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Options{Jobs: store, CacheDir: t.TempDir()})
-	asc := loadTileASC(t)
-	req := CityRequest{DistrictRequest: DistrictRequest{TileASC: asc}, TileCells: 80}
+	s := newTestServer(t, Options{Jobs: store, CacheDir: t.TempDir(), TilesDir: t.TempDir()})
+	req := CityRequest{DistrictRequest: DistrictRequest{TileRef: uploadFixture(t, s)}, TileCells: 80}
 
 	syncLines := cityStream(t, s, req)
 	syncCity := syncLines[len(syncLines)-1]["city"]
@@ -226,9 +225,9 @@ func TestShutdownParksJobInterruptedThenResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Options{Jobs: store})
-	asc := loadTileASC(t)
-	req := CityRequest{DistrictRequest: DistrictRequest{TileASC: asc}, TileCells: 80}
+	tilesDir := t.TempDir()
+	s := newTestServer(t, Options{Jobs: store, TilesDir: tilesDir})
+	req := CityRequest{DistrictRequest: DistrictRequest{TileRef: uploadFixture(t, s)}, TileCells: 80}
 
 	started := make(chan struct{})
 	var once sync.Once
@@ -275,7 +274,7 @@ func TestShutdownParksJobInterruptedThenResumes(t *testing.T) {
 	}
 	firstDone := m2.TilesDone()
 
-	s2 := newTestServer(t, Options{Jobs: store2})
+	s2 := newTestServer(t, Options{Jobs: store2, TilesDir: tilesDir})
 	var ckMu sync.Mutex
 	hits, commits := 0, 0
 	s2.cityHook = func(cfg *pvfloor.CityConfig) {
@@ -387,9 +386,8 @@ func TestCityStreamClientDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Options{MaxConcurrentRuns: 1, QueueDepth: 1, Concurrency: 1, FieldWorkers: 1, Jobs: store})
-	asc := loadTileASC(t)
-	req := CityRequest{DistrictRequest: DistrictRequest{TileASC: asc}, TileCells: 80}
+	s := newTestServer(t, Options{MaxConcurrentRuns: 1, QueueDepth: 1, Concurrency: 1, FieldWorkers: 1, Jobs: store, TilesDir: t.TempDir()})
+	req := CityRequest{DistrictRequest: DistrictRequest{TileRef: uploadFixture(t, s)}, TileCells: 80}
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -435,5 +433,40 @@ func TestCityStreamClientDisconnect(t *testing.T) {
 	})
 	if w := getJSON(t, s, "/v1/jobs/"+m.ID+"/result"); w.Code != http.StatusOK {
 		t.Errorf("job result after disconnect test = %d: %s", w.Code, w.Body)
+	}
+}
+
+// TestResumeStoredJobWithoutUsableTileFails: a job journaled by an
+// earlier server can name a tile this one cannot open — an inline
+// tile_asc grid, which is no longer decoded, or a tile_ref on a server
+// without a tile store. Resuming either fails the job with the tile
+// error instead of running or crashing the runner.
+func TestResumeStoredJobWithoutUsableTileFails(t *testing.T) {
+	store, err := jobs.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for body, msg := range map[string]string{
+		`{"city":{"tile_asc":"ncols 1","tile_cells":80}}`:  "exactly one of tile_ref or demo",
+		`{"city":{"tile_ref":"asc-ffff","tile_cells":80}}`: "no tile store",
+	} {
+		j, err := store.Create("city", []byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[j.Manifest().ID] = msg
+	}
+	s := newTestServer(t, Options{Jobs: store})
+	if n := s.ResumeJobs(); n != len(want) {
+		t.Fatalf("ResumeJobs = %d, want %d", n, len(want))
+	}
+	for id, msg := range want {
+		waitFor(t, "stored job "+id+" to fail", func() bool {
+			return jobManifest(t, s, id).State == jobs.Failed
+		})
+		if m := jobManifest(t, s, id); !strings.Contains(m.Error, msg) {
+			t.Errorf("job %s error %q, want it to mention %q", id, m.Error, msg)
+		}
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -98,12 +97,11 @@ type Options struct {
 	// or failing tiers.
 	RemoteCache blobstore.Backend
 	// TilesDir, when non-empty, enables the uploaded-tile store
-	// (POST /v1/tiles): district/city/job requests may then reference
-	// an uploaded DSM by tile_ref instead of embedding it as tile_asc.
+	// (POST /v1/tiles): district/city/job requests name an uploaded
+	// DSM by tile_ref.
 	TilesDir string
-	// MaxBodyBytes caps request bodies (default 16 MiB — a district
-	// tile ships as ASCII-grid text inside the JSON body, and tile
-	// uploads are capped to the same budget).
+	// MaxBodyBytes caps request bodies, tile uploads included
+	// (default 16 MiB).
 	MaxBodyBytes int64
 	// Jobs, when non-nil, enables the durable async job surface
 	// (/v1/jobs): submitted city runs are journaled in this store,
@@ -384,10 +382,9 @@ func (s *Server) handleDistrict(w http.ResponseWriter, r *http.Request) {
 // handleCity streams a tiled city sweep as NDJSON: "tile-started" /
 // "tile-finished" lifecycle events per work tile, roof events with
 // tile provenance in city coordinates, then a final deterministic
-// "result" event embedding the shared pvfloor.CityReport. The grid
-// ships in the body, so this surface exercises the tiled pipeline on
-// request-sized cities; true out-of-core ingestion (windowed ASC
-// files beyond memory) lives in cmd/pvdistrict -city.
+// "result" event embedding the shared pvfloor.CityReport. A tile_ref
+// city is read through the windowed reader over the stored upload
+// (see citySource), so its memory stays O(window).
 func (s *Server) handleCity(w http.ResponseWriter, r *http.Request) {
 	var req CityRequest
 	if !s.decode(w, r, &req) {
@@ -488,17 +485,11 @@ func (s *Server) handleTileUpload(w http.ResponseWriter, r *http.Request) {
 // validateTileChoice checks the tile selection without materialising
 // anything — it runs before pool admission.
 func (dr DistrictRequest) validateTileChoice() error {
-	set := 0
-	for _, on := range []bool{dr.TileASC != "", dr.TileRef != "", dr.Demo} {
-		if on {
-			set++
-		}
-	}
 	switch {
-	case set == 0:
-		return errors.New("exactly one of tile_asc, tile_ref or demo is required")
-	case set > 1:
-		return errors.New("tile_asc, tile_ref and demo are mutually exclusive: set exactly one")
+	case dr.TileRef == "" && !dr.Demo:
+		return errors.New("exactly one of tile_ref or demo is required")
+	case dr.TileRef != "" && dr.Demo:
+		return errors.New("tile_ref and demo are mutually exclusive: set exactly one")
 	}
 	return nil
 }
@@ -529,61 +520,47 @@ func writeTileError(w http.ResponseWriter, err error) {
 	}
 }
 
-// tile materialises the request's DSM in memory: the embedded ASCII
-// grid, a stored upload named by tile_ref, or the built-in synthetic
-// neighborhood with Demo. Call only after validateTile (and after
-// pool admission — parsing a 16 MiB grid is the expensive part of
-// request setup).
+// tile materialises the request's DSM in memory: the built-in
+// synthetic neighborhood with Demo, otherwise the stored upload named
+// by tile_ref. Call only after validateTile (and after pool admission
+// — parsing a 16 MiB grid is the expensive part of request setup).
 func (s *Server) tile(dr DistrictRequest) (*dsm.Raster, *geom.Mask, error) {
-	switch {
-	case dr.Demo:
+	if dr.Demo {
 		return district.SyntheticNeighborhood(), nil, nil
-	case dr.TileRef != "":
-		path, err := s.tiles.Path(dr.TileRef)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening tile %s: %w", dr.TileRef, err)
-		}
-		defer f.Close()
-		tile, nodata, err := gis.LoadRaster(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("reading tile %s: %w", dr.TileRef, err)
-		}
-		return tile, nodata, nil
-	default:
-		tile, nodata, err := gis.LoadRaster(strings.NewReader(dr.TileASC))
-		if err != nil {
-			return nil, nil, fmt.Errorf("parsing tile_asc: %w", err)
-		}
-		return tile, nodata, nil
 	}
-}
-
-// citySource materialises the request's DSM as a CitySource for the
-// tiled pipeline. A tile_ref request is served through
-// gis.OpenWindowed over the stored (gzipped) upload — the true
-// out-of-core path, O(window) memory however large the upload — and
-// the returned closer releases the reader when the run finishes.
-// Inline and demo tiles wrap their in-memory raster; their closer is
-// nil.
-func (s *Server) citySource(dr DistrictRequest) (pvfloor.CitySource, io.Closer, error) {
-	if dr.TileRef != "" {
-		path, err := s.tiles.Path(dr.TileRef)
-		if err != nil {
-			return nil, nil, err
-		}
-		wr, err := gis.OpenWindowed(path, gis.WindowOptions{})
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening tile %s: %w", dr.TileRef, err)
-		}
-		return wr, wr, nil
-	}
-	tile, nodata, err := s.tile(dr)
+	path, err := s.tiles.Path(dr.TileRef)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &gis.RasterSource{Raster: tile, NoData: nodata}, nil, nil
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("opening tile %s: %w", dr.TileRef, err)
+	}
+	defer f.Close()
+	tile, nodata, err := gis.LoadRaster(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading tile %s: %w", dr.TileRef, err)
+	}
+	return tile, nodata, nil
+}
+
+// citySource materialises the request's DSM as a CitySource for the
+// tiled pipeline. The demo tile wraps its in-memory raster and has no
+// closer. A tile_ref request is served through gis.OpenWindowed over
+// the stored (gzipped) upload — the true out-of-core path, O(window)
+// memory however large the upload — and the returned closer releases
+// the reader when the run finishes.
+func (s *Server) citySource(dr DistrictRequest) (pvfloor.CitySource, io.Closer, error) {
+	if dr.Demo {
+		return &gis.RasterSource{Raster: district.SyntheticNeighborhood()}, nil, nil
+	}
+	path, err := s.tiles.Path(dr.TileRef)
+	if err != nil {
+		return nil, nil, err
+	}
+	wr, err := gis.OpenWindowed(path, gis.WindowOptions{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("opening tile %s: %w", dr.TileRef, err)
+	}
+	return wr, wr, nil
 }

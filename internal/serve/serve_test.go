@@ -108,10 +108,10 @@ func TestRequestValidation(t *testing.T) {
 		{"district negative iterations", "/v1/district", `{"demo":true,"optimizer":{"strategy":"multistart","iterations":-5}}`, "iterations -5"},
 		{"empty batch", "/v1/batch", `{"runs":[]}`, "empty batch"},
 		{"batch bad entry", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8},{"scenario":"nope","modules":8}]}`, "runs[1]"},
-		{"district no tile", "/v1/district", `{}`, "exactly one of tile_asc, tile_ref or demo"},
-		{"district tile+demo", "/v1/district", `{"demo":true,"tile_asc":"ncols 1"}`, "mutually exclusive"},
-		{"district ref+asc", "/v1/district", `{"tile_ref":"asc-ffff","tile_asc":"ncols 1"}`, "mutually exclusive"},
-		{"district bad tile", "/v1/district", `{"tile_asc":"not a grid"}`, "parsing tile_asc"},
+		{"district no tile", "/v1/district", `{}`, "exactly one of tile_ref or demo"},
+		{"district tile+demo", "/v1/district", `{"demo":true,"tile_ref":"asc-ffff"}`, "mutually exclusive"},
+		{"district ref+asc", "/v1/district", `{"tile_ref":"asc-ffff","tile_asc":"ncols 1"}`, `unknown field "tile_asc"`},
+		{"district bad tile", "/v1/district", `{"tile_asc":"not a grid"}`, `unknown field "tile_asc"`},
 		{"district ragged modules", "/v1/district", `{"demo":true,"modules":3}`, "multiple of 8"},
 		{"district bad rank-by", "/v1/district", `{"demo":true,"econ":{"rank_by":"alphabetical"}}`, "unknown rank-by"},
 		{"district negative budget", "/v1/district", `{"demo":true,"econ":{"budget_usd":-1}}`, "negative budget"},

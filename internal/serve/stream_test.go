@@ -108,8 +108,8 @@ func TestBatchStreamFraming(t *testing.T) {
 	}
 }
 
-// loadTileASC reads the committed neighborhood fixture as request
-// payload text.
+// loadTileASC reads the committed neighborhood fixture as ESRI ASCII
+// grid text.
 func loadTileASC(t *testing.T) string {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "district", "neighborhood.asc"))
@@ -117,6 +117,13 @@ func loadTileASC(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return string(raw)
+}
+
+// uploadFixture stores the committed neighborhood tile in the server's
+// tile store and returns its tile_ref.
+func uploadFixture(t *testing.T, s *Server) string {
+	t.Helper()
+	return uploadTile(t, s, []byte(loadTileASC(t))).Ref
 }
 
 func parseTile(t *testing.T, asc string) *dsm.Raster {
@@ -167,11 +174,11 @@ func loadDistrictGolden(t *testing.T) districtGolden {
 	return g
 }
 
-// districtStream posts one district request over the committed tile
-// and returns the decoded stream lines.
-func districtStream(t *testing.T, s *Server, tileASC string) []map[string]json.RawMessage {
+// districtStream posts one district request over an uploaded tile and
+// returns the decoded stream lines.
+func districtStream(t *testing.T, s *Server, ref string) []map[string]json.RawMessage {
 	t.Helper()
-	req, err := json.Marshal(DistrictRequest{TileASC: tileASC})
+	req, err := json.Marshal(DistrictRequest{TileRef: ref})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +250,8 @@ func checkDistrictResult(t *testing.T, lines []map[string]json.RawMessage) json.
 // against the golden corpus and byte-equivalent to the library's own
 // DistrictReport (the struct cmd/pvdistrict -json prints).
 func TestDistrictStreamMatchesGolden(t *testing.T) {
-	s := newTestServer(t, Options{CacheDir: t.TempDir()})
-	asc := loadTileASC(t)
-	lines := districtStream(t, s, asc)
+	s := newTestServer(t, Options{CacheDir: t.TempDir(), TilesDir: t.TempDir()})
+	lines := districtStream(t, s, uploadFixture(t, s))
 	golden := loadDistrictGolden(t)
 
 	var extracted, planned []DistrictRoofEvent
@@ -289,7 +295,7 @@ func TestDistrictStreamMatchesGolden(t *testing.T) {
 	// Byte-equivalence with the library (and hence pvdistrict -json):
 	// the same tile through RunDistrict marshals to the identical
 	// district payload.
-	res, err := pvfloor.RunDistrict(pvfloor.DistrictConfig{Tile: parseTile(t, asc)})
+	res, err := pvfloor.RunDistrict(pvfloor.DistrictConfig{Tile: parseTile(t, loadTileASC(t))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,12 +320,12 @@ func TestDistrictStreamMatchesGolden(t *testing.T) {
 // disk instead of ray-marching anything — a zero global BuildCount
 // delta — while still producing the golden-exact result.
 func TestDistrictStreamWarmCacheSkipsHorizonBuild(t *testing.T) {
-	s := newTestServer(t, Options{CacheDir: t.TempDir()})
-	asc := loadTileASC(t)
-	checkDistrictResult(t, districtStream(t, s, asc)) // warm the cache
+	s := newTestServer(t, Options{CacheDir: t.TempDir(), TilesDir: t.TempDir()})
+	ref := uploadFixture(t, s)
+	checkDistrictResult(t, districtStream(t, s, ref)) // warm the cache
 
 	before := horizon.BuildCount()
-	checkDistrictResult(t, districtStream(t, s, asc))
+	checkDistrictResult(t, districtStream(t, s, ref))
 	if d := horizon.BuildCount() - before; d != 0 {
 		t.Errorf("warm district request ray-marched %d horizon maps, want 0 (tile artifact reuse)", d)
 	}
@@ -332,8 +338,8 @@ func TestDistrictStreamWarmCacheSkipsHorizonBuild(t *testing.T) {
 // job pool. Run under -race this also proves the stream/pool/cache
 // plumbing is data-race free.
 func TestDistrictStreamConcurrentDeterminism(t *testing.T) {
-	s := newTestServer(t, Options{CacheDir: t.TempDir(), MaxConcurrentRuns: 2})
-	asc := loadTileASC(t)
+	s := newTestServer(t, Options{CacheDir: t.TempDir(), TilesDir: t.TempDir(), MaxConcurrentRuns: 2})
+	ref := uploadFixture(t, s)
 
 	var wg sync.WaitGroup
 	results := make([]json.RawMessage, 2)
@@ -341,7 +347,7 @@ func TestDistrictStreamConcurrentDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			lines := districtStream(t, s, asc)
+			lines := districtStream(t, s, ref)
 			results[i] = checkDistrictResult(t, lines)
 		}()
 	}
@@ -399,9 +405,8 @@ func TestDistrictStreamClientDisconnect(t *testing.T) {
 	// Concurrency 1 serialises the roof runs, so cancelling after the
 	// first completion leaves at most one more (already in flight) to
 	// finish — the remaining roofs must never run.
-	s := newTestServer(t, Options{MaxConcurrentRuns: 1, QueueDepth: 1, Concurrency: 1, FieldWorkers: 1})
-	asc := loadTileASC(t)
-	body, err := json.Marshal(DistrictRequest{TileASC: asc})
+	s := newTestServer(t, Options{MaxConcurrentRuns: 1, QueueDepth: 1, Concurrency: 1, FieldWorkers: 1, TilesDir: t.TempDir()})
+	body, err := json.Marshal(DistrictRequest{TileRef: uploadFixture(t, s)})
 	if err != nil {
 		t.Fatal(err)
 	}

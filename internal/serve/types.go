@@ -112,16 +112,10 @@ func (er *EconRequest) config() pvfloor.EconConfig {
 }
 
 // DistrictRequest is one whole-tile district sweep streamed as
-// NDJSON. Exactly one of TileASC (an ESRI ASCII grid, the cmd/roofgen
-// and gis package interchange format, embedded as text), TileRef (a
-// ref returned by POST /v1/tiles — preferred: the tile crosses the
-// wire once and later requests name it) or Demo (the built-in
-// synthetic neighborhood) selects the tile.
+// NDJSON. Exactly one of TileRef (a ref returned by POST /v1/tiles:
+// the tile crosses the wire once and later requests name it) or Demo
+// (the built-in synthetic neighborhood) selects the tile.
 type DistrictRequest struct {
-	// TileASC embeds the grid inline. Deprecated in favour of TileRef
-	// for repeated requests: uploading via /v1/tiles avoids re-sending
-	// (and re-parsing) megabytes of grid text per request.
-	TileASC      string           `json:"tile_asc,omitempty"`
 	TileRef      string           `json:"tile_ref,omitempty"`
 	Demo         bool             `json:"demo,omitempty"`
 	Modules      int              `json:"modules,omitempty"`
@@ -135,7 +129,7 @@ type DistrictRequest struct {
 
 // CityRequest is a city-scale tiled sweep streamed as NDJSON: the
 // district request surface plus the out-of-core partitioning knobs.
-// The embedded grid is partitioned into tile_cells×tile_cells work
+// The selected grid is partitioned into tile_cells×tile_cells work
 // tiles, each swept with a halo_cells overlap margin and deduplicated
 // at seams, so the stitched result matches a monolithic district run.
 type CityRequest struct {

@@ -28,8 +28,7 @@
 // 15-minute steps over fine horizon maps — and costs minutes per
 // roof. Both fidelities run the identical physics pipeline; relative
 // placement quality agrees between them, absolute MWh differ by the
-// sampling density. Config.Grid overrides the calendar when neither
-// preset fits.
+// sampling density.
 //
 // # Optimizer strategies
 //
@@ -123,25 +122,11 @@ type Config struct {
 	// Label optionally names the run in batch results and reports
 	// (RunBatch derives "Roof 2/N=32"-style names when empty).
 	Label string
-	// Modules is the number of PV modules N (must be a multiple of
-	// the paper's string length 8 unless Plan.Topology is set
-	// explicitly).
+	// Modules is the number of PV modules N (a positive multiple of
+	// the paper's string length 8).
 	Modules int
 	// Fidelity selects Fast (default) or Full simulation.
 	Fidelity Fidelity
-	// Grid overrides the calendar implied by Fidelity.
-	Grid *timegrid.Grid
-	// Suitability tunes the suitability metric (zero value = paper).
-	Suitability floorplan.SuitabilityOptions
-	// Plan tunes the greedy planner; Shape and Topology are filled
-	// from the scenario and Modules when zero.
-	Plan floorplan.Options
-	// Module overrides the PV module model (default: the paper's
-	// Mitsubishi PV-MF165EB3 empirical model).
-	Module pvmodel.Module
-	// Wiring overrides the cable assumptions (default: the paper's
-	// AWG 10 at 7 mΩ/m, 1 $/m).
-	Wiring wiring.Spec
 	// Optimizer selects the placement-search strategy for the
 	// proposed placement (zero value = the paper's greedy heuristic).
 	// See OptimizerConfig and the Strategy constants.
@@ -180,16 +165,15 @@ func OpenCache(dir string) (*fieldcache.Cache, error) {
 	return fieldcache.Open(dir)
 }
 
-// effectiveGrid returns the simulation calendar the config implies:
-// the explicit Grid when set, otherwise the Fidelity preset.
+// effectiveGrid returns the simulation calendar of the config's
+// Fidelity.
 func (cfg Config) effectiveGrid() *timegrid.Grid {
-	if cfg.Grid != nil {
-		return cfg.Grid
-	}
-	if cfg.Fidelity == Full {
+	switch cfg.Fidelity {
+	case Full:
 		return scenario.FullYearGrid()
+	default:
+		return scenario.FastGrid()
 	}
-	return scenario.FastGrid()
 }
 
 // Result carries every artifact of a pipeline run.
@@ -275,7 +259,10 @@ func Run(cfg Config) (*Result, error) {
 
 // RunWithField executes the planning and evaluation stages against an
 // already-built solar field (letting callers amortise field
-// construction across many planning runs).
+// construction across many planning runs). It plans with the paper's
+// setup: the p75 temperature-corrected suitability, the scenario's
+// module footprint in strings of 8, the PV-MF165EB3 module and AWG 10
+// cable.
 func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 	if cfg.Scenario == nil || ev == nil {
 		return nil, fmt.Errorf("pvfloor: nil scenario or field")
@@ -287,30 +274,17 @@ func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	suit, err := floorplan.ComputeSuitability(cs, cfg.Suitability)
+	suit, err := floorplan.ComputeSuitability(cs, floorplan.SuitabilityOptions{})
 	if err != nil {
 		return nil, err
 	}
-
-	planOpts := cfg.Plan
-	if planOpts.Shape == (floorplan.ModuleShape{}) {
-		planOpts.Shape = cfg.Scenario.Shape
+	topo, err := scenario.Topology(cfg.Modules)
+	if err != nil {
+		return nil, err
 	}
-	if planOpts.Topology.Modules() == 0 {
-		topo, err := scenario.Topology(cfg.Modules)
-		if err != nil {
-			return nil, err
-		}
-		planOpts.Topology = topo
-	}
-	mod := cfg.Module
-	if mod == nil {
-		mod = pvmodel.PVMF165EB3()
-	}
-	spec := cfg.Wiring
-	if spec == (wiring.Spec{}) {
-		spec = wiring.AWG10(scenario.CellSizeM)
-	}
+	planOpts := floorplan.Options{Shape: cfg.Scenario.Shape, Topology: topo}
+	mod := pvmodel.PVMF165EB3()
+	spec := wiring.AWG10(scenario.CellSizeM)
 
 	res := &Result{
 		Scenario:    cfg.Scenario,
