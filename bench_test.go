@@ -333,11 +333,11 @@ func BenchmarkOptimalityGap(b *testing.B) {
 					Shape:    st.sc.Shape,
 					Topology: panel.Topology{SeriesPerString: n, Strings: 1},
 				}}
-				g, err := optimize.Greedy{}.Place(problem)
+				g, _, err := optimize.Greedy{}.Place(problem)
 				if err != nil {
 					b.Fatal(err)
 				}
-				o, err := optimize.BranchBound{}.Place(problem)
+				o, _, err := optimize.BranchBound{}.Place(problem)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -418,9 +418,8 @@ func BenchmarkMultiStart(b *testing.B) {
 	mod := pvmodel.PVMF165EB3()
 	spec := wiring.AWG10(scenario.CellSizeM)
 	problem := optimize.Problem{Suit: st.suit, Mask: st.sc.Suitable, Opts: opts, Spec: spec,
-		Yield: func(pl *floorplan.Placement) (float64, error) {
-			e, err := floorplan.Evaluate(st.ev, mod, pl, spec)
-			return e.NetMWh(), err
+		Yield: func(pl *floorplan.Placement) (floorplan.Evaluation, error) {
+			return floorplan.Evaluate(st.ev, mod, pl, spec)
 		}}
 	const iters = 10000
 	for _, workers := range []int{1, 0} {
@@ -433,13 +432,11 @@ func BenchmarkMultiStart(b *testing.B) {
 			var net float64
 			for i := 0; i < b.N; i++ {
 				ms := optimize.MultiStart{Seed: 7, Iterations: iters, Restarts: 8, Workers: workers}
-				pl, err := ms.Place(problem)
+				_, e, err := ms.Place(problem)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if net, err = problem.Yield(pl); err != nil {
-					b.Fatal(err)
-				}
+				net = e.NetMWh()
 			}
 			b.ReportMetric(net, "net_MWh")
 		})

@@ -424,11 +424,11 @@ func (h *harness) ablation() {
 		problem := optimize.Problem{Suit: sub, Mask: subMask, Opts: floorplan.Options{
 			Shape: sc.Shape, Topology: topoOf(n),
 		}}
-		g, err := optimize.Greedy{}.Place(problem)
+		g, _, err := optimize.Greedy{}.Place(problem)
 		if err != nil {
 			log.Fatal(err)
 		}
-		o, err := optimize.BranchBound{}.Place(problem)
+		o, _, err := optimize.BranchBound{}.Place(problem)
 		if err != nil {
 			log.Fatal(err)
 		}

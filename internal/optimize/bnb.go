@@ -38,9 +38,9 @@ type BranchBound struct {
 func (BranchBound) Name() string { return "bnb" }
 
 // Place implements Placer.
-func (b BranchBound) Place(p Problem) (*floorplan.Placement, error) {
+func (b BranchBound) Place(p Problem) (*floorplan.Placement, floorplan.Evaluation, error) {
 	pl, _, err := b.search(p)
-	return pl, err
+	return p.judge(pl, err)
 }
 
 type candidate struct {

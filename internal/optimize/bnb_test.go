@@ -21,16 +21,16 @@ func TestBranchBoundValidation(t *testing.T) {
 	suit := gradientSuit(20, 10)
 	mask := fullMask(20, 10)
 	shape := floorplan.ModuleShape{W: 4, H: 2}
-	if _, err := (BranchBound{}).Place(bnbProblem(nil, mask, shape, 1)); err == nil {
+	if _, _, err := (BranchBound{}).Place(bnbProblem(nil, mask, shape, 1)); err == nil {
 		t.Error("nil suitability must error")
 	}
-	if _, err := (BranchBound{}).Place(bnbProblem(suit, mask, floorplan.ModuleShape{}, 1)); err == nil {
+	if _, _, err := (BranchBound{}).Place(bnbProblem(suit, mask, floorplan.ModuleShape{}, 1)); err == nil {
 		t.Error("invalid shape must error")
 	}
-	if _, err := (BranchBound{}).Place(bnbProblem(suit, mask, shape, 0)); err == nil {
+	if _, _, err := (BranchBound{}).Place(bnbProblem(suit, mask, shape, 0)); err == nil {
 		t.Error("zero modules must error")
 	}
-	_, err := BranchBound{MaxNodes: -1}.Place(bnbProblem(suit, mask, shape, 1))
+	_, _, err := BranchBound{MaxNodes: -1}.Place(bnbProblem(suit, mask, shape, 1))
 	if err == nil || errors.Is(err, ErrBudgetExhausted) {
 		t.Errorf("negative budget: err = %v, want a validation error", err)
 	}
@@ -39,7 +39,7 @@ func TestBranchBoundValidation(t *testing.T) {
 func TestBranchBoundSingleModule(t *testing.T) {
 	// One module on a gradient: the optimum is the best single
 	// candidate — the footprint in the corner of largest x and y.
-	pl, err := BranchBound{}.Place(bnbProblem(gradientSuit(20, 10), fullMask(20, 10), floorplan.ModuleShape{W: 4, H: 2}, 1))
+	pl, _, err := BranchBound{}.Place(bnbProblem(gradientSuit(20, 10), fullMask(20, 10), floorplan.ModuleShape{W: 4, H: 2}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBranchBoundMatchesBruteForceTiny(t *testing.T) {
 		1, 9, 2, 7, 3, 8, 1, 6,
 	}
 	copy(suit.S, vals)
-	pl, err := BranchBound{}.Place(bnbProblem(suit, fullMask(w, h), floorplan.ModuleShape{W: 3, H: 2}, 2))
+	pl, _, err := BranchBound{}.Place(bnbProblem(suit, fullMask(w, h), floorplan.ModuleShape{W: 3, H: 2}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBranchBoundNeverBelowGreedy(t *testing.T) {
 	mask.SetRect(geom.Rect{X0: 10, Y0: 6, X1: 16, Y1: 9}, false)
 	p := bnbProblem(suit, mask, floorplan.ModuleShape{W: 4, H: 2}, 3)
 
-	greedy, err := Greedy{}.Place(p)
+	greedy, _, err := Greedy{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestBranchBoundNeverBelowGreedy(t *testing.T) {
 func TestBranchBoundBeatsOrMatchesGreedyOnSmallInstance(t *testing.T) {
 	p := problemFixture(64, 32)
 	p.Opts.Topology = panel.Topology{SeriesPerString: 2, Strings: 1}
-	greedy, err := Greedy{}.Place(p)
+	greedy, _, err := Greedy{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := BranchBound{}.Place(p)
+	exact, _, err := BranchBound{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestBranchBoundBeatsOrMatchesGreedyOnSmallInstance(t *testing.T) {
 }
 
 func TestBranchBoundNoSpace(t *testing.T) {
-	_, err := BranchBound{}.Place(bnbProblem(gradientSuit(6, 3), fullMask(6, 3), floorplan.ModuleShape{W: 4, H: 2}, 5))
+	_, _, err := BranchBound{}.Place(bnbProblem(gradientSuit(6, 3), fullMask(6, 3), floorplan.ModuleShape{W: 4, H: 2}, 5))
 	if err == nil {
 		t.Error("expected no-space error")
 	}
@@ -155,7 +155,7 @@ func TestBranchBoundNoSpace(t *testing.T) {
 
 func TestBranchBoundBudgetExhaustion(t *testing.T) {
 	p := bnbProblem(gradientSuit(40, 20), fullMask(40, 20), floorplan.ModuleShape{W: 4, H: 2}, 6)
-	if _, err := (BranchBound{MaxNodes: 10}).Place(p); !errors.Is(err, ErrBudgetExhausted) {
+	if _, _, err := (BranchBound{MaxNodes: 10}).Place(p); !errors.Is(err, ErrBudgetExhausted) {
 		t.Errorf("err = %v, want ErrBudgetExhausted", err)
 	}
 }
@@ -172,7 +172,7 @@ func TestBranchBoundExactBudgetSucceeds(t *testing.T) {
 		if nodes != wantNodes {
 			t.Errorf("N=%d explored %d nodes, want %d", n, nodes, wantNodes)
 		}
-		tight, err := BranchBound{MaxNodes: nodes}.Place(p)
+		tight, _, err := BranchBound{MaxNodes: nodes}.Place(p)
 		if err != nil {
 			t.Fatalf("N=%d with MaxNodes=%d: %v", n, nodes, err)
 		}
@@ -183,7 +183,7 @@ func TestBranchBoundExactBudgetSucceeds(t *testing.T) {
 			}
 		}
 		if nodes > 1 {
-			if _, err := (BranchBound{MaxNodes: nodes - 1}).Place(p); !errors.Is(err, ErrBudgetExhausted) {
+			if _, _, err := (BranchBound{MaxNodes: nodes - 1}).Place(p); !errors.Is(err, ErrBudgetExhausted) {
 				t.Errorf("N=%d with MaxNodes=%d: err = %v, want ErrBudgetExhausted", n, nodes-1, err)
 			}
 		}
@@ -193,7 +193,7 @@ func TestBranchBoundExactBudgetSucceeds(t *testing.T) {
 func TestBranchBoundAvoidsMaskedCells(t *testing.T) {
 	mask := fullMask(16, 6)
 	mask.SetRect(geom.Rect{X0: 12, Y0: 0, X1: 16, Y1: 6}, false) // best region blocked
-	pl, err := BranchBound{}.Place(bnbProblem(gradientSuit(16, 6), mask, floorplan.ModuleShape{W: 4, H: 2}, 2))
+	pl, _, err := BranchBound{}.Place(bnbProblem(gradientSuit(16, 6), mask, floorplan.ModuleShape{W: 4, H: 2}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,9 @@ import (
 // deterministically derived RNG seed, fanned out on a bounded worker
 // pool. The walks climb the shared objective, but the result is judged
 // by Problem.Yield: the greedy seed and every walk's placement are
-// scored, and the best-yielding candidate wins — so the returned
-// placement never yields less than the greedy one.
+// evaluated once, and the candidate with the best NetMWh wins — so the
+// returned placement never yields less than the greedy one, and its
+// returned Evaluation is the one it won with.
 //
 // Determinism contract (same as the solar-field engine): restart i's
 // seed is a pure function of (Seed, i), every candidate writes only
@@ -61,28 +62,28 @@ func restartSeed(base int64, i int) int64 {
 
 // Place implements Placer: greedy seed once, K annealing walks over
 // one shared score table (objective.Fork per walk), every candidate
-// scored by p.Yield, best-of selection in candidate order.
-func (m MultiStart) Place(p Problem) (*floorplan.Placement, error) {
+// evaluated once by p.Yield, best-of selection in candidate order.
+func (m MultiStart) Place(p Problem) (*floorplan.Placement, floorplan.Evaluation, error) {
 	if p.Yield == nil {
-		return nil, fmt.Errorf("optimize: multistart needs a Yield function")
+		return nil, floorplan.Evaluation{}, fmt.Errorf("optimize: multistart needs a Yield function")
 	}
 	restarts := m.Restarts
 	if restarts <= 0 {
 		restarts = 8
 	}
 	if restarts > 1<<16 {
-		return nil, fmt.Errorf("optimize: unreasonable restart count %d", restarts)
+		return nil, floorplan.Evaluation{}, fmt.Errorf("optimize: unreasonable restart count %d", restarts)
 	}
 	seedPl, obj, err := p.greedySeed()
 	if err != nil {
-		return nil, err
+		return nil, floorplan.Evaluation{}, err
 	}
 
 	// Candidate 0 is the greedy seed, candidate i+1 restart i's walk.
 	type outcome struct {
-		pl    *floorplan.Placement
-		yield float64
-		err   error
+		pl   *floorplan.Placement
+		eval floorplan.Evaluation
+		err  error
 	}
 	results := make([]outcome, restarts+1)
 	run := func(i int) {
@@ -95,24 +96,24 @@ func (m MultiStart) Place(p Problem) (*floorplan.Placement, error) {
 				return
 			}
 		}
-		y, err := p.Yield(pl)
+		e, err := p.Yield(pl)
 		if err != nil {
 			err = fmt.Errorf("optimize: yield of candidate %d: %w", i, err)
 		}
-		results[i] = outcome{pl: pl, yield: y, err: err}
+		results[i] = outcome{pl: pl, eval: e, err: err}
 	}
 	forIndices(len(results), m.Workers, run)
 
 	best := 0
 	for i, r := range results {
 		if r.err != nil {
-			return nil, r.err
+			return nil, floorplan.Evaluation{}, r.err
 		}
-		if r.yield > results[best].yield {
+		if r.eval.NetMWh() > results[best].eval.NetMWh() {
 			best = i
 		}
 	}
-	return results[best].pl, nil
+	return results[best].pl, results[best].eval, nil
 }
 
 // forIndices runs fn(i) for i in [0, n) on a bounded worker pool.

@@ -4,9 +4,9 @@
 // reference (ablation A3), and a parallel multi-start search that
 // anneals the greedy seed (Refine, ablation A4) from K seeds and keeps
 // the candidate with the best evaluated yield. Callers select a
-// strategy and get back a floorplan.Placement; everything downstream
-// (energy evaluation, wiring assessment, reports) is
-// strategy-agnostic.
+// strategy and get back a floorplan.Placement together with the
+// Problem.Yield evaluation it was judged by; everything downstream
+// (wiring assessment, reports) is strategy-agnostic.
 //
 // Every strategy here is deterministic: the greedy and branch and
 // bound by construction, Refine per seed, and the multi-start search
@@ -25,7 +25,8 @@ import (
 // Problem is the placement instance every Placer solves: the
 // suitability field and mask the roof was simulated on, the greedy
 // planner options (shape, topology, distance policy), the wiring spec
-// of the shared objective, and the yield a placement is judged by.
+// of the shared objective, and the evaluation a placement is judged
+// by.
 type Problem struct {
 	// Suit is the per-cell suitability matrix (required).
 	Suit *floorplan.Suitability
@@ -37,11 +38,26 @@ type Problem struct {
 	// Spec prices the wiring (zero value defaults to AWG10 at 0.2 m
 	// cells).
 	Spec wiring.Spec
-	// Yield scores a placement by the energy it is reported on —
-	// higher is better (pvfloor passes the net MWh of
-	// floorplan.Evaluate). MultiStart requires it and may call it
-	// concurrently.
-	Yield func(*floorplan.Placement) (float64, error)
+	// Yield evaluates a placement by the energy it is reported on
+	// (pvfloor passes floorplan.Evaluate); candidates compare by
+	// NetMWh, higher is better. Every placer returns the Yield of its
+	// placement, evaluated exactly once. MultiStart requires it and
+	// may call it concurrently; without it Greedy and BranchBound
+	// return a zero Evaluation.
+	Yield func(*floorplan.Placement) (floorplan.Evaluation, error)
+}
+
+// judge returns pl with its Yield (a zero Evaluation without one),
+// passing a planning error through.
+func (p Problem) judge(pl *floorplan.Placement, err error) (*floorplan.Placement, floorplan.Evaluation, error) {
+	if err != nil || p.Yield == nil {
+		return pl, floorplan.Evaluation{}, err
+	}
+	e, err := p.Yield(pl)
+	if err != nil {
+		return nil, floorplan.Evaluation{}, err
+	}
+	return pl, e, nil
 }
 
 // newObjective builds the problem's shared objective.
@@ -72,8 +88,9 @@ func (p Problem) greedySeed() (*floorplan.Placement, *objective.Objective, error
 type Placer interface {
 	// Name identifies the strategy in labels, batch names and logs.
 	Name() string
-	// Place solves the problem, returning a series-first placement.
-	Place(p Problem) (*floorplan.Placement, error)
+	// Place solves the problem, returning a series-first placement
+	// and its Problem.Yield evaluation.
+	Place(p Problem) (*floorplan.Placement, floorplan.Evaluation, error)
 }
 
 // Greedy is the paper's ranked-candidate heuristic (§III-C) —
@@ -85,6 +102,6 @@ type Greedy struct{}
 func (Greedy) Name() string { return "greedy" }
 
 // Place implements Placer.
-func (Greedy) Place(p Problem) (*floorplan.Placement, error) {
-	return floorplan.Plan(p.Suit, p.Mask, p.Opts)
+func (Greedy) Place(p Problem) (*floorplan.Placement, floorplan.Evaluation, error) {
+	return p.judge(floorplan.Plan(p.Suit, p.Mask, p.Opts))
 }

@@ -3,11 +3,15 @@ package optimize
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/panel"
+	"repro/internal/pvmodel"
+	"repro/internal/scenario"
+	"repro/internal/wiring"
 )
 
 // hotspotSuit is a gentle x-gradient with two hot islands the greedy
@@ -47,9 +51,14 @@ func gradientSuit(w, h int) *floorplan.Suitability {
 	return s
 }
 
+// sumYield is a stand-in yield: a placement's suitability sum as its
+// net energy.
+func sumYield(pl *floorplan.Placement) (floorplan.Evaluation, error) {
+	return floorplan.Evaluation{GrossMWh: pl.SuitabilitySum}, nil
+}
+
 // problemFixture is a w x h hotspot roof for four 8x4 modules in two
-// strings under the standard objective, judged by a stand-in yield:
-// the placement's suitability sum.
+// strings under the standard objective, judged by sumYield.
 func problemFixture(w, h int) Problem {
 	return Problem{
 		Suit: hotspotSuit(w, h),
@@ -58,7 +67,7 @@ func problemFixture(w, h int) Problem {
 			Shape:    floorplan.ModuleShape{W: 8, H: 4},
 			Topology: panel.Topology{SeriesPerString: 2, Strings: 2},
 		},
-		Yield: func(pl *floorplan.Placement) (float64, error) { return pl.SuitabilitySum, nil },
+		Yield: sumYield,
 	}
 }
 
@@ -76,7 +85,7 @@ func sameRects(a, b *floorplan.Placement) bool {
 
 func TestGreedyPlacerMatchesPlan(t *testing.T) {
 	p := problemFixture(64, 32)
-	got, err := Greedy{}.Place(p)
+	got, _, err := Greedy{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +106,12 @@ func TestGreedyPlacerMatchesPlan(t *testing.T) {
 func TestMultiStartKeepsBestYieldingCandidate(t *testing.T) {
 	p := problemFixture(64, 32)
 	const iters, restarts, seed = 4000, 6, 1
-	got, err := MultiStart{Seed: seed, Iterations: iters, Restarts: restarts}.Place(p)
+	got, gotEval, err := MultiStart{Seed: seed, Iterations: iters, Restarts: restarts}.Place(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if gotEval.NetMWh() != got.SuitabilitySum {
+		t.Errorf("returned yield %v, the placement's own %v", gotEval.NetMWh(), got.SuitabilitySum)
 	}
 	// Replay the candidates: the greedy seed, then each restart's walk;
 	// the first strictly best yield wins.
@@ -132,20 +144,20 @@ func TestMultiStartFallsBackToGreedySeed(t *testing.T) {
 	// A yield that prefers the greedy placement over any move away from
 	// it: ties keep the earlier candidate, so the seed must win.
 	p := problemFixture(64, 32)
-	greedy, err := Greedy{}.Place(p)
+	greedy, _, err := Greedy{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Yield = func(pl *floorplan.Placement) (float64, error) {
+	p.Yield = func(pl *floorplan.Placement) (floorplan.Evaluation, error) {
 		moved := 0
 		for i := range pl.Rects {
 			if pl.Rects[i] != greedy.Rects[i] {
 				moved++
 			}
 		}
-		return -float64(moved), nil
+		return floorplan.Evaluation{WiringLossMWh: float64(moved)}, nil
 	}
-	got, err := MultiStart{Seed: 3, Iterations: 4000, Restarts: 4}.Place(p)
+	got, _, err := MultiStart{Seed: 3, Iterations: 4000, Restarts: 4}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +169,12 @@ func TestMultiStartFallsBackToGreedySeed(t *testing.T) {
 func TestMultiStartYieldRequiredAndErrorsPropagate(t *testing.T) {
 	p := problemFixture(64, 32)
 	p.Yield = nil
-	if _, err := (MultiStart{Seed: 1, Iterations: 100}).Place(p); err == nil {
+	if _, _, err := (MultiStart{Seed: 1, Iterations: 100}).Place(p); err == nil {
 		t.Error("multistart without a Yield must error")
 	}
 	boom := errors.New("boom")
-	p.Yield = func(*floorplan.Placement) (float64, error) { return 0, boom }
-	if _, err := (MultiStart{Seed: 1, Iterations: 100, Restarts: 2}).Place(p); !errors.Is(err, boom) {
+	p.Yield = func(*floorplan.Placement) (floorplan.Evaluation, error) { return floorplan.Evaluation{}, boom }
+	if _, _, err := (MultiStart{Seed: 1, Iterations: 100, Restarts: 2}).Place(p); !errors.Is(err, boom) {
 		t.Errorf("yield error not propagated: %v", err)
 	}
 }
@@ -172,7 +184,7 @@ func TestMultiStartDeterministicAcrossWorkerCounts(t *testing.T) {
 	const iters = 3000
 	var ref *floorplan.Placement
 	for _, workers := range []int{1, 2, 8} {
-		pl, err := MultiStart{Seed: 42, Iterations: iters, Restarts: 7, Workers: workers}.Place(p)
+		pl, _, err := MultiStart{Seed: 42, Iterations: iters, Restarts: 7, Workers: workers}.Place(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,5 +213,72 @@ func TestRestartSeedIsPureAndSpread(t *testing.T) {
 	}
 	if len(seen) != 4*64 {
 		t.Errorf("restart seeds collide: %d distinct of %d", len(seen), 4*64)
+	}
+}
+
+// TestMultiStartReturnsTheEvaluationItJudged: on a real field, one
+// MultiStart.Place evaluates each of its restarts+1 candidates exactly
+// once, and the Evaluation it returns — the one the winner was judged
+// by — is bit-equal to a fresh floorplan.Evaluate of that placement.
+func TestMultiStartReturnsTheEvaluationItJudged(t *testing.T) {
+	sc, err := scenario.Residential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := sc.FieldFast(scenario.FastGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := ev.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	suit, err := floorplan.ComputeSuitability(cs, floorplan.SuitabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := scenario.Topology(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := pvmodel.PVMF165EB3()
+	spec := wiring.AWG10(scenario.CellSizeM)
+	var calls atomic.Int64
+	p := Problem{
+		Suit: suit, Mask: sc.Suitable, Spec: spec,
+		Opts: floorplan.Options{Shape: sc.Shape, Topology: topo},
+		Yield: func(pl *floorplan.Placement) (floorplan.Evaluation, error) {
+			calls.Add(1)
+			return floorplan.Evaluate(ev, mod, pl, spec)
+		},
+	}
+	const restarts = 5
+	pl, got, err := MultiStart{Seed: 1, Iterations: 2000, Restarts: restarts, Workers: 2}.Place(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != restarts+1 {
+		t.Errorf("one Place evaluated %d times, want restarts+1 = %d", n, restarts+1)
+	}
+	want, err := floorplan.Evaluate(ev, mod, pl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"GrossMWh", got.GrossMWh, want.GrossMWh},
+		{"PerModuleMWh", got.PerModuleMWh, want.PerModuleMWh},
+		{"WiringExtraM", got.WiringExtraM, want.WiringExtraM},
+		{"WiringLossMWh", got.WiringLossMWh, want.WiringLossMWh},
+		{"WiringCostUSD", got.WiringCostUSD, want.WiringCostUSD},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Errorf("%s = %v, fresh Evaluate %v", f.name, f.got, f.want)
+		}
+	}
+	if want.GrossMWh <= 0 {
+		t.Fatal("evaluation produced no energy; the test has lost its point")
 	}
 }

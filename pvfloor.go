@@ -296,22 +296,17 @@ func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Proposed, err = placer.Place(optimize.Problem{
+	res.Proposed, res.ProposedEval, err = placer.Place(optimize.Problem{
 		Suit: suit,
 		Mask: cfg.Scenario.Suitable,
 		Opts: planOpts,
 		Spec: spec,
-		Yield: func(pl *floorplan.Placement) (float64, error) {
-			e, err := floorplan.Evaluate(ev, mod, pl, spec)
-			return e.NetMWh(), err
+		Yield: func(pl *floorplan.Placement) (floorplan.Evaluation, error) {
+			return floorplan.Evaluate(ev, mod, pl, spec)
 		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pvfloor: proposed placement (%s): %w", placer.Name(), err)
-	}
-	res.ProposedEval, err = floorplan.Evaluate(ev, mod, res.Proposed, spec)
-	if err != nil {
-		return nil, err
 	}
 	if !cfg.SkipBaseline {
 		res.Traditional, err = floorplan.PlanCompact(suit, cfg.Scenario.Suitable, planOpts)
