@@ -26,7 +26,7 @@
 // elevation tangent, so each cell resolves the shadow boundary of a
 // sector with one binary search instead of a per-timestep test (see
 // sector.go and docs/ARCHITECTURE.md "Field hot path"). The retired
-// calendar-order loop survives as StatsPercentileScalar, the pinned
+// calendar-order loop survives in this package's tests as the pinned
 // equivalence reference.
 //
 // # Artifact cache
@@ -46,8 +46,9 @@
 // statistics pass: 0 selects runtime.GOMAXPROCS(0), 1 runs the fully
 // serial reference path (no goroutines), and any value produces
 // bit-identical results because workers only ever write disjoint
-// index ranges and never share accumulators. Evaluator.StatsPercentileSerial exposes the
-// serial reference directly for equivalence testing. An Evaluator is
+// index ranges and never share accumulators; equivalence tests take
+// the serial reference from an evaluator built with Workers 1 and no
+// cache. An Evaluator is
 // immutable after New, so one field may serve concurrent Stats and
 // StreamTraces callers (the batch runner relies on this to share a
 // field across scenario variants). When Workers != 1
@@ -458,34 +459,6 @@ func (e *Evaluator) StatsPercentile(pct float64) (*CellStats, error) {
 	return cs, err
 }
 
-// StatsPercentileSerial runs the statistics pass single-threaded on
-// the calling goroutine, regardless of Config.Workers. It exists so
-// equivalence tests (and suspicious callers) can compare the parallel
-// pass against a goroutine-free execution of the same arithmetic —
-// and for that reason it always computes, bypassing the persistent
-// artifact cache even when Config.Cache is set (a comparison against
-// the artifact the parallel pass just stored would be vacuous).
-func (e *Evaluator) StatsPercentileSerial(pct float64) (*CellStats, error) {
-	return e.statsPercentile(pct, 1)
-}
-
-// StatsPercentileScalar runs the pre-sector-sweep scalar reference on
-// the calling goroutine: the calendar-ordered per-(cell, timestep)
-// loop with an explicit shadow test per sample. Equivalence tests pin
-// the sector kernel against it — histogram-derived outputs (GPct,
-// TactPct, Samples) must match bit-for-bit since both accumulate
-// identical counts; GMean may differ by float rounding only, because
-// the kernel sums in its documented sector order rather than calendar
-// order.
-func (e *Evaluator) StatsPercentileScalar(pct float64) (*CellStats, error) {
-	cs, err := e.statsFrame(pct)
-	if err != nil || len(e.suitIdx) == 0 {
-		return cs, err
-	}
-	e.statsChunkScalar(cs, e.suitIdx)
-	return cs, nil
-}
-
 // statsFrame allocates and NaN-fills the result frame shared by the
 // kernel and the scalar reference.
 func (e *Evaluator) statsFrame(pct float64) (*CellStats, error) {
@@ -528,55 +501,6 @@ func (e *Evaluator) statsPercentile(pct float64, workers int) (*CellStats, error
 		scratchPool.Put(scratch)
 	})
 	return cs, nil
-}
-
-// statsChunkScalar is the retired hot path, kept as the equivalence
-// reference for the sector kernel: it accumulates one contiguous run
-// of suitable cells across the whole calendar in calendar order,
-// testing the horizon shadow per (cell, timestep).
-func (e *Evaluator) statsChunkScalar(cs *CellStats, cells []int32) {
-	gBank := stats.NewHistogramBank(len(cells), gLo, gHi, gBins)
-	tBank := stats.NewHistogramBank(len(cells), tLo, tHi, tBins)
-	gSum := make([]float64, len(cells))
-
-	k := e.cfg.ThermalK
-	for i := range e.sky {
-		st := &e.sky[i]
-		if !st.up {
-			continue
-		}
-		for j, idx := range cells {
-			g := e.cellIrr(st, int(idx))
-			gBank.Add(j, g)
-			tBank.Add(j, st.ambient+k*g)
-			gSum[j] += g
-		}
-	}
-
-	withNight := !e.cfg.DaylightOnly && e.night.count > 0
-	for j, idx := range cells {
-		if withNight {
-			// Nights contribute irradiance 0 and the shared ambient
-			// distribution; fold them in once per cell in O(bins).
-			gBank.AddBulk(j, 0, uint32(e.night.count))
-			if err := tBank.MergeHistogram(j, e.night.tact); err != nil {
-				// Impossible by construction (identical bin layout);
-				// skip the cell rather than corrupt it.
-				continue
-			}
-		}
-		gp, err := gBank.Percentile(j, cs.Pct)
-		if err != nil {
-			continue
-		}
-		tp, err := tBank.Percentile(j, cs.Pct)
-		if err != nil {
-			continue
-		}
-		cs.GPct[idx] = gp
-		cs.TactPct[idx] = tp
-		cs.GMean[idx] = gSum[j] / float64(cs.Samples)
-	}
 }
 
 // StreamTraces replays the calendar for the given roof-local cells,

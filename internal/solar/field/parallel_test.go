@@ -183,7 +183,7 @@ func TestStatsParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ser, err := ev.StatsPercentileSerial(pct)
+				ser, err := ev.statsPercentile(pct, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -55,7 +55,7 @@ func sectorVsScalar(t *testing.T, ev *Evaluator, pct float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scal, err := ev.StatsPercentileScalar(pct)
+	scal, err := ev.statsPercentileScalar(pct)
 	if err != nil {
 		t.Fatal(err)
 	}
