@@ -74,6 +74,50 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// requestValidationCases are the rejection rows of
+// TestRequestValidation; FuzzRequestConfig seeds its corpus from their
+// bodies.
+var requestValidationCases = []struct {
+	name, path, body, wantErr string
+}{
+	{"malformed json", "/v1/run", `{"scenario":`, "invalid request body"},
+	{"unknown field", "/v1/run", `{"scenario":"roof1","modules":8,"bogus":1}`, "bogus"},
+	{"unknown scenario", "/v1/run", `{"scenario":"roof9","modules":8}`, "unknown scenario"},
+	{"zero modules", "/v1/run", `{"scenario":"roof1"}`, "multiple of 8"},
+	{"ragged modules", "/v1/run", `{"scenario":"roof1","modules":12}`, "multiple of 8"},
+	{"bad fidelity", "/v1/run", `{"scenario":"roof1","modules":8,"fidelity":"warp"}`, "unknown fidelity"},
+	{"bad strategy", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"magic"}}`, "unknown optimizer strategy"},
+	{"negative iterations", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","iterations":-5}}`, "iterations -5"},
+	{"huge iterations", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","iterations":1000000000}}`, "iterations 1000000000"},
+	{"negative restarts", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":-3}}`, "restarts -3"},
+	{"huge restarts", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":100000}}`, "restarts 100000"},
+	{"negative search workers", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","search_workers":-1}}`, "search_workers"},
+	{"negative wiring weight", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"wiring_weight":-0.5}}`, "wiring_weight"},
+	{"retired anneal strategy", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"anneal"}}`, "unknown optimizer strategy"},
+	{"retired search workers", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","search_workers":2}}`, "search_workers"},
+	{"retired wiring weight", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"wiring_weight":0.5}}`, "wiring_weight"},
+	{"retired no wiring penalty", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"no_wiring_penalty":true}}`, "no_wiring_penalty"},
+	{"batch huge restarts", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8},{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":100000}}]}`, "runs[1]"},
+	{"district negative iterations", "/v1/district", `{"demo":true,"optimizer":{"strategy":"multistart","iterations":-5}}`, "iterations -5"},
+	{"empty batch", "/v1/batch", `{"runs":[]}`, "empty batch"},
+	{"batch bad entry", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8},{"scenario":"nope","modules":8}]}`, "runs[1]"},
+	{"district no tile", "/v1/district", `{}`, "exactly one of tile_ref or demo"},
+	{"district tile+demo", "/v1/district", `{"demo":true,"tile_ref":"asc-ffff"}`, "mutually exclusive"},
+	{"district ref+asc", "/v1/district", `{"tile_ref":"asc-ffff","tile_asc":"ncols 1"}`, `unknown field "tile_asc"`},
+	{"district bad tile", "/v1/district", `{"tile_asc":"not a grid"}`, `unknown field "tile_asc"`},
+	{"district ragged modules", "/v1/district", `{"demo":true,"modules":3}`, "multiple of 8"},
+	{"district bad rank-by", "/v1/district", `{"demo":true,"econ":{"rank_by":"alphabetical"}}`, "unknown rank-by"},
+	{"district negative budget", "/v1/district", `{"demo":true,"econ":{"budget_usd":-1}}`, "negative budget"},
+	{"district bad panel class", "/v1/district", `{"demo":true,"econ":{"catalog":[{"name":"x","watts_stc":0}]}}`, "nameplate"},
+	{"city overflowing tile timeout", "/v1/city", `{"demo":true,"tile_timeout_ms":10000000000000}`, "tile_timeout_ms 10000000000000"},
+	{"city huge tile timeout", "/v1/city", `{"demo":true,"tile_timeout_ms":3600001}`, "tile_timeout_ms 3600001"},
+	{"city huge backoff", "/v1/city", `{"demo":true,"backoff_ms":3600001}`, "backoff_ms 3600001"},
+	{"city huge tile retries", "/v1/city", `{"demo":true,"tile_retries":17}`, "tile_retries 17"},
+	{"job overflowing backoff", "/v1/jobs", `{"city":{"demo":true,"backoff_ms":10000000000000}}`, "backoff_ms 10000000000000"},
+	{"job huge tile timeout", "/v1/jobs", `{"city":{"demo":true,"tile_timeout_ms":3600001}}`, "tile_timeout_ms 3600001"},
+	{"job huge tile retries", "/v1/jobs", `{"city":{"demo":true,"tile_retries":17}}`, "tile_retries 17"},
+}
+
 // TestRequestValidation walks every rejection path: malformed bodies,
 // unknown fields, bad scenario/fidelity/strategy names, module counts
 // off the 8-string grid, and contradictory tile selections. All must
@@ -84,47 +128,7 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Options{Jobs: store})
-	cases := []struct {
-		name, path, body, wantErr string
-	}{
-		{"malformed json", "/v1/run", `{"scenario":`, "invalid request body"},
-		{"unknown field", "/v1/run", `{"scenario":"roof1","modules":8,"bogus":1}`, "bogus"},
-		{"unknown scenario", "/v1/run", `{"scenario":"roof9","modules":8}`, "unknown scenario"},
-		{"zero modules", "/v1/run", `{"scenario":"roof1"}`, "multiple of 8"},
-		{"ragged modules", "/v1/run", `{"scenario":"roof1","modules":12}`, "multiple of 8"},
-		{"bad fidelity", "/v1/run", `{"scenario":"roof1","modules":8,"fidelity":"warp"}`, "unknown fidelity"},
-		{"bad strategy", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"magic"}}`, "unknown optimizer strategy"},
-		{"negative iterations", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","iterations":-5}}`, "iterations -5"},
-		{"huge iterations", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","iterations":1000000000}}`, "iterations 1000000000"},
-		{"negative restarts", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":-3}}`, "restarts -3"},
-		{"huge restarts", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":100000}}`, "restarts 100000"},
-		{"negative search workers", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","search_workers":-1}}`, "search_workers"},
-		{"negative wiring weight", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"wiring_weight":-0.5}}`, "wiring_weight"},
-		{"retired anneal strategy", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"anneal"}}`, "unknown optimizer strategy"},
-		{"retired search workers", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","search_workers":2}}`, "search_workers"},
-		{"retired wiring weight", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"wiring_weight":0.5}}`, "wiring_weight"},
-		{"retired no wiring penalty", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"no_wiring_penalty":true}}`, "no_wiring_penalty"},
-		{"batch huge restarts", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8},{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":100000}}]}`, "runs[1]"},
-		{"district negative iterations", "/v1/district", `{"demo":true,"optimizer":{"strategy":"multistart","iterations":-5}}`, "iterations -5"},
-		{"empty batch", "/v1/batch", `{"runs":[]}`, "empty batch"},
-		{"batch bad entry", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8},{"scenario":"nope","modules":8}]}`, "runs[1]"},
-		{"district no tile", "/v1/district", `{}`, "exactly one of tile_ref or demo"},
-		{"district tile+demo", "/v1/district", `{"demo":true,"tile_ref":"asc-ffff"}`, "mutually exclusive"},
-		{"district ref+asc", "/v1/district", `{"tile_ref":"asc-ffff","tile_asc":"ncols 1"}`, `unknown field "tile_asc"`},
-		{"district bad tile", "/v1/district", `{"tile_asc":"not a grid"}`, `unknown field "tile_asc"`},
-		{"district ragged modules", "/v1/district", `{"demo":true,"modules":3}`, "multiple of 8"},
-		{"district bad rank-by", "/v1/district", `{"demo":true,"econ":{"rank_by":"alphabetical"}}`, "unknown rank-by"},
-		{"district negative budget", "/v1/district", `{"demo":true,"econ":{"budget_usd":-1}}`, "negative budget"},
-		{"district bad panel class", "/v1/district", `{"demo":true,"econ":{"catalog":[{"name":"x","watts_stc":0}]}}`, "nameplate"},
-		{"city overflowing tile timeout", "/v1/city", `{"demo":true,"tile_timeout_ms":10000000000000}`, "tile_timeout_ms 10000000000000"},
-		{"city huge tile timeout", "/v1/city", `{"demo":true,"tile_timeout_ms":3600001}`, "tile_timeout_ms 3600001"},
-		{"city huge backoff", "/v1/city", `{"demo":true,"backoff_ms":3600001}`, "backoff_ms 3600001"},
-		{"city huge tile retries", "/v1/city", `{"demo":true,"tile_retries":17}`, "tile_retries 17"},
-		{"job overflowing backoff", "/v1/jobs", `{"city":{"demo":true,"backoff_ms":10000000000000}}`, "backoff_ms 10000000000000"},
-		{"job huge tile timeout", "/v1/jobs", `{"city":{"demo":true,"tile_timeout_ms":3600001}}`, "tile_timeout_ms 3600001"},
-		{"job huge tile retries", "/v1/jobs", `{"city":{"demo":true,"tile_retries":17}}`, "tile_retries 17"},
-	}
-	for _, tc := range cases {
+	for _, tc := range requestValidationCases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := postJSON(t, s, tc.path, tc.body)
 			if w.Code != http.StatusBadRequest {
