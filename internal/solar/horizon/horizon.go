@@ -11,8 +11,11 @@
 // over the union of a list of regions (the tile map district runs
 // share), and Build is BuildRegions over one rect. The solar field's
 // per-roof build marches the suitable cells; the others hold +0 and
-// are never read. Each ray stops early once no sample left on it can
-// raise its horizon, which changes no output bit (see kernel.sector).
+// are never read. Each ray stops as soon as no sample left on it can
+// raise its horizon: every build first takes eight octant max tables
+// over 8×8-cell blocks, and they bound what lies ahead of a ray in its
+// own direction. A ray also divides only for the samples that can win.
+// Neither changes an output bit (see kernel.sector).
 package horizon
 
 import (
@@ -110,10 +113,12 @@ type Map struct {
 // it to assert that warm runs construct no horizon maps.
 var buildCount atomic.Uint64
 
-// BuildCount reports how many times Build or BuildRegions has
-// ray-marched a horizon map in this process. Maps decoded with
-// UnmarshalBinary (the persistent artifact cache) and calls rejected
-// by validation do not count.
+// BuildCount reports how many times BuildMask has ray-marched a
+// horizon map in this process, counting the calls that Build and
+// BuildRegions make: the per-roof masked build and the tile-level
+// build each count once. Maps decoded with UnmarshalBinary (the
+// persistent artifact cache), slices and calls rejected by validation
+// do not count.
 func BuildCount() uint64 { return buildCount.Load() }
 
 // Build computes the horizon map for every cell of region (given in
@@ -234,8 +239,8 @@ func BuildMask(r *dsm.Raster, region geom.Rect, cells *geom.Mask, opts Options, 
 }
 
 // kernel is the per-build ray-march state, shared read-only by every
-// worker: the raster's elevations, the sector directions and the
-// distance schedule every ray steps through.
+// worker: the raster's elevations, the octant max tables, the sector
+// rays and the distance schedule every ray steps through.
 type kernel struct {
 	r        *dsm.Raster
 	z        []float64 // raster elevations, row-major
@@ -245,10 +250,25 @@ type kernel struct {
 	eye      float64
 	// zTop bounds every sample a ray can read: the raster's highest
 	// elevation, or the 0 that reads outside the raster return.
-	zTop       float64
-	dirX, dirY []float64 // sector plan directions (east, south)
-	dist       []float64 // march distances, nearest first
+	zTop float64
+	tw   int       // row length of the octant tables, in blocks
+	rays []ray     // one per sector
+	dist []float64 // march distances, nearest first
 }
+
+// ray is one sector's plan direction and the octant table that bounds
+// what lies ahead of it.
+type ray struct {
+	dx, dy float64 // plan direction (east, south)
+	// ahead is the max table of the ray's octant, or nil when rounding
+	// could carry the ray's cells out of the table's cone; minor is the
+	// table offset of one block along the octant's minor axis.
+	ahead []float32
+	minor int
+}
+
+// blockShift sets the octant tables' block size: 8×8 cells.
+const blockShift = 3
 
 func newKernel(r *dsm.Raster, opts Options) *kernel {
 	k := &kernel{
@@ -260,19 +280,6 @@ func newKernel(r *dsm.Raster, opts Options) *kernel {
 		origin:   r.Origin(),
 		eye:      opts.EyeHeightM,
 	}
-	for _, z := range k.z {
-		if z > k.zTop { // NaN never wins
-			k.zTop = z
-		}
-	}
-	// Raster y grows southward.
-	k.dirX = make([]float64, opts.Sectors)
-	k.dirY = make([]float64, opts.Sectors)
-	for s := range opts.Sectors {
-		az := (float64(s) + 0.5) * 2 * math.Pi / float64(opts.Sectors)
-		k.dirX[s] = math.Sin(az)  // east component
-		k.dirY[s] = -math.Cos(az) // south = -north
-	}
 	// The same additions in the same order as a ray stepping outward,
 	// so every distance is the float a step-by-step walk would reach.
 	for d := opts.NearStepM; d <= opts.MaxDistanceM; {
@@ -283,7 +290,158 @@ func newKernel(r *dsm.Raster, opts Options) *kernel {
 			d += opts.FarStepM
 		}
 	}
+	var tables [8][]float32
+	tables, k.tw, k.zTop = octantTables(k.z, k.w, k.h)
+
+	// A ray's sample cells stay in its octant table's cone when the
+	// computed positions of any two samples differ at least as much
+	// along the major axis as along the minor one (see sector). The
+	// exact differences are |dx|·Δd and |dy|·Δd with Δd ≥ gap. Each
+	// computed coordinate (a multiply, an add and a divide) is off by
+	// under 4·2⁻⁵³·span metres, span bounding every |coordinate|, and
+	// two samples on two axes carry four such errors, under 2⁻⁴⁹·span
+	// together. So a margin (|major| − |minor|)·gap above 2⁻⁴⁸·span
+	// suffices. Sectors whose bisector lies within rounding of a
+	// diagonal fail it (the exact diagonals of 4, 12, …, 60 sectors
+	// among them) and march with zTop alone.
+	ox, oy := k.origin.X, k.origin.Y
+	span := float64(max(abs(ox), abs(ox+k.w), abs(oy), abs(oy+k.h))+1)*k.cellSize + opts.MaxDistanceM
+	gap := math.Inf(1)
+	for i := 1; i < len(k.dist); i++ {
+		gap = min(gap, k.dist[i]-k.dist[i-1])
+	}
+	// Raster y grows southward.
+	k.rays = make([]ray, opts.Sectors)
+	for s := range k.rays {
+		az := (float64(s) + 0.5) * 2 * math.Pi / float64(opts.Sectors)
+		dx, dy := math.Sin(az), -math.Cos(az) // east, south = -north
+		k.rays[s] = ray{dx: dx, dy: dy}
+		if math.Abs(math.Abs(dx)-math.Abs(dy))*gap > 0x1p-48*span {
+			o, minor := octant(dx, dy, k.tw)
+			k.rays[s].ahead, k.rays[s].minor = tables[o], minor
+		}
+	}
 	return k
+}
+
+// octant returns the octant table of plan direction (dx, dy), in
+// octantTables' numbering, and the offset of one block along its
+// minor axis in a table of row length tw.
+func octant(dx, dy float64, tw int) (o, minor int) {
+	sx, sy := 1, tw
+	if dx < 0 {
+		o, sx = o|2, -1
+	}
+	if dy < 0 {
+		o, sy = o|1, -tw
+	}
+	if math.Abs(dy) > math.Abs(dx) {
+		return o | 4, sx
+	}
+	return o, sy
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// octantTables builds the eight octant max tables over 8×8-cell
+// blocks and returns them with their row length tw and the raster's
+// highest value or 0, whichever is larger. Octant o has its major axis
+// along y when o&4 is set, and steps -x when o&2 is set and -y when
+// o&1 is. Each table carries a one-block border on every side; block
+// (bx, by) sits at (by+1)·tw + bx+1.
+//
+// A block's max starts at 0, the value a partial block's cells past
+// the raster edge read, and NaN never wins (z > m). The tables hold
+// float32 values rounded up, half the memory of float64, and so still
+// bound every elevation they cover. An octant's entry
+// M[b] = max(blockmax[b], M[b+major], M[b+major+minor]) then bounds
+// every cell of the blocks at (a, c) steps of b, a along the octant's
+// major direction and c along its minor one, with 0 ≤ c ≤ a: by
+// induction, the two successors cover a ≥ 1 with c ≤ a−1 and
+// 1 ≤ c ≤ a. The border holds 0, which is exact for every border
+// block a table reads: it lies ahead of the raster in the octant's
+// direction, so its cone holds only cells outside the raster.
+func octantTables(z []float64, w, h int) (tables [8][]float32, tw int, top float64) {
+	nbx, nby := (w+1<<blockShift-1)>>blockShift, (h+1<<blockShift-1)>>blockShift
+	tw = nbx + 2
+	n := tw * (nby + 2)
+	all := make([]float32, 8*n)
+	for o := range tables {
+		tables[o] = all[o*n : (o+1)*n : (o+1)*n]
+	}
+	// The block maxima go into octant 7's table, which is then filled
+	// in place: each entry reads its own block max before writing it,
+	// and its two successors are final by then. That saves a ninth
+	// table's allocation.
+	bm := tables[7]
+	for y := range h {
+		bi := (y>>blockShift+1)*tw + 1
+		for x, v := range z[y*w : (y+1)*w] {
+			if v > top {
+				top = v
+			}
+			if b := bi + x>>blockShift; v > float64(bm[b]) {
+				bm[b] = up32(v)
+			}
+		}
+	}
+	for o := range tables {
+		if o != 7 {
+			fill(tables[o], bm, o, nbx, nby, tw)
+		}
+	}
+	fill(bm, bm, 7, nbx, nby, tw)
+	return tables, tw, top
+}
+
+// up32 rounds v > 0 up to a float32.
+func up32(v float64) float32 {
+	if v > math.MaxFloat32 {
+		return float32(math.Inf(1))
+	}
+	f := float32(v)
+	if float64(f) < v {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// fill computes octant o's max table into t from the block maxima bm
+// (t may be bm), walking the major axis from its far end so each
+// entry's successors are final when it is written.
+func fill(t, bm []float32, o, nbx, nby, tw int) {
+	sx, sy := 1, tw
+	if o&2 != 0 {
+		sx = -1
+	}
+	if o&1 != 0 {
+		sy = -tw
+	}
+	major, minor := sx, sy
+	nMajor, nMinor, stepMajor, stepMinor := nbx, nby, 1, tw
+	if o&4 != 0 {
+		major, minor = sy, sx
+		nMajor, nMinor, stepMajor, stepMinor = nby, nbx, tw, 1
+	}
+	diag := major + minor
+	for i := range nMajor {
+		// The far end comes first: the last block along +major, the
+		// first along -major.
+		j := i
+		if major > 0 {
+			j = nMajor - 1 - i
+		}
+		b := tw + 1 + j*stepMajor
+		for range nMinor {
+			t[b] = max(bm[b], t[b+major], t[b+diag])
+			b += stepMinor
+		}
+	}
 }
 
 // cell ray-marches every sector of one cell (raster coordinates),
@@ -297,40 +455,84 @@ func (k *kernel) cell(c geom.Cell, tan []float32) float32 {
 	z0 := k.r.At(c) + k.eye
 	rise := k.zTop - z0
 	var svfSum float64
-	for s := range k.dirX {
-		t := k.sector(x0, y0, z0, rise, k.dirX[s], k.dirY[s])
+	for s := range k.rays {
+		t := k.sector(x0, y0, z0, rise, &k.rays[s])
 		tan[s] = float32(t)
 		svfSum += 1 / (1 + t*t) // cos² of the horizon elevation
 	}
-	return float32(svfSum / float64(len(k.dirX)))
+	return float32(svfSum / float64(len(k.rays)))
 }
 
-// sector walks outward from (x0,y0,z0) along the plan direction
-// (dx,dy) and returns the maximum obstruction tangent. Samples are
-// nearest-cell reads in global cell space (the float arithmetic of
-// dsm.Raster.AtMetres); outside the raster they read 0.
+// sector walks outward from (x0,y0,z0) along the ray's plan direction
+// and returns the maximum obstruction tangent (z − z0)/d over its
+// samples, or 0. Samples are nearest-cell reads in global cell space
+// (the float arithmetic of dsm.Raster.AtMetres); outside the raster
+// they read 0. The result is the full walk's, bit for bit: the ray
+// skips only divisions and samples that cannot change it.
 //
-// rise = zTop - z0 rounds to at least z - z0 for every sample z, and
-// float division by a positive distance is monotone, so once
-// rise/d <= maxTan no sample at d or beyond can raise maxTan: the ray
-// stops there with the exact result of the full walk. A NaN z0 makes
-// the test false and every tangent NaN, which never wins either.
-func (k *kernel) sector(x0, y0, z0, rise, dx, dy float64) float64 {
+// The filter. With lo = maxTan·(1−1e-12) rounded, p = lo·d − 1e-300
+// lies below maxTan·d as a real whenever that product is finite and
+// normal: the rounding of the two products is relatively far below
+// 1e-12. When it is subnormal, the 1e-300 outweighs its absolute
+// rounding; this holds whether or not the multiply and subtract are
+// fused. When lo·d overflows, p = +Inf and maxTan·d exceeds every
+// finite float. Either way v < p implies v < maxTan·d, so the float
+// v/d ≤ maxTan. A sample whose n = z − z0 is below p therefore cannot
+// win, and its division is skipped. A NaN n fails n ≥ p, as its NaN
+// tangent would fail t > maxTan; ±Inf order the same in both tests.
+//
+// The exits. Float subtraction is monotone and d only grows, so if a
+// bound B is at least every later sample's z (0 outside the raster),
+// then B − z0 < p means no later sample can win, and the ray stops
+// with the full walk's result. Three bounds are checked, cheapest
+// first:
+//   - zTop (rise = zTop − z0), at every sample;
+//   - 0 once a sample falls outside the raster: the ray starts inside,
+//     and each cell coordinate is monotone in d, so it never comes
+//     back and every later sample reads 0;
+//   - the octant table, every 8th sample: max(M[b], M[b+minor]) at the
+//     sample's block b. A later sample's cell lies a cells on along
+//     the major axis and c along the minor one, both ≥ 0 as each
+//     coordinate is monotone. c is less than the computed minor travel
+//     plus 1 and a is more than the computed major travel minus 1, so
+//     0 ≤ c ≤ a+1 whenever the minor travel does not exceed the major
+//     one. newKernel keeps the table only where rounding cannot break
+//     that; on an exact diagonal it can. Over 8×8 blocks, with the
+//     sample at (px, py) inside its block, the block steps are
+//     ⌊(px+a)/8⌋ ≥ ⌊a/8⌋ and ⌊(py+c)/8⌋ ≤ ⌊(7+a+1)/8⌋ = ⌊a/8⌋+1, so
+//     they too lie within 0 ≤ c ≤ a+1, which M[b] (c ≤ a) and
+//     M[b+minor] (1 ≤ c ≤ a+1) cover between them.
+//
+// A NaN z0 makes every test false, and the walk runs to the end with
+// tangent 0, as the full walk does.
+func (k *kernel) sector(x0, y0, z0, rise float64, ray *ray) float64 {
 	zs, w, h, cs := k.z, k.w, k.h, k.cellSize
-	ox, oy := k.origin.X, k.origin.Y
-	maxTan := 0.0
-	for _, d := range k.dist {
-		if rise/d <= maxTan {
+	ox, oy, tw := k.origin.X, k.origin.Y, k.tw
+	dx, dy, ahead, minor := ray.dx, ray.dy, ray.ahead, ray.minor
+	maxTan, lo := 0.0, 0.0
+	for i, d := range k.dist {
+		p := lo*d - 1e-300
+		if rise < p {
 			break
 		}
 		x := int(math.Floor((x0+dx*d)/cs)) - ox
 		y := int(math.Floor((y0+dy*d)/cs)) - oy
 		z := 0.0
-		if x >= 0 && x < w && y >= 0 && y < h {
+		if uint(x) < uint(w) && uint(y) < uint(h) {
+			if i&7 == 0 && ahead != nil {
+				b := (y>>blockShift+1)*tw + x>>blockShift + 1
+				if float64(max(ahead[b], ahead[b+minor]))-z0 < p {
+					break
+				}
+			}
 			z = zs[y*w+x]
+		} else if -z0 < p {
+			break
 		}
-		if t := (z - z0) / d; t > maxTan {
-			maxTan = t
+		if n := z - z0; n >= p {
+			if t := n / d; t > maxTan {
+				maxTan, lo = t, t*(1-1e-12)
+			}
 		}
 	}
 	return maxTan

@@ -2,6 +2,7 @@ package horizon
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -563,14 +564,40 @@ func sameBits(got, want []float32) (int, bool) {
 	return 0, true
 }
 
+// nanConeEdges sets NaN along the edges of every octant cone of cell
+// c on r: the row and column through c (a minor offset of 0), both
+// diagonals (a minor offset equal to the major one) and the lines
+// beside them one cell further out (one more). It returns r.
+func nanConeEdges(r *dsm.Raster, c geom.Cell) *dsm.Raster {
+	for a := -max(r.W(), r.H()); a <= max(r.W(), r.H()); a++ {
+		for _, e := range []geom.Cell{
+			{X: c.X + a, Y: c.Y}, {X: c.X, Y: c.Y + a},
+			{X: c.X + a, Y: c.Y + a}, {X: c.X + a, Y: c.Y - a},
+			{X: c.X + a, Y: c.Y + a + 1}, {X: c.X + a, Y: c.Y - a - 1},
+			{X: c.X + a + 1, Y: c.Y + a}, {X: c.X + a + 1, Y: c.Y - a},
+		} {
+			if e != c && r.InBounds(e) {
+				r.Set(e, math.NaN())
+			}
+		}
+	}
+	return r
+}
+
 // TestKernelMatchesReferenceWalk holds the production march — shared
-// distance schedule, direct slice sampling, early exit — to the
-// original step-by-step walk, bit for bit, on seeded random surfaces
-// that exercise every exit path: negative elevations, a raster
-// entirely below the datum, a NaN cell, a
-// flat raster (the eye is above every sample, so each ray stops at
-// once), an eye lifted above the highest elevation, an origin-shifted
-// window, and rays that run off the raster.
+// distance schedule, direct slice sampling, division-free filter,
+// early exits — to the original step-by-step walk, bit for bit, on
+// seeded random surfaces that exercise every exit path: negative
+// elevations, a raster entirely below the datum, NaN cells (one alone,
+// and lines of them along the octant cones' edges), a flat raster (the
+// eye is above every sample, so each ray stops at once), an eye lifted
+// above the highest elevation, an origin-shifted window, rays that run
+// off the raster past a tall rim, a tall spike 30 m from the marched
+// region on a raster whose sides are not multiples of the 8-cell
+// table blocks, and every sector count from 4 to 64: the exact
+// diagonals of 4, 12, …, 60 sectors and the near-axis bisectors of
+// 6, 10, … among them. TestKernelMatchesReferenceWalkRoof1 adds the
+// Roof 1 scenario raster.
 func TestKernelMatchesReferenceWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	random := func(w, h int, lo, hi float64) *dsm.Raster {
@@ -594,13 +621,37 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 	window.SetOrigin(geom.Cell{X: 137, Y: -41})
 	towers := random(28, 28, 0, 0.4)
 	towers.SetRectTo(geom.Rect{X0: 20, Y0: 3, X1: 23, Y1: 6}, 9)
+	// 150 cells (30 m) east of the region's edge, inside the fast rays'
+	// 40 m reach and far outside their first blocks.
+	spike := random(203, 45, -0.5, 0.5)
+	spike.SetRectTo(geom.Rect{X0: 190, Y0: 20, X1: 192, Y1: 22}, 15)
+	rim := random(13, 11, -1, 1)
+	rim.SetRectTo(geom.Rect{X0: 12, Y0: 0, X1: 13, Y1: 11}, 4)
+	rim.SetRectTo(geom.Rect{X0: 0, Y0: 0, X1: 13, Y1: 1}, 2)
+	coneEdges := nanConeEdges(random(33, 29, -1, 1.5), geom.Cell{X: 16, Y: 14})
+	mixed := random(27, 21, -1, 1)
+	mixed.SetRectTo(geom.Rect{X0: 3, Y0: 15, X1: 5, Y1: 17}, 4)
+	mixed.SetRectTo(geom.Rect{X0: 22, Y0: 4, X1: 23, Y1: 5}, 6)
+	mixed.Set(geom.Cell{X: 14, Y: 6}, math.NaN())
 
-	for _, tc := range []struct {
+	// An exact diagonal ray whose samples land on cell corners, where
+	// rounding decides which axis a sample crosses first. At this
+	// origin the ray reads the tall cell 9 cells along x but only 7
+	// along y after its 9th sample (at the corner of its 8×8 block), a
+	// block beyond the octant table's cone, so the sector must march
+	// without the table.
+	corner := flatRaster(t, 32, 24)
+	corner.SetOrigin(geom.Cell{X: -29885 - 11, Y: 9972 - 20})
+	corner.Set(geom.Cell{X: 24, Y: 8}, 10)
+	cornerOpts := Options{Sectors: 4, MaxDistanceM: 8, NearStepM: 0.14142135623730953, NearFieldM: 9}
+
+	type oracleCase struct {
 		name   string
 		r      *dsm.Raster
 		region geom.Rect
 		opts   Options
-	}{
+	}
+	cases := []oracleCase{
 		{"negative/fast", random(24, 20, -3, 2), geom.Rect{X0: 2, Y0: 2, X1: 22, Y1: 18}, fast},
 		{"negative/default", random(20, 18, -3, 2), geom.Rect{X0: 4, Y0: 3, X1: 16, Y1: 15}, Options{}},
 		// Entirely below the datum: the highest sample any ray reads is
@@ -618,7 +669,19 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 			Options{Sectors: 16, MaxDistanceM: 6, EyeHeightM: 12}},
 		{"towers/fast", towers, geom.Rect{X0: 0, Y0: 0, X1: 28, Y1: 28}, fast},
 		{"towers/default", towers, geom.Rect{X0: 6, Y0: 6, X1: 22, Y1: 22}, Options{}},
-	} {
+		{"spike/fast", spike, geom.Rect{X0: 10, Y0: 5, X1: 40, Y1: 40}, fast},
+		{"spike/default", spike, geom.Rect{X0: 30, Y0: 15, X1: 40, Y1: 27}, Options{}},
+		{"rim/fast", rim, geom.Rect{X0: 0, Y0: 0, X1: 13, Y1: 11}, fast},
+		{"rim/short", rim, geom.Rect{X0: 0, Y0: 0, X1: 13, Y1: 11}, short},
+		{"cone-edges/fast", coneEdges, geom.Rect{X0: 8, Y0: 6, X1: 25, Y1: 23}, fast},
+		{"cone-edges/short", coneEdges, geom.Rect{X0: 0, Y0: 0, X1: 33, Y1: 29}, short},
+		{"diagonal-corner", corner, geom.Rect{X0: 11, Y0: 20, X1: 12, Y1: 21}, cornerOpts},
+	}
+	for n := 4; n <= 64; n++ {
+		cases = append(cases, oracleCase{fmt.Sprintf("sectors/%d", n), mixed,
+			geom.Rect{X0: 6, Y0: 4, X1: 21, Y1: 17}, Options{Sectors: n, MaxDistanceM: 8, NearFieldM: 2}})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := buildRef(tc.r, tc.region, tc.opts)
 			for _, workers := range []int{1, 2} {
@@ -638,11 +701,41 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 	}
 }
 
+// fuzzElevation decodes one fuzz byte into an elevation: the top
+// eight byte values are the extremes the march's filter and exits must
+// order exactly (NaN, ±Inf, ±1e300 and subnormals of both signs), the
+// rest are int8 eighths of a metre.
+func fuzzElevation(b byte) float64 {
+	switch b {
+	case 0xff:
+		return math.NaN()
+	case 0xfe:
+		return math.Inf(1)
+	case 0xfd:
+		return math.Inf(-1)
+	case 0xfc:
+		return 1e300
+	case 0xfb:
+		return -1e300
+	case 0xfa:
+		return 0x1p-1074
+	case 0xf9:
+		return -0x1p-1074
+	case 0xf8:
+		return 3e-310
+	}
+	return float64(int8(b)) / 8
+}
+
 // FuzzMarchKernel compares the production kernel with the oracle walk
-// on one cell of a small raster decoded from the input bytes: the
-// first two bytes give the dimensions, the rest the elevations (0xff
-// reads as NaN), and the window origin, cell, sector count and march
-// distances come from the remaining arguments.
+// on one cell of a raster of up to 40×40 cells decoded from the input
+// bytes, so partial 8×8 table blocks and cones over many blocks occur:
+// the first two bytes give the dimensions, the rest the elevations
+// (see fuzzElevation), and the window origin, cell, sector count (4 to
+// 64) and march distances come from the remaining arguments. The
+// committed corpus under testdata/fuzz/FuzzMarchKernel holds the exact
+// diagonal sector counts and the extreme elevations, so a plain go test
+// replays them.
 func FuzzMarchKernel(f *testing.F) {
 	f.Add([]byte{6, 5, 0, 10, 200, 40, 255, 3, 90, 17}, int16(0), int16(0), uint8(2), uint8(3), uint8(12),
 		4.0, 0.1, 1.5, 0.5, 0.05)
@@ -671,7 +764,7 @@ func FuzzMarchKernel(f *testing.F) {
 		if opts.validate() != nil || maxDist > 50 || nearStep < 0.01 || farStep < 0.01 || eye > 100 {
 			return
 		}
-		w, h := 1+int(data[0])%16, 1+int(data[1])%16
+		w, h := 1+int(data[0])%40, 1+int(data[1])%40
 		r, err := dsm.NewRaster(w, h, 0.2)
 		if err != nil {
 			t.Fatal(err)
@@ -681,11 +774,7 @@ func FuzzMarchKernel(f *testing.F) {
 			if i >= w*h {
 				break
 			}
-			z := float64(int8(b)) / 8
-			if b == 0xff {
-				z = math.NaN()
-			}
-			r.Set(geom.Cell{X: i % w, Y: i / w}, z)
+			r.Set(geom.Cell{X: i % w, Y: i / w}, fuzzElevation(b))
 		}
 		c := geom.Cell{X: int(cx) % w, Y: int(cy) % h}
 		want := make([]float32, opts.Sectors)
@@ -754,7 +843,10 @@ func TestBuildMatchesBuildRegionsAcrossWorkers(t *testing.T) {
 // TestBuildMaskMatchesFullRect: a masked build marches the set cells
 // bit for bit as a build over the whole region does and leaves every
 // other cell at +0, for every worker count, on seeded surfaces with
-// below-datum and NaN cells and random masks from empty to full. Each
+// below-datum and NaN cells (NaN lines along the octant cones' edges
+// among them), a tall spike 30 m from the region on a raster whose
+// sides are not multiples of 8, and random masks from empty to full.
+// The full build itself matches the oracle walk bit for bit. Each
 // masked build counts once; a mask of the wrong size and an empty
 // region are rejected without counting.
 func TestBuildMaskMatchesFullRect(t *testing.T) {
@@ -776,6 +868,10 @@ func TestBuildMaskMatchesFullRect(t *testing.T) {
 	withNaN.Set(geom.Cell{X: 3, Y: 4}, math.NaN())
 	window := random(30, 24, -1, 4)
 	window.SetOrigin(geom.Cell{X: -57, Y: 203})
+	spike := random(181, 37, -1, 0.5)
+	spike.SetRectTo(geom.Rect{X0: 2, Y0: 30, X1: 4, Y1: 32}, 12)
+	spike.SetOrigin(geom.Cell{X: 4001, Y: -77})
+	coneEdges := nanConeEdges(random(29, 27, -0.5, 2), geom.Cell{X: 13, Y: 12})
 	for _, tc := range []struct {
 		name   string
 		r      *dsm.Raster
@@ -785,6 +881,9 @@ func TestBuildMaskMatchesFullRect(t *testing.T) {
 		{"nan", withNaN, geom.Rect{X0: 2, Y0: 3, X1: 24, Y1: 20}, Options{Sectors: 16, MaxDistanceM: 6}},
 		{"sunken", random(20, 18, -4, -1), geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 18}, Options{Sectors: 32, MaxDistanceM: 40}},
 		{"window", window, geom.Rect{X0: 5, Y0: 1, X1: 28, Y1: 23}, Options{}},
+		// The spike sits 150 cells (30 m) west of the region's edge.
+		{"spike", spike, geom.Rect{X0: 154, Y0: 3, X1: 181, Y1: 34}, Options{Sectors: 32, MaxDistanceM: 40}},
+		{"cone-edges", coneEdges, geom.Rect{X0: 4, Y0: 5, X1: 25, Y1: 22}, Options{Sectors: 20, MaxDistanceM: 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			full, err := BuildRegions(tc.r, []geom.Rect{tc.region}, tc.opts, 1)
@@ -792,6 +891,13 @@ func TestBuildMaskMatchesFullRect(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := full.Snapshot()
+			oracle := buildRef(tc.r, tc.region, tc.opts)
+			if i, ok := sameBits(want.Tan, oracle.Tan); !ok {
+				t.Fatalf("full build tan[%d] = %v, oracle %v", i, want.Tan[i], oracle.Tan[i])
+			}
+			if i, ok := sameBits(want.SVF, oracle.SVF); !ok {
+				t.Fatalf("full build svf[%d] = %v, oracle %v", i, want.SVF[i], oracle.SVF[i])
+			}
 			zero := make([]float32, want.Sectors)
 			w, h := tc.region.W(), tc.region.H()
 			for _, density := range []float64{0, 0.1, 0.6, 1} {
@@ -858,5 +964,116 @@ func TestBuildMaskMatchesFullRect(t *testing.T) {
 	}
 	if d := BuildCount() - before; d != 0 {
 		t.Errorf("rejected masked builds added %d to BuildCount, want 0", d)
+	}
+}
+
+// TestOctantTablesCoverCone checks the octant max tables against brute
+// force on seeded rasters of low and below-datum cells with NaN cells
+// and a few tall spikes. For every octant and every cell, the bound the
+// kernel looks up at the cell's block, max(M[b], M[b+minor]), must be
+// at least 0 (what reads past the raster return) and at least every
+// elevation in the cell's reachable cone: the cells a steps on along
+// the octant's major direction and c along its minor one, with
+// 0 ≤ c ≤ a+1. It must also equal the maximum over the same cone of
+// blocks, rounded up to float32 as the tables store it, which pins
+// them exactly, on a ramp finer than float32 resolution too. octant must map a direction
+// inside each octant to that octant's table and minor offset, and the
+// raster top must be the highest elevation or 0.
+func TestOctantTablesCoverCone(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const bs = 1 << blockShift
+	for _, dims := range [][2]int{{1, 1}, {8, 8}, {9, 7}, {3, 26}, {23, 17}, {40, 33}} {
+		w, h := dims[0], dims[1]
+		z := make([]float64, w*h)
+		wantTop := 0.0
+		for i := range z {
+			switch u := rng.Float64(); {
+			case u < 0.06:
+				z[i] = math.NaN()
+			case u < 0.09:
+				z[i] = 1 + 20*rng.Float64()
+			default:
+				z[i] = -4 + 4.5*rng.Float64()
+			}
+			if z[i] > wantTop {
+				wantTop = z[i]
+			}
+		}
+		if w*h == 1 {
+			z[0] = -2 // a lone below-datum cell: every bound is the 0 past the edge
+			wantTop = 0
+		}
+		if w == 9 {
+			// A ramp finer than float32 resolution: each elevation beats
+			// the one before it but not its rounded-up table value.
+			for i := range z {
+				z[i] = 3 + float64(i)*1e-12
+			}
+			wantTop = z[len(z)-1]
+		}
+		at := func(x, y int) float64 { // a raster read: 0 outside, NaN never wins
+			if x < 0 || x >= w || y < 0 || y >= h || !(z[y*w+x] > 0) {
+				return 0
+			}
+			return z[y*w+x]
+		}
+		tables, tw, top := octantTables(z, w, h)
+		if top != wantTop {
+			t.Fatalf("%dx%d: top %v, want %v", w, h, top, wantTop)
+		}
+		nb := max(w, h)/bs + 2
+		for o, tbl := range tables {
+			majorY, sx, sy := o&4 != 0, 1-2*(o>>1&1), 1-2*(o&1)
+			minor := sy * tw
+			if majorY {
+				minor = sx
+			}
+			// A direction inside the octant, off its axis and diagonal.
+			dx, dy := float64(sx)*0.9, float64(sy)*0.4
+			if majorY {
+				dx, dy = float64(sx)*0.4, float64(sy)*0.9
+			}
+			if gotO, gotMinor := octant(dx, dy, tw); gotO != o || gotMinor != minor {
+				t.Fatalf("octant(%v, %v) = %d, %d; want %d, %d", dx, dy, gotO, gotMinor, o, minor)
+			}
+			// step maps (major, minor) steps to plan (x, y) steps.
+			step := func(a, c int) (int, int) {
+				if majorY {
+					return sx * c, sy * a
+				}
+				return sx * a, sy * c
+			}
+			for y := range h {
+				for x := range w {
+					b := (y/bs+1)*tw + x/bs + 1
+					got := max(tbl[b], tbl[b+minor])
+					cells := 0.0
+					for a := 0; a <= w+h; a++ {
+						for c := 0; c <= a+1; c++ {
+							ex, ey := step(a, c)
+							cells = max(cells, at(x+ex, y+ey))
+						}
+					}
+					blocks := 0.0
+					for a := 0; a <= nb; a++ {
+						for c := 0; c <= a+1; c++ {
+							ex, ey := step(a, c)
+							bx, by := x/bs+ex, y/bs+ey
+							for yy := by * bs; yy < (by+1)*bs; yy++ {
+								for xx := bx * bs; xx < (bx+1)*bs; xx++ {
+									blocks = max(blocks, at(xx, yy))
+								}
+							}
+						}
+					}
+					if float64(got) < cells {
+						t.Fatalf("%dx%d octant %d cell (%d,%d): bound %v below the cone's %v", w, h, o, x, y, got, cells)
+					}
+					if got != up32(blocks) {
+						t.Fatalf("%dx%d octant %d cell (%d,%d): bound %v, block cone %v", w, h, o, x, y, got, blocks)
+					}
+				}
+			}
+		}
 	}
 }
