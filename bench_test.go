@@ -549,24 +549,30 @@ func cropMask(m *geom.Mask, w, h int) *geom.Mask {
 // dominant setup cost of the shadow model (the GIS stage the paper
 // runs once per roof) — as a per-roof run marches it: each Table I
 // roof's suitable cells at Fast fidelity, on the serial path
-// (workers=1) and on one worker per CPU (workers=0). The cells metric
-// is the number of cells marched.
+// (workers=1) and on one worker per CPU (workers=0). fidelity=full
+// marches Roof 1 with the default options (64 sectors, 80 m) on one
+// worker per CPU, the per-roof build of a full-fidelity run. The cells
+// metric is the number of cells marched.
 func BenchmarkHorizonBuild(b *testing.B) {
-	for _, st := range roofStates(b) {
-		sc := st.sc
-		for _, workers := range []int{1, 0} {
-			b.Run(fmt.Sprintf("%s/workers=%d", sc.Name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := horizon.BuildMask(sc.Scene.Raster, sc.Scene.RoofRect, sc.Suitable,
-						scenario.FastHorizonOptions(), workers); err != nil {
-						b.Fatal(err)
-					}
+	run := func(name string, sc *scenario.Scenario, opts horizon.Options, workers int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := horizon.BuildMask(sc.Scene.Raster, sc.Scene.RoofRect, sc.Suitable,
+					opts, workers); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(sc.Suitable.Count()), "cells")
-			})
+			}
+			b.ReportMetric(float64(sc.Suitable.Count()), "cells")
+		})
+	}
+	states := roofStates(b)
+	for _, st := range states {
+		for _, workers := range []int{1, 0} {
+			run(fmt.Sprintf("%s/workers=%d", st.sc.Name, workers), st.sc, scenario.FastHorizonOptions(), workers)
 		}
 	}
+	run(fmt.Sprintf("fidelity=full/%s/workers=0", states[0].sc.Name), states[0].sc, horizon.Options{}, 0)
 }
 
 // BenchmarkEvaluatePlacement measures the topology-aware energy

@@ -11,11 +11,18 @@
 // over the union of a list of regions (the tile map district runs
 // share), and Build is BuildRegions over one rect. The solar field's
 // per-roof build marches the suitable cells; the others hold +0 and
-// are never read. Each ray stops as soon as no sample left on it can
-// raise its horizon: every build first takes eight octant max tables
-// over 8×8-cell blocks, and they bound what lies ahead of a ray in its
-// own direction. A ray also divides only for the samples that can win.
-// Neither changes an output bit (see kernel.sector).
+// are never read. Each ray walks its sector's sample table, built once
+// per build: a march distance and an integer cell step from the
+// marching cell per entry, so a sample costs two adds instead of two
+// divides and two floors. An entry within 2⁻⁴⁴·span/cs cells of a cell
+// edge (span bounds every coordinate) is ambiguous, and the ray
+// computes its cell with the float expression; an entry that repeats
+// the last certain step is left out, as it reads the same cell farther
+// away. Each ray stops as soon as no sample left on it can raise its
+// horizon: every build first takes eight octant max tables over
+// 8×8-cell blocks, and they bound what lies ahead of a ray in its own
+// direction. A ray also divides only for the samples that can win.
+// None of this changes an output bit (see kernel.sector).
 package horizon
 
 import (
@@ -239,8 +246,8 @@ func BuildMask(r *dsm.Raster, region geom.Rect, cells *geom.Mask, opts Options, 
 }
 
 // kernel is the per-build ray-march state, shared read-only by every
-// worker: the raster's elevations, the octant max tables, the sector
-// rays and the distance schedule every ray steps through.
+// worker: the raster's elevations, the octant max tables and the
+// sector rays with their sample tables.
 type kernel struct {
 	r        *dsm.Raster
 	z        []float64 // raster elevations, row-major
@@ -251,21 +258,36 @@ type kernel struct {
 	// zTop bounds every sample a ray can read: the raster's highest
 	// elevation, or the 0 that reads outside the raster return.
 	zTop float64
-	tw   int       // row length of the octant tables, in blocks
-	rays []ray     // one per sector
-	dist []float64 // march distances, nearest first
+	tw   int   // row length of the octant tables, in blocks
+	rays []ray // one per sector
 }
 
-// ray is one sector's plan direction and the octant table that bounds
-// what lies ahead of it.
+// ray is one sector's plan direction, its sample table and the octant
+// table that bounds what lies ahead of it.
 type ray struct {
 	dx, dy float64 // plan direction (east, south)
+	// samples is the ray's sample table, nearest first; every ray's
+	// table shares one backing array.
+	samples []sample
 	// ahead is the max table of the ray's octant, or nil when rounding
 	// could carry the ray's cells out of the table's cone; minor is the
 	// table offset of one block along the octant's minor axis.
 	ahead []float32
 	minor int
 }
+
+// sample is one entry of a ray's sample table: a march distance d and
+// the cell step (sx, sy) from the marching cell to the cell the ray
+// reads there, or sx = ambiguous when rounding could decide that cell
+// and the ray computes it from d (see kernel.sector).
+type sample struct {
+	d      float64
+	sx, sy int32
+}
+
+// ambiguous marks a sample whose cell the ray computes from d. A
+// certain step is at most 2³⁰ in magnitude, so it never collides.
+const ambiguous = math.MinInt32
 
 // blockShift sets the octant tables' block size: 8×8 cells.
 const blockShift = 3
@@ -280,16 +302,7 @@ func newKernel(r *dsm.Raster, opts Options) *kernel {
 		origin:   r.Origin(),
 		eye:      opts.EyeHeightM,
 	}
-	// The same additions in the same order as a ray stepping outward,
-	// so every distance is the float a step-by-step walk would reach.
-	for d := opts.NearStepM; d <= opts.MaxDistanceM; {
-		k.dist = append(k.dist, d)
-		if d < opts.NearFieldM {
-			d += opts.NearStepM
-		} else {
-			d += opts.FarStepM
-		}
-	}
+	dist := schedule(opts)
 	var tables [8][]float32
 	tables, k.tw, k.zTop = octantTables(k.z, k.w, k.h)
 
@@ -307,11 +320,16 @@ func newKernel(r *dsm.Raster, opts Options) *kernel {
 	ox, oy := k.origin.X, k.origin.Y
 	span := float64(max(abs(ox), abs(ox+k.w), abs(oy), abs(oy+k.h))+1)*k.cellSize + opts.MaxDistanceM
 	gap := math.Inf(1)
-	for i := 1; i < len(k.dist); i++ {
-		gap = min(gap, k.dist[i]-k.dist[i-1])
+	for i := 1; i < len(dist); i++ {
+		gap = min(gap, dist[i]-dist[i-1])
 	}
+	// A sample's cell step is certain when it lies at least margin
+	// cells from a cell edge (see sector).
+	margin := max(0x1p-44*span, 0x1p-1000) / k.cellSize
 	// Raster y grows southward.
 	k.rays = make([]ray, opts.Sectors)
+	buf := make([]sample, 0, len(dist))
+	n := 0
 	for s := range k.rays {
 		az := (float64(s) + 0.5) * 2 * math.Pi / float64(opts.Sectors)
 		dx, dy := math.Sin(az), -math.Cos(az) // east, south = -north
@@ -320,8 +338,68 @@ func newKernel(r *dsm.Raster, opts Options) *kernel {
 			o, minor := octant(dx, dy, k.tw)
 			k.rays[s].ahead, k.rays[s].minor = tables[o], minor
 		}
+		n += len(appendSamples(buf[:0], dist, dx, dy, k.cellSize, margin))
+	}
+	// The tables are counted first, so one exactly sized array holds
+	// them all.
+	all := make([]sample, 0, n)
+	for s := range k.rays {
+		ry := &k.rays[s]
+		i := len(all)
+		all = appendSamples(all, dist, ry.dx, ry.dy, k.cellSize, margin)
+		ry.samples = all[i:len(all):len(all)]
 	}
 	return k
+}
+
+// schedule returns the march distances of opts, nearest first: the
+// same additions in the same order as a ray stepping outward, so every
+// distance is the float a step-by-step walk would reach.
+func schedule(opts Options) []float64 {
+	var dist []float64
+	for d := opts.NearStepM; d <= opts.MaxDistanceM; {
+		dist = append(dist, d)
+		if d < opts.NearFieldM {
+			d += opts.NearStepM
+		} else {
+			d += opts.FarStepM
+		}
+	}
+	return dist
+}
+
+// appendSamples appends the sample table of plan direction (dx, dy)
+// over the distances dist to dst: one entry per distance, except that
+// a certain cell step equal to the last certain step kept is left out
+// (see sector).
+func appendSamples(dst []sample, dist []float64, dx, dy, cs, margin float64) []sample {
+	lastX, lastY := int32(ambiguous), int32(ambiguous)
+	for _, d := range dist {
+		sx, okX := cellStep(dx*d/cs, margin)
+		sy, okY := cellStep(dy*d/cs, margin)
+		if !okX || !okY {
+			dst = append(dst, sample{d: d, sx: ambiguous})
+			continue
+		}
+		if sx == lastX && sy == lastY {
+			continue
+		}
+		dst = append(dst, sample{d: d, sx: sx, sy: sy})
+		lastX, lastY = sx, sy
+	}
+	return dst
+}
+
+// cellStep returns ⌊0.5 + t⌋, the cell step of a ray that travels t
+// cells from a cell centre, and whether it is certain: 0.5 + t lies at
+// least margin from every integer and the step is at most 2³⁰ in
+// magnitude. NaN fails both tests.
+func cellStep(t, margin float64) (int32, bool) {
+	f := 0.5 + t
+	if !(math.Abs(f-math.Round(f)) >= margin && math.Abs(f) <= 0x1p30) {
+		return 0, false
+	}
+	return int32(math.Floor(f)), true
 }
 
 // octant returns the octant table of plan direction (dx, dy), in
@@ -456,19 +534,48 @@ func (k *kernel) cell(c geom.Cell, tan []float32) float32 {
 	rise := k.zTop - z0
 	var svfSum float64
 	for s := range k.rays {
-		t := k.sector(x0, y0, z0, rise, &k.rays[s])
+		t := k.sector(c, x0, y0, z0, rise, &k.rays[s])
 		tan[s] = float32(t)
 		svfSum += 1 / (1 + t*t) // cos² of the horizon elevation
 	}
 	return float32(svfSum / float64(len(k.rays)))
 }
 
-// sector walks outward from (x0,y0,z0) along the ray's plan direction
-// and returns the maximum obstruction tangent (z − z0)/d over its
-// samples, or 0. Samples are nearest-cell reads in global cell space
-// (the float arithmetic of dsm.Raster.AtMetres); outside the raster
-// they read 0. The result is the full walk's, bit for bit: the ray
-// skips only divisions and samples that cannot change it.
+// sector walks outward from (x0,y0,z0), the centre of cell c, along
+// the ray's plan direction and returns the maximum obstruction tangent
+// (z − z0)/d over its samples, or 0. Samples are nearest-cell reads in
+// global cell space (the float arithmetic of dsm.Raster.AtMetres);
+// outside the raster they read 0. The result is the full walk's, bit
+// for bit: the ray skips only divisions and samples that cannot change
+// it, and finds each sample's cell without dividing where that cannot
+// change it either.
+//
+// The table. At distance d the full walk reads the cell whose x is
+// ⌊(x0 + dx·d)/cs⌋ in global cells, with x0 = (gx + 0.5)·cs for the
+// marching cell's global gx; as reals that is gx + ⌊0.5 + dx·d/cs⌋,
+// and y likewise. The ray's sample table holds that step once per
+// build. The walk's computed position is off from the real one by
+// under 2⁻⁵⁰·span/cs cells: six roundings of at most 2⁻⁵³ relative
+// (three in x0, the multiply, the add and the divide), each of a value
+// within span metres or span/cs cells. The table's 0.5 + dx·d/cs takes
+// three, under 2⁻⁵¹·span/cs. A fused multiply-add only drops one
+// rounding, so both bounds hold whether or not the compiler fuses
+// x0 + dx·d. Where the table's value lies at least margin =
+// 2⁻⁴⁴·span/cs from every integer, the real value is more than
+// 2⁻⁵⁰·span/cs from one too, and the walk's floor is c + step
+// exactly; underflow adds under 2⁻¹⁰⁷³ metres, which the margin's
+// floor of 2⁻¹⁰⁰⁰/cs covers. Any other entry, and any step above 2³⁰
+// in magnitude, is ambiguous: the ray computes its cell with the
+// walk's own float expression.
+//
+// The repeats. An entry whose certain step equals the last certain
+// step kept is left out: the walk reads the same cell, so the same
+// n = z − z0, at a larger d. Once the earlier sample is done, maxTan
+// ≥ fl(n/d_prev), whether it divided or the filter skipped it, and
+// maxTan never falls. Division rounds monotonically, so for n > 0
+// fl(n/d) ≤ fl(n/d_prev); for n ≤ 0 or NaN the tangent cannot exceed
+// maxTan ≥ 0 either. So the left-out sample can never win, and the
+// exits it would check only come later, at the next kept entry.
 //
 // The filter. With lo = maxTan·(1−1e-12) rounded, p = lo·d − 1e-300
 // lies below maxTan·d as a real whenever that product is finite and
@@ -490,8 +597,8 @@ func (k *kernel) cell(c geom.Cell, tan []float32) float32 {
 //   - 0 once a sample falls outside the raster: the ray starts inside,
 //     and each cell coordinate is monotone in d, so it never comes
 //     back and every later sample reads 0;
-//   - the octant table, every 8th sample: max(M[b], M[b+minor]) at the
-//     sample's block b. A later sample's cell lies a cells on along
+//   - the octant table, every 8th table entry: max(M[b], M[b+minor]) at
+//     the sample's block b. A later sample's cell lies a cells on along
 //     the major axis and c along the minor one, both ≥ 0 as each
 //     coordinate is monotone. c is less than the computed minor travel
 //     plus 1 and a is more than the computed major travel minus 1, so
@@ -503,20 +610,27 @@ func (k *kernel) cell(c geom.Cell, tan []float32) float32 {
 //     they too lie within 0 ≤ c ≤ a+1, which M[b] (c ≤ a) and
 //     M[b+minor] (1 ≤ c ≤ a+1) cover between them.
 //
+// Every sample the table keeps reads the walk's own cell, so these
+// arguments hold for its entries as they did for every step.
+//
 // A NaN z0 makes every test false, and the walk runs to the end with
 // tangent 0, as the full walk does.
-func (k *kernel) sector(x0, y0, z0, rise float64, ray *ray) float64 {
+func (k *kernel) sector(c geom.Cell, x0, y0, z0, rise float64, ray *ray) float64 {
 	zs, w, h, cs := k.z, k.w, k.h, k.cellSize
 	ox, oy, tw := k.origin.X, k.origin.Y, k.tw
 	dx, dy, ahead, minor := ray.dx, ray.dy, ray.ahead, ray.minor
 	maxTan, lo := 0.0, 0.0
-	for i, d := range k.dist {
+	for i, e := range ray.samples {
+		d := e.d
 		p := lo*d - 1e-300
 		if rise < p {
 			break
 		}
-		x := int(math.Floor((x0+dx*d)/cs)) - ox
-		y := int(math.Floor((y0+dy*d)/cs)) - oy
+		x, y := c.X+int(e.sx), c.Y+int(e.sy)
+		if e.sx == ambiguous {
+			x = int(math.Floor((x0+dx*d)/cs)) - ox
+			y = int(math.Floor((y0+dy*d)/cs)) - oy
+		}
 		z := 0.0
 		if uint(x) < uint(w) && uint(y) < uint(h) {
 			if i&7 == 0 && ahead != nil {

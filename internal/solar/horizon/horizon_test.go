@@ -584,9 +584,9 @@ func nanConeEdges(r *dsm.Raster, c geom.Cell) *dsm.Raster {
 	return r
 }
 
-// TestKernelMatchesReferenceWalk holds the production march — shared
-// distance schedule, direct slice sampling, division-free filter,
-// early exits — to the original step-by-step walk, bit for bit, on
+// TestKernelMatchesReferenceWalk holds the production march — sample
+// tables, direct slice sampling, division-free filter, early exits —
+// to the original step-by-step walk, bit for bit, on
 // seeded random surfaces that exercise every exit path: negative
 // elevations, a raster entirely below the datum, NaN cells (one alone,
 // and lines of them along the octant cones' edges), a flat raster (the
@@ -596,8 +596,10 @@ func nanConeEdges(r *dsm.Raster, c geom.Cell) *dsm.Raster {
 // region on a raster whose sides are not multiples of the 8-cell
 // table blocks, and every sector count from 4 to 64: the exact
 // diagonals of 4, 12, …, 60 sectors and the near-axis bisectors of
-// 6, 10, … among them. TestKernelMatchesReferenceWalkRoof1 adds the
-// Roof 1 scenario raster.
+// 6, 10, … among them; six sectors at two origins also march a ray
+// whose samples land on cell edges, through the ambiguous entries of
+// its sample table. TestKernelMatchesReferenceWalkRoof1 adds the Roof
+// 1 scenario raster.
 func TestKernelMatchesReferenceWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	random := func(w, h int, lo, hi float64) *dsm.Raster {
@@ -645,6 +647,20 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 	corner.Set(geom.Cell{X: 24, Y: 8}, 10)
 	cornerOpts := Options{Sectors: 4, MaxDistanceM: 8, NearStepM: 0.14142135623730953, NearFieldM: 9}
 
+	// Six sectors put a ray due east (dx = 1), and half of its
+	// near-field samples land on cell edges: the sample table marks them
+	// ambiguous and the ray computes their cells the walk's way.
+	edges := random(26, 22, -1, 2)
+	edges.SetRectTo(geom.Rect{X0: 21, Y0: 9, X1: 22, Y1: 12}, 5)
+	edgesShifted := edges.Clone()
+	edgesShifted.SetOrigin(geom.Cell{X: 1 << 24, Y: -(1 << 23)})
+	edgeOpts := Options{Sectors: 6, MaxDistanceM: 40}
+	for _, r := range []*dsm.Raster{edges, edgesShifted} {
+		if n := ambiguousEntries(newKernel(r, edgeOpts.withDefaults(r.CellSize()))); n == 0 {
+			t.Fatalf("origin %v: no ambiguous sample table entry to exercise", r.Origin())
+		}
+	}
+
 	type oracleCase struct {
 		name   string
 		r      *dsm.Raster
@@ -676,6 +692,8 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 		{"cone-edges/fast", coneEdges, geom.Rect{X0: 8, Y0: 6, X1: 25, Y1: 23}, fast},
 		{"cone-edges/short", coneEdges, geom.Rect{X0: 0, Y0: 0, X1: 33, Y1: 29}, short},
 		{"diagonal-corner", corner, geom.Rect{X0: 11, Y0: 20, X1: 12, Y1: 21}, cornerOpts},
+		{"cell-edges/origin-0", edges, geom.Rect{X0: 0, Y0: 0, X1: 26, Y1: 22}, edgeOpts},
+		{"cell-edges/origin-2^24", edgesShifted, geom.Rect{X0: 0, Y0: 0, X1: 26, Y1: 22}, edgeOpts},
 	}
 	for n := 4; n <= 64; n++ {
 		cases = append(cases, oracleCase{fmt.Sprintf("sectors/%d", n), mixed,
@@ -698,6 +716,94 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ambiguousEntries counts the sample table entries of k whose cell the
+// ray computes from the distance.
+func ambiguousEntries(k *kernel) int {
+	n := 0
+	for _, ry := range k.rays {
+		for _, e := range ry.samples {
+			if e.sx == ambiguous {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestRayTableMatchesFloatWalk holds every ray's sample table to the
+// float positions of the step-by-step walk, ⌊(x0 + dx·d)/cs⌋ less the
+// origin, with x0 + dx·d rounded twice and, as a compiler may emit it,
+// fused into one rounding (math.FMA): at every sector count from 4 to
+// 64, for Fast, default and short options, at origins up to 2²⁴ cells
+// out, from the raster's corner and centre cells. Every certain entry
+// must step to the walk's cell, every schedule distance the table
+// leaves out must read the cell of the entry kept before it, and the
+// kept entries must follow the schedule in order.
+func TestRayTableMatchesFloatWalk(t *testing.T) {
+	sets := []struct {
+		name string
+		opts Options
+	}{
+		{"fast", Options{MaxDistanceM: 40}},
+		{"default", Options{}},
+		{"short", Options{MaxDistanceM: 6, NearFieldM: 2}},
+	}
+	const w, h = 37, 23
+	cells := []geom.Cell{{X: 0, Y: 0}, {X: w - 1, Y: 0}, {X: 0, Y: h - 1}, {X: w - 1, Y: h - 1}, {X: w / 2, Y: h / 2}}
+	for _, origin := range []geom.Cell{{X: 0, Y: 0}, {X: 137, Y: -41}, {X: -29885, Y: 9972}, {X: 1 << 24, Y: -(1 << 23)}} {
+		r := flatRaster(t, w, h)
+		r.SetOrigin(origin)
+		cs := r.CellSize()
+		for _, set := range sets {
+			for n := 4; n <= 64; n++ {
+				opts := set.opts
+				opts.Sectors = n
+				opts = opts.withDefaults(cs)
+				k := newKernel(r, opts)
+				dist := schedule(opts)
+				for _, c := range cells {
+					x0, y0 := r.CellCenterMetres(c)
+					for s, ry := range k.rays {
+						// The walk's cell at d, with x0 + dx·d rounded
+						// twice or, fused, once.
+						walk := func(d float64, fused bool) geom.Cell {
+							x, y := x0+ry.dx*d, y0+ry.dy*d
+							if fused {
+								x, y = math.FMA(ry.dx, d, x0), math.FMA(ry.dy, d, y0)
+							}
+							return geom.Cell{X: int(math.Floor(x/cs)) - origin.X, Y: int(math.Floor(y/cs)) - origin.Y}
+						}
+						for _, fused := range []bool{false, true} {
+							j, prev := 0, geom.Cell{}
+							for _, d := range dist {
+								want := walk(d, fused)
+								if j < len(ry.samples) && ry.samples[j].d == d {
+									if e := ry.samples[j]; e.sx != ambiguous {
+										if got := (geom.Cell{X: c.X + int(e.sx), Y: c.Y + int(e.sy)}); got != want {
+											t.Fatalf("origin %v %s/%d cell %v sector %d d=%v fused=%v: table cell %v, walk %v",
+												origin, set.name, n, c, s, d, fused, got, want)
+										}
+									}
+									j, prev = j+1, want
+									continue
+								}
+								if j == 0 || want != prev {
+									t.Fatalf("origin %v %s/%d cell %v sector %d fused=%v: left out d=%v reads %v, not the kept entry's %v",
+										origin, set.name, n, c, s, fused, d, want, prev)
+								}
+							}
+							if j != len(ry.samples) {
+								t.Fatalf("origin %v %s/%d sector %d: %d of %d table entries off the schedule",
+									origin, set.name, n, s, len(ry.samples)-j, len(ry.samples))
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -734,8 +840,9 @@ func fuzzElevation(b byte) float64 {
 // (see fuzzElevation), and the window origin, cell, sector count (4 to
 // 64) and march distances come from the remaining arguments. The
 // committed corpus under testdata/fuzz/FuzzMarchKernel holds the exact
-// diagonal sector counts and the extreme elevations, so a plain go test
-// replays them.
+// diagonal sector counts, the extreme elevations and six-sector rays
+// whose samples land on cell edges (ambiguous sample table entries), at
+// origin 0 and at the int16 extremes, so a plain go test replays them.
 func FuzzMarchKernel(f *testing.F) {
 	f.Add([]byte{6, 5, 0, 10, 200, 40, 255, 3, 90, 17}, int16(0), int16(0), uint8(2), uint8(3), uint8(12),
 		4.0, 0.1, 1.5, 0.5, 0.05)
