@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/district"
 	"repro/internal/dsm"
 	"repro/internal/fieldcache"
@@ -425,13 +426,17 @@ func (cfg CityConfig) runTileRetrying(ctx context.Context, t, tiles int, core, w
 	if attempts < 1 {
 		attempts = 1
 	}
+	first := cfg.Backoff
+	if first <= 0 {
+		first = 50 * time.Millisecond
+	}
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(cfg.retryDelay(attempt)):
+			case <-time.After(backoff.Delay(first, 5*time.Second, attempt-1)):
 			}
 		}
 		emit(DistrictEvent{Kind: CityTileStarted})
@@ -449,23 +454,6 @@ func (cfg CityConfig) runTileRetrying(ctx context.Context, t, tiles int, core, w
 		Index: t, Core: core, Window: window,
 		Attempts: attempts, Failed: lastErr.Error(),
 	}}, nil
-}
-
-// retryDelay is the backoff before the given attempt (2 = first
-// retry): Backoff (default 50ms) doubling per attempt, capped at 5s.
-func (cfg CityConfig) retryDelay(attempt int) time.Duration {
-	const maxDelay = 5 * time.Second
-	delay := cfg.Backoff
-	if delay <= 0 {
-		delay = 50 * time.Millisecond
-	}
-	for i := 2; i < attempt && delay < maxDelay; i++ {
-		delay *= 2
-	}
-	if delay > maxDelay {
-		delay = maxDelay
-	}
-	return delay
 }
 
 // runTileAttempt materialises one work tile's window and sweeps it

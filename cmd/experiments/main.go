@@ -23,8 +23,10 @@ import (
 
 	pvfloor "repro"
 	"repro/internal/floorplan"
+	"repro/internal/geom"
 	"repro/internal/objective"
 	"repro/internal/optimize"
+	"repro/internal/panel"
 	"repro/internal/pvmodel"
 	"repro/internal/render"
 	"repro/internal/report"
@@ -151,29 +153,37 @@ func (h *harness) tableI() {
 	fmt.Println(cmp)
 }
 
-// fig1 prints the conceptual compact-vs-irregular comparison on a
-// synthetic surface with bright pockets (the paper's motivation
-// figure).
+// fig1 prints the conceptual compact-vs-sparse comparison (the
+// paper's motivation figure) on a synthetic surface: a west-east
+// gradient with bright pockets a rigid block cannot reach, a shaded
+// band and a vent stack.
 func (h *harness) fig1() {
 	const w, ht = 72, 32
 	suit := &floorplan.Suitability{W: w, H: ht, S: make([]float64, w*ht)}
 	for y := 0; y < ht; y++ {
 		for x := 0; x < w; x++ {
 			v := 40.0 + 0.4*float64(x)
-			if x > 8 && x < 22 && y > 4 && y < 12 {
+			switch {
+			case x > 8 && x < 22 && y > 4 && y < 12: // bright pocket NW
 				v += 45
-			}
-			if x > 50 && y > 20 {
+			case x > 50 && y > 20: // bright pocket SE
 				v += 40
+			case y >= 14 && y <= 17: // shaded band across the middle
+				v -= 30
 			}
 			suit.S[y*w+x] = v
 		}
 	}
-	mask := geomMask(w, ht)
+	mask := geom.NewMask(w, ht)
+	mask.Fill(true)
+	mask.SetRect(geom.Rect{X0: 34, Y0: 2, X1: 40, Y1: 8}, false) // vent stack
 	opts := floorplan.Options{
-		Shape:    floorplan.ModuleShape{W: 8, H: 4},
-		Topology: topoOf2(4, 2),
-		Policy:   floorplan.PolicyNone, // conceptual figure: reach both pockets
+		Shape:    floorplan.ModuleShape{W: 8, H: 4}, // 1.6 m x 0.8 m on the 0.2 m grid
+		Topology: panel.Topology{SeriesPerString: 4, Strings: 2},
+		// Fig. 1 is "clearly only conceptual" (paper §II-A): the point
+		// is reaching both bright pockets, so the locality filter that
+		// keeps real placements wiring-friendly is disabled here.
+		Policy: floorplan.PolicyNone,
 	}
 	compact, err := floorplan.PlanCompact(suit, mask, opts)
 	if err != nil {
@@ -183,11 +193,13 @@ func (h *harness) fig1() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println("Suitability field (bright = better):")
+	fmt.Println(render.HeatmapASCII(render.Field{W: w, H: ht, At: suit.At}, 72))
 	fmt.Println("Fig. 1(a) — traditional compact placement:")
 	fmt.Println(render.PlacementASCII(mask, compact, 72))
-	fmt.Println("Fig. 1(b) — irregular placement:")
+	fmt.Println("Fig. 1(b) — sparse placement from the greedy floorplanner:")
 	fmt.Println(render.PlacementASCII(mask, sparse, 72))
-	fmt.Printf("suitability: compact %.1f, sparse %.1f (%+.1f%%)\n",
+	fmt.Printf("suitability totals: traditional %.1f, sparse %.1f (%+.1f%%)\n",
 		compact.SuitabilitySum, sparse.SuitabilitySum,
 		(sparse.SuitabilitySum-compact.SuitabilitySum)/compact.SuitabilitySum*100)
 }
@@ -272,9 +284,9 @@ func (h *harness) fig4() {
 	tb := report.NewTable("d_h (cells)", "d_v (cells)", "extra cable (m)", "loss @4A (W)")
 	shape := floorplan.ModuleShape{W: 8, H: 4}
 	for _, d := range []struct{ dh, dv int }{{0, 0}, {5, 0}, {0, 5}, {10, 10}, {25, 10}} {
-		a := shape.Rect(geomCell(0, 0))
-		b := shape.Rect(geomCell(8+d.dh, d.dv))
-		l := spec.ChainOverheadMeters([]geomRect{a, b})
+		a := shape.Rect(geom.Cell{})
+		b := shape.Rect(geom.Cell{X: 8 + d.dh, Y: d.dv})
+		l := spec.ChainOverheadMeters([]geom.Rect{a, b})
 		tb.AddRowf("%3d|%3d|%5.1f|%6.3f", d.dh, d.dv, l, spec.PowerLossW(l, 4))
 	}
 	fmt.Println(tb)
@@ -418,11 +430,10 @@ func (h *harness) ablation() {
 
 	fmt.Println("A3 — greedy vs branch-and-bound optimal (reduced instances):")
 	tb3 := report.NewTable("grid", "N", "greedy score", "optimal score", "gap")
+	sub, subMask := crop(suit, sc.Suitable, 60, 24)
 	for _, n := range []int{2, 3, 4} {
-		sub := subSuitability(suit, sc.Suitable, 60, 24)
-		subMask := subMask(sc.Suitable, 60, 24)
 		problem := optimize.Problem{Suit: sub, Mask: subMask, Opts: floorplan.Options{
-			Shape: sc.Shape, Topology: topoOf(n),
+			Shape: sc.Shape, Topology: panel.Topology{SeriesPerString: n, Strings: 1},
 		}}
 		g, _, err := optimize.Greedy{}.Place(problem)
 		if err != nil {
@@ -487,6 +498,21 @@ func (h *harness) writeArtifact(name string, fn func(*os.File) error) {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote", path)
+}
+
+// crop cuts the top-left w×h corner out of a suitability matrix and
+// its mask (the reduced branch-and-bound instances).
+func crop(s *floorplan.Suitability, mask *geom.Mask, w, h int) (*floorplan.Suitability, *geom.Mask) {
+	sub := &floorplan.Suitability{W: w, H: h, S: make([]float64, w*h)}
+	m := geom.NewMask(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			c := geom.Cell{X: x, Y: y}
+			sub.S[y*w+x] = s.At(c)
+			m.Set(c, mask.Get(c))
+		}
+	}
+	return sub, m
 }
 
 func slug(s string) string { return strings.ReplaceAll(strings.ToLower(s), " ", "") }

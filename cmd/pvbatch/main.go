@@ -1,14 +1,16 @@
-// Command pvbatch plans many scenario/configuration variants in one
-// invocation — the batch front-end of the library. It builds the cross
-// product of the requested roofs, module counts and optimizer
-// strategies, fans the runs out on the concurrent batch engine
-// (sharing one solar field per roof), and prints per-run results plus
-// a Table-I-style summary.
+// Command pvbatch plans the built-in scenarios — the front-end of the
+// library. It builds the cross product of the requested roofs, module
+// counts and optimizer strategies, fans the runs out on the concurrent
+// batch engine (sharing one solar field per roof), and prints per-run
+// results plus a Table-I-style summary, optionally with each run's
+// suitability and placement maps.
 //
 // Usage:
 //
 //	pvbatch                          # all Table I roofs, N=16 and 32
 //	pvbatch -roofs all,residential   # include the home rooftop
+//	pvbatch -roofs 2 -n 32 -maps     # one roof with its ASCII maps
+//	pvbatch -roofs 3 -n 32 -pgm out/ # also dump PGM heat maps
 //	pvbatch -roofs 2 -n 8,16,24,32   # module-count sweep on Roof 2
 //	pvbatch -opt greedy,multistart   # optimizer-strategy sweep
 //	pvbatch -full -runs 2            # paper fidelity, 2 runs at a time
@@ -23,12 +25,14 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	pvfloor "repro"
 	"repro/internal/fieldcache"
+	"repro/internal/render"
 	"repro/internal/scenario"
 )
 
@@ -45,10 +49,16 @@ func main() {
 	optNames := flag.String("opt", "greedy", "comma list of optimizer strategies: greedy, multistart, bnb")
 	seed := flag.Int64("seed", 1, "random seed for the multistart walks")
 	restarts := flag.Int("restarts", 0, "multistart restart count K (0 = default 8)")
+	iters := flag.Int("iters", 0, "annealing iterations per multistart walk (0 = default 20000)")
+	maps := flag.Bool("maps", false, "print each run's suitability and placement maps, mismatch and wiring")
+	pgmDir := flag.String("pgm", "", "directory to write each run's suitability PGM heat map into")
 	cacheDir := flag.String("cache", "", "persistent field-artifact cache directory (horizon maps + statistics reused across invocations)")
 	flag.Parse()
 
-	scs, err := pickScenarios(*roofs)
+	if *maps && *asJSON {
+		log.Fatal("-maps prints text; drop -json")
+	}
+	scs, err := scenario.Select(*roofs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,9 +92,10 @@ func main() {
 					SkipBaseline: *noBaseline,
 					Cache:        cache,
 					Optimizer: pvfloor.OptimizerConfig{
-						Strategy: strat,
-						Seed:     *seed,
-						Restarts: *restarts,
+						Strategy:   strat,
+						Seed:       *seed,
+						Iterations: *iters,
+						Restarts:   *restarts,
 					},
 				})
 			}
@@ -106,65 +117,18 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		emitText(results, elapsed)
+		emitText(results, elapsed, *maps)
+	}
+	if *pgmDir != "" {
+		if err := writePGMs(*pgmDir, results); err != nil {
+			log.Fatal(err)
+		}
 	}
 	for _, br := range results {
 		if br.Err != nil {
 			os.Exit(1)
 		}
 	}
-}
-
-func pickScenarios(spec string) ([]*scenario.Scenario, error) {
-	var out []*scenario.Scenario
-	seen := map[string]bool{}
-	add := func(sc *scenario.Scenario, err error) error {
-		if err != nil {
-			return err
-		}
-		if !seen[sc.Name] {
-			seen[sc.Name] = true
-			out = append(out, sc)
-		}
-		return nil
-	}
-	for _, tok := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(tok) {
-		case "all":
-			scs, err := pvfloor.AllRoofs()
-			if err != nil {
-				return nil, err
-			}
-			for _, sc := range scs {
-				if err := add(sc, nil); err != nil {
-					return nil, err
-				}
-			}
-		case "1":
-			if err := add(pvfloor.Roof1()); err != nil {
-				return nil, err
-			}
-		case "2":
-			if err := add(pvfloor.Roof2()); err != nil {
-				return nil, err
-			}
-		case "3":
-			if err := add(pvfloor.Roof3()); err != nil {
-				return nil, err
-			}
-		case "residential", "res":
-			if err := add(pvfloor.Residential()); err != nil {
-				return nil, err
-			}
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown scenario %q (want all, 1, 2, 3 or residential)", tok)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no scenarios selected")
-	}
-	return out, nil
 }
 
 func parseCounts(spec string) ([]int, error) {
@@ -209,7 +173,7 @@ func parseStrategies(spec string) ([]pvfloor.Strategy, error) {
 	return out, nil
 }
 
-func emitText(results []pvfloor.BatchRun, elapsed time.Duration) {
+func emitText(results []pvfloor.BatchRun, elapsed time.Duration, maps bool) {
 	for _, br := range results {
 		if br.Err != nil {
 			fmt.Printf("%-24s FAILED  %v\n", br.Name, br.Err)
@@ -223,9 +187,86 @@ func emitText(results []pvfloor.BatchRun, elapsed time.Duration) {
 			br.Name, float64(br.Elapsed.Microseconds())/1000,
 			br.Result.ProposedEval.NetMWh(), br.Result.ImprovementPct(), built)
 	}
+	if maps {
+		for _, br := range results {
+			if br.Err == nil {
+				printMaps(br)
+			}
+		}
+	}
 	fmt.Println()
 	fmt.Print(pvfloor.BatchTableI(results))
 	fmt.Printf("\n%d runs in %v\n", len(results), elapsed.Round(time.Millisecond))
+}
+
+// printMaps prints one run's suitability, traditional and proposed
+// maps, its mismatch and wiring figures and the placement notes.
+func printMaps(br pvfloor.BatchRun) {
+	res, sc := br.Result, br.Config.Scenario
+	fmt.Printf("\n%s — %s\n", br.Name, sc.Description)
+	fmt.Printf("grid %dx%d, Ng = %d, N = %d (%s)\n\n",
+		sc.Suitable.W(), sc.Suitable.H(), sc.Ng(), br.Config.Modules, res.Proposed.Topology)
+	fmt.Println("Suitability (p75 irradiance with temperature correction):")
+	fmt.Println(res.SuitabilityMap(110))
+	if res.Traditional != nil {
+		fmt.Println("Traditional placement:")
+		fmt.Println(res.TraditionalMap(110))
+	}
+	fmt.Println("Proposed placement:")
+	fmt.Println(res.ProposedMap(110))
+	fmt.Printf("improvement: %+.2f%%  (mismatch: trad %.1f%%, prop %.1f%%; wiring %.1f m, %.3f MWh loss)\n",
+		res.ImprovementPct(),
+		res.TraditionalEval.MismatchLoss()*100, res.ProposedEval.MismatchLoss()*100,
+		res.ProposedEval.WiringExtraM, res.ProposedEval.WiringLossMWh)
+	for _, w := range res.Proposed.Warnings {
+		fmt.Println("note (proposed):", w)
+	}
+	if res.Traditional != nil {
+		for _, w := range res.Traditional.Warnings {
+			fmt.Println("note (traditional):", w)
+		}
+	}
+}
+
+// writePGMs writes each successful run's suitability heat map to
+// dir/<run>-suitability.pgm, where <run> is the run name in lower case
+// with every character but a letter or digit replaced by '-'.
+func writePGMs(dir string, results []pvfloor.BatchRun) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("creating %s: %w", dir, err)
+	}
+	for _, br := range results {
+		if br.Err != nil {
+			continue
+		}
+		s := br.Result.Suitability
+		path := filepath.Join(dir, slug(br.Name)+"-suitability.pgm")
+		f, err := os.Create(path)
+		if err != nil {
+			return fmt.Errorf("creating %s: %w", path, err)
+		}
+		if err := render.HeatmapPGM(f, render.Field{W: s.W, H: s.H, At: s.At}); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintln(os.Stderr, "wrote", path)
+	}
+	return nil
+}
+
+func slug(s string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+			return r
+		case r >= 'A' && r <= 'Z':
+			return r + ('a' - 'A')
+		}
+		return '-'
+	}, s)
 }
 
 // runJSON is the machine-readable shape of one batch run.

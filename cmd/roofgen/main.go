@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	pvfloor "repro"
 	"repro/internal/district"
 	"repro/internal/dsm"
 	"repro/internal/geom"
@@ -31,7 +30,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("roofgen: ")
-	roof := flag.String("roof", "all", "scenario: 1, 2, 3, residential or all")
+	roof := flag.String("roof", "all,residential", "comma list of scenarios: all (the Table I roofs), 1, 2, 3, residential")
 	outDir := flag.String("out", "scenes", "output directory")
 	districtTile := flag.Bool("district", false, "export the synthetic multi-roof neighborhood tile instead of the paper scenarios")
 	flag.Parse()
@@ -57,30 +56,9 @@ func main() {
 		return
 	}
 
-	var scs []*scenario.Scenario
-	add := func(fn func() (*scenario.Scenario, error)) {
-		sc, err := fn()
-		if err != nil {
-			log.Fatal(err)
-		}
-		scs = append(scs, sc)
-	}
-	switch *roof {
-	case "1":
-		add(pvfloor.Roof1)
-	case "2":
-		add(pvfloor.Roof2)
-	case "3":
-		add(pvfloor.Roof3)
-	case "residential", "res":
-		add(pvfloor.Residential)
-	case "all":
-		add(pvfloor.Roof1)
-		add(pvfloor.Roof2)
-		add(pvfloor.Roof3)
-		add(pvfloor.Residential)
-	default:
-		log.Fatalf("unknown scenario %q", *roof)
+	scs, err := scenario.Select(*roof)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {

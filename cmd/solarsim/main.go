@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	pvfloor "repro"
 	"repro/internal/geom"
 	"repro/internal/render"
 	"repro/internal/scenario"
@@ -34,20 +33,7 @@ func main() {
 	outDir := flag.String("out", "", "directory for PGM/CSV artifacts")
 	flag.Parse()
 
-	var sc *scenario.Scenario
-	var err error
-	switch *roof {
-	case "1":
-		sc, err = pvfloor.Roof1()
-	case "2":
-		sc, err = pvfloor.Roof2()
-	case "3":
-		sc, err = pvfloor.Roof3()
-	case "residential", "res":
-		sc, err = pvfloor.Residential()
-	default:
-		log.Fatalf("unknown scenario %q", *roof)
-	}
+	sc, err := scenario.ByName(*roof)
 	if err != nil {
 		log.Fatal(err)
 	}

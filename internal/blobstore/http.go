@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // This file is the HTTP wire of the blob tier: a client backend with
@@ -116,14 +118,10 @@ func retryable(err error) bool {
 // do runs one operation with the retry policy: per-attempt timeout,
 // capped exponential backoff, no retry on 404 or other 4xx.
 func (h *HTTP) do(op func(ctx context.Context) error) error {
-	backoff := h.opts.Backoff
 	var err error
 	for attempt := 0; attempt <= h.opts.Retries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > 2*time.Second {
-				backoff = 2 * time.Second
-			}
+			time.Sleep(backoff.Delay(h.opts.Backoff, 2*time.Second, attempt))
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), h.opts.Timeout)
 		err = op(ctx)

@@ -267,6 +267,13 @@ func TestScenarioNamesAndSharing(t *testing.T) {
 	if a != b {
 		t.Fatal("lookupScenario did not memoise: two instances for one name")
 	}
+	c, err := lookupScenario(" 1 ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c != a {
+		t.Fatal("lookupScenario did not share one instance between roof1 and its alias 1")
+	}
 }
 
 // TestBusyMapsTo503 exercises the admission-control rejection through

@@ -35,7 +35,8 @@ type OptimizerRequest struct {
 // module count.
 type RunRequest struct {
 	// Scenario names a built-in roof: roof1, roof2, roof3 or
-	// residential.
+	// residential, or an alias 1, 2, 3 or res (case and spaces
+	// ignored).
 	Scenario string `json:"scenario"`
 	// Modules is the PV module count N (a positive multiple of 8).
 	Modules int `json:"modules"`
@@ -156,7 +157,7 @@ type CityRequest struct {
 
 // ---- request → pvfloor config ----
 
-// scenarios memoises the built-in scenario constructors per name:
+// scenarios memoises the built-in scenarios per canonical name:
 // within one process every request that names the same roof shares
 // one *Scenario instance, so batch runs group onto one solar field
 // and the artifact-cache keys stay stable across requests.
@@ -165,36 +166,25 @@ var scenarios = struct {
 	byName map[string]*scenario.Scenario
 }{byName: map[string]*scenario.Scenario{}}
 
-var scenarioCtors = map[string]func() (*scenario.Scenario, error){
-	"roof1":       pvfloor.Roof1,
-	"roof2":       pvfloor.Roof2,
-	"roof3":       pvfloor.Roof3,
-	"residential": pvfloor.Residential,
-}
-
-// ScenarioNames lists the accepted RunRequest.Scenario values.
+// ScenarioNames lists the canonical RunRequest.Scenario values; the
+// command-line aliases (1, 2, 3, res) are accepted too.
 func ScenarioNames() []string {
-	names := make([]string, 0, len(scenarioCtors))
-	for n := range scenarioCtors {
-		names = append(names, n)
-	}
+	names := scenario.Names()
 	sort.Strings(names)
 	return names
 }
 
 func lookupScenario(name string) (*scenario.Scenario, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	ctor, ok := scenarioCtors[key]
-	if !ok {
-		return nil, fmt.Errorf("unknown scenario %q (want one of %s)",
-			name, strings.Join(ScenarioNames(), ", "))
+	key, err := scenario.Canonical(name)
+	if err != nil {
+		return nil, err
 	}
 	scenarios.Lock()
 	defer scenarios.Unlock()
 	if sc := scenarios.byName[key]; sc != nil {
 		return sc, nil
 	}
-	sc, err := ctor()
+	sc, err := scenario.ByName(key)
 	if err != nil {
 		return nil, err
 	}
