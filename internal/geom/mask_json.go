@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // maskJSON is the wire form of a Mask: dimensions plus the bits packed
@@ -41,6 +42,9 @@ func (m *Mask) UnmarshalJSON(data []byte) error {
 	}
 	if wire.W < 0 || wire.H < 0 {
 		return fmt.Errorf("geom: mask JSON with negative dimensions %dx%d", wire.W, wire.H)
+	}
+	if wire.H > 0 && wire.W > math.MaxInt/wire.H {
+		return fmt.Errorf("geom: mask JSON dimensions %dx%d overflow int", wire.W, wire.H)
 	}
 	packed, err := base64.StdEncoding.DecodeString(wire.Bits)
 	if err != nil {

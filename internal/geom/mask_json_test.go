@@ -67,9 +67,11 @@ func TestMaskJSONRejectsBadShapes(t *testing.T) {
 	var out Mask
 	for _, raw := range []string{
 		`{"w":-1,"h":2,"bits":""}`,
-		`{"w":8,"h":1,"bits":"x"}`,    // invalid base64
-		`{"w":8,"h":1,"bits":""}`,     // too few bytes
-		`{"w":1,"h":1,"bits":"AAA="}`, // too many bytes
+		`{"w":8,"h":1,"bits":"x"}`,                      // invalid base64
+		`{"w":8,"h":1,"bits":""}`,                       // too few bytes
+		`{"w":1,"h":1,"bits":"AAA="}`,                   // too many bytes
+		`{"w":4294967296,"h":4294967296,"bits":""}`,     // w·h wraps to 0
+		`{"w":24,"h":768614336404564651,"bits":"AA=="}`, // w·h wraps to 8
 	} {
 		if err := json.Unmarshal([]byte(raw), &out); err == nil {
 			t.Errorf("unmarshal %s succeeded, want error", raw)

@@ -49,9 +49,13 @@ const (
 	Interrupted State = "interrupted"
 )
 
-// Terminal reports whether no further transition can leave s.
-func (s State) Terminal() bool {
-	return s == Done || s == Failed || s == Cancelled
+// known reports whether s is one of the lifecycle states above.
+func (s State) known() bool {
+	switch s {
+	case Queued, Running, Done, Failed, Cancelled, Interrupted:
+		return true
+	}
+	return false
 }
 
 // legal enumerates the allowed transitions.
@@ -149,7 +153,8 @@ type Job struct {
 // in it: manifests are reloaded, and jobs found in the running state
 // — orphans of a crashed or killed process — are marked interrupted
 // so the caller can resume them. A job directory whose manifest is
-// missing or corrupt is surfaced as a failed job rather than silently
+// missing or corrupt (unparseable, filed under another id, or naming
+// an unknown state) is surfaced as a failed job rather than silently
 // dropped.
 func Open(dir string) (*Store, error) {
 	return OpenFS(dir, faultfs.OS())
@@ -179,11 +184,11 @@ func OpenFS(dir string, fsys faultfs.FS) (*Store, error) {
 		id := ent.Name()
 		j := &Job{store: s, dir: filepath.Join(dir, id)}
 		raw, err := fsys.ReadFile(filepath.Join(j.dir, "manifest.json"))
-		if err != nil || json.Unmarshal(raw, &j.m) != nil || j.m.ID != id {
+		if err != nil || json.Unmarshal(raw, &j.m) != nil || j.m.ID != id || !j.m.State.known() {
 			// The atomic manifest protocol makes this unreachable short
 			// of external tampering or a missing file; keep the job
 			// visible as failed instead of silently dropping the
-			// directory.
+			// directory or loading a state no transition leaves.
 			j.m = Manifest{ID: id, State: Failed, Error: "unreadable manifest"}
 			s.jobs[id] = j
 			continue

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	pvfloor "repro"
 	"repro/internal/econ"
 	"repro/internal/jobs"
+	"repro/internal/scenario"
 )
 
 // waitFor polls until the condition holds (tests only).
@@ -246,14 +248,15 @@ func TestPoolAdmission(t *testing.T) {
 }
 
 func TestScenarioNamesAndSharing(t *testing.T) {
-	names := ScenarioNames()
+	names := scenario.Names()
+	sort.Strings(names)
 	want := []string{"residential", "roof1", "roof2", "roof3"}
 	if len(names) != len(want) {
-		t.Fatalf("ScenarioNames = %v", names)
+		t.Fatalf("scenario.Names = %v", names)
 	}
 	for i := range want {
 		if names[i] != want[i] {
-			t.Fatalf("ScenarioNames = %v, want %v", names, want)
+			t.Fatalf("scenario.Names = %v, want %v", names, want)
 		}
 	}
 	a, err := lookupScenario("Roof1")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -165,14 +164,6 @@ var scenarios = struct {
 	sync.Mutex
 	byName map[string]*scenario.Scenario
 }{byName: map[string]*scenario.Scenario{}}
-
-// ScenarioNames lists the canonical RunRequest.Scenario values; the
-// command-line aliases (1, 2, 3, res) are accepted too.
-func ScenarioNames() []string {
-	names := scenario.Names()
-	sort.Strings(names)
-	return names
-}
 
 func lookupScenario(name string) (*scenario.Scenario, error) {
 	key, err := scenario.Canonical(name)

@@ -5,11 +5,7 @@
 // transposition and the shading model need the split: shadows remove
 // the beam component but leave most of the diffuse sky.
 //
-// Two models are provided: the Erbs et al. (1982) clearness-index
-// correlation (the classic default) and a Engerer (2015)-style
-// logistic fit (the paper's ref. [18]) that additionally uses the
-// apparent solar time, the zenith angle and the deviation from
-// clear-sky conditions.
+// The model is the Erbs et al. (1982) clearness-index correlation.
 package decomp
 
 import (
@@ -64,72 +60,6 @@ func Erbs(ghi float64, pos sunpos.Position) Split {
 	sinH := math.Sin(pos.ElevRad)
 	if sinH < minSinElev {
 		return Split{DHI: ghi} // all diffuse at grazing sun
-	}
-	dni := (ghi - dhi) / sinH
-	if dni < 0 {
-		dni = 0
-	}
-	return Split{DNI: dni, DHI: dhi}
-}
-
-// EngererCoefficients parameterise the logistic diffuse-fraction model.
-type EngererCoefficients struct {
-	C                  float64 // asymptotic minimum diffuse fraction
-	B0, B1, B2, B3, B4 float64 // logistic terms: 1, kt, AST, zenith, ΔKtc
-	K                  float64 // cloud-enhancement recovery gain
-}
-
-// Engerer2 is the published Engerer (2015) "Engerer2" fit for
-// 1-minute Australian data; it transfers acceptably to sub-hourly
-// European data and is the variant the paper cites.
-var Engerer2 = EngererCoefficients{
-	C:  4.2336e-2,
-	B0: -3.7912, B1: 7.5479, B2: -1.0036e-2, B3: 3.1480e-3, B4: -5.3146,
-	K: 1.7073,
-}
-
-// Engerer decomposes GHI using the logistic model. ghiClear is the
-// clear-sky GHI estimate for the same instant (from the ESRA model);
-// it feeds the ΔKtc clear-sky deviation term and the cloud-enhancement
-// correction. Falls back to all-diffuse at grazing sun.
-func Engerer(ghi, ghiClear float64, pos sunpos.Position, coef EngererCoefficients) Split {
-	if ghi <= 0 || !pos.Up() {
-		return Split{}
-	}
-	g0h := pos.ExtraterrestrialHorizontal()
-	if g0h <= 0 {
-		return Split{DHI: ghi}
-	}
-	kt := ghi / g0h
-	if kt > 1.2 {
-		kt = 1.2
-	}
-	ktc := 0.0
-	if g0h > 0 {
-		ktc = ghiClear / g0h
-	}
-	dktc := ktc - kt
-
-	// Apparent solar time in hours and zenith in degrees.
-	ast := pos.HourAngleRad*180/math.Pi/15 + 12
-	zenithDeg := 90 - pos.ElevRad*180/math.Pi
-
-	// Cloud-enhancement proxy: measured GHI exceeding clear-sky.
-	kde := math.Max(0, 1-ghiClear/ghi)
-
-	arg := coef.B0 + coef.B1*kt + coef.B2*ast + coef.B3*zenithDeg + coef.B4*dktc
-	kd := coef.C + (1-coef.C)/(1+math.Exp(arg)) + coef.K*kde
-	if kd < 0.02 {
-		kd = 0.02
-	}
-	if kd > 1 {
-		kd = 1
-	}
-
-	dhi := kd * ghi
-	sinH := math.Sin(pos.ElevRad)
-	if sinH < minSinElev {
-		return Split{DHI: ghi}
 	}
 	dni := (ghi - dhi) / sinH
 	if dni < 0 {

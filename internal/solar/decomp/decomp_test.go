@@ -122,60 +122,13 @@ func TestErbsCloudyVsClearShare(t *testing.T) {
 	}
 }
 
-func TestEngererBasicBehaviour(t *testing.T) {
-	pos := noonPos(t)
-	ghiClear := 900.0
-	cloudy := Engerer(150, ghiClear, pos, Engerer2)
-	clear := Engerer(880, ghiClear, pos, Engerer2)
-	if cloudy.DHI/150 < 0.8 {
-		t.Errorf("Engerer cloudy diffuse share = %.2f, want > 0.8", cloudy.DHI/150)
-	}
-	if clear.DHI/880 > 0.45 {
-		t.Errorf("Engerer clear diffuse share = %.2f, want < 0.45", clear.DHI/880)
-	}
-	// Energy conservation holds by construction.
-	recon := clear.DNI*math.Sin(pos.ElevRad) + clear.DHI
-	if math.Abs(recon-880) > 1e-9 {
-		t.Errorf("Engerer reconstruction = %.3f, want 880", recon)
-	}
-}
-
-func TestEngererCloudEnhancement(t *testing.T) {
-	// GHI above clear-sky (cloud-edge enhancement) must push the
-	// diffuse fraction up via the Kde term.
-	pos := noonPos(t)
-	normal := Engerer(850, 900, pos, Engerer2)
-	enhanced := Engerer(1050, 900, pos, Engerer2)
-	if enhanced.DHI/1050 <= normal.DHI/850 {
-		t.Errorf("cloud enhancement should raise diffuse fraction: %.3f vs %.3f",
-			enhanced.DHI/1050, normal.DHI/850)
-	}
-}
-
-func TestEngererNightZero(t *testing.T) {
-	night := sunpos.At(time.Date(2017, 1, 10, 2, 0, 0, 0, cet), turin)
-	if s := Engerer(100, 0, night, Engerer2); s != (Split{}) {
-		t.Errorf("night Engerer = %+v", s)
-	}
-}
-
-func TestBothModelsBoundedProperty(t *testing.T) {
+func TestErbsBoundedProperty(t *testing.T) {
 	pos := noonPos(t)
 	f := func(rawGHI uint16) bool {
 		ghi := float64(rawGHI) / 65535 * 1100
-		for _, s := range []Split{Erbs(ghi, pos), Engerer(ghi, 950, pos, Engerer2)} {
-			if s.DNI < 0 || s.DHI < 0 {
-				return false
-			}
-			if s.DHI > ghi+1e-9 {
-				return false
-			}
-			// DNI can't exceed the solar constant after clamping kt.
-			if s.DNI > 1450 {
-				return false
-			}
-		}
-		return true
+		s := Erbs(ghi, pos)
+		// DNI can't exceed the solar constant after clamping kt.
+		return s.DNI >= 0 && s.DHI >= 0 && s.DHI <= ghi+1e-9 && s.DNI <= 1450
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fieldcache"
 	"repro/internal/geom"
 	"repro/internal/solar/horizon"
-	"repro/internal/weather"
 )
 
 // Artifact kinds in the persistent cache.
@@ -124,30 +123,23 @@ func tileHorizonFingerprint(r *dsm.Raster, regions []geom.Rect, o horizon.Option
 
 // statsFingerprint composes the statistics cache key prefix for the
 // configuration: the horizon fingerprint (DSM + region + options), the
-// calendar, the site and turbidity climatology, the transposition and
-// decomposition models, the weather realisation, the suitability mask
-// and the histogram layout. It returns "" — disabling statistics
-// caching — when no cache is configured or the weather provider is not
-// fingerprintable.
+// calendar, the site and turbidity climatology, the weather
+// realisation, the suitability mask and the histogram layout. It
+// returns "" — disabling statistics caching — when no cache is
+// configured.
 func statsFingerprint(cfg Config, horizonFP string) string {
 	if cfg.Cache == nil || horizonFP == "" {
-		return ""
-	}
-	wfp, ok := cfg.Weather.(weather.Fingerprinter)
-	if !ok {
 		return ""
 	}
 	// The roof plane's slope and aspect feed the transposition, so
 	// they are part of the statistics identity even though they are
 	// carried on the Scene rather than the raster.
 	plane := cfg.Scene.RoofPlane
-	return fmt.Sprintf("%s|%s|%s|%x|%x|%x|%x|%x|%x|%d|%d|%x|%x|%t|%s|%s|g%d[%g,%g]t%d[%g,%g]",
+	return fmt.Sprintf("%s|%s|%s|%x|%x|%x|%x|%x|%x|%s|%s|g%d[%g,%g]t%d[%g,%g]",
 		statsVersion, horizonFP, cfg.Grid.Fingerprint(),
 		cfg.Site.LatDeg, cfg.Site.LonDeg, cfg.Site.AltitudeM,
 		plane.SlopeRad(), plane.AspectRad(),
-		cfg.MonthlyTL, cfg.Sky, cfg.Decomposition,
-		cfg.Albedo, cfg.ThermalK, cfg.DaylightOnly,
-		wfp.Fingerprint(), maskDigest(cfg.Suitable),
+		cfg.MonthlyTL, cfg.Weather.Fingerprint(), maskDigest(cfg.Suitable),
 		gBins, gLo, gHi, tBins, tLo, tHi)
 }
 

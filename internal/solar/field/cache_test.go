@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fieldcache"
 	"repro/internal/geom"
+	"repro/internal/solar/clearsky"
 	"repro/internal/solar/horizon"
 )
 
@@ -91,9 +92,10 @@ func TestCacheDistinguishesConfigurations(t *testing.T) {
 		t.Error("different percentile must recompute statistics")
 	}
 
-	// Different daylight policy: new statistics key.
+	// Different turbidity climatology: the sky changes, the horizon
+	// does not, so only the statistics key is new.
 	sp = StatsPassCount()
-	other := cachedEvaluator(t, dir, func(c *Config) { c.DaylightOnly = true })
+	other := cachedEvaluator(t, dir, func(c *Config) { c.MonthlyTL = clearsky.UniformTL(5) })
 	if !other.HorizonFromCache() {
 		t.Error("same scene must still hit the horizon cache")
 	}
@@ -101,7 +103,7 @@ func TestCacheDistinguishesConfigurations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if StatsPassCount() == sp {
-		t.Error("daylight-only run must recompute statistics")
+		t.Error("a different turbidity climatology must recompute statistics")
 	}
 
 	// Different horizon options: new horizon key.

@@ -1,9 +1,12 @@
 // Package field evaluates the spatio-temporal solar field over a roof:
 // for every suitable grid cell and every calendar timestep it combines
-// sun position, ESRA clear-sky irradiance, synthetic (or recorded)
-// weather, GHI decomposition, plane-of-array transposition and the
-// DSM-derived horizon shadows into the local irradiance G(i,j,t) and
-// actual module temperature T_act(i,j,t).
+// sun position, ESRA clear-sky irradiance, synthetic weather, the
+// Erbs GHI decomposition, isotropic plane-of-array transposition and
+// the DSM-derived horizon shadows into the local irradiance G(i,j,t)
+// and the actual module temperature T_act(i,j,t) = T_amb + k·G, with
+// k = weather.DefaultThermalK. Every sample, night steps included,
+// enters the percentile statistics (the paper's NT covers all
+// measures).
 //
 // This is the Go equivalent of the GIS software infrastructure the
 // paper adopts from Bottaccioli et al. [15] (§IV): the full-year
@@ -51,10 +54,9 @@
 // cache. An Evaluator is
 // immutable after New, so one field may serve concurrent Stats and
 // StreamTraces callers (the batch runner relies on this to share a
-// field across scenario variants). When Workers != 1
-// the Weather provider must tolerate concurrent Sample calls — both
-// bundled providers (weather.Synthetic, weather.Trace) are stateless
-// after construction and qualify.
+// field across scenario variants). When Workers != 1 the sky
+// precompute samples the weather from several goroutines, which
+// weather.Synthetic allows: it is stateless after construction.
 //
 // # Memoization
 //
@@ -97,16 +99,6 @@ import (
 	"repro/internal/weather"
 )
 
-// DecompModel selects the GHI decomposition model.
-type DecompModel int
-
-const (
-	// DecompErbs uses the Erbs clearness-index correlation.
-	DecompErbs DecompModel = iota
-	// DecompEngerer uses the Engerer-style logistic model (ref. [18]).
-	DecompEngerer
-)
-
 // Config assembles the inputs of the solar field evaluation.
 type Config struct {
 	// Site is the geographic location of the roof.
@@ -119,24 +111,11 @@ type Config struct {
 	// per-roof horizon build marches only suitable cells.
 	Suitable *geom.Mask
 	// Weather provides the clear-sky index and ambient temperature.
-	Weather weather.Provider
+	Weather *weather.Synthetic
 	// Grid is the simulation calendar.
 	Grid *timegrid.Grid
 	// MonthlyTL is the Linke turbidity climatology.
 	MonthlyTL [12]float64
-	// Sky selects the diffuse transposition model.
-	Sky poa.SkyModel
-	// Decomposition selects the GHI splitting model.
-	Decomposition DecompModel
-	// Albedo is the ground reflectance (default 0.2 when zero).
-	Albedo float64
-	// ThermalK couples irradiance to module temperature,
-	// T_act = T_amb + k·G (default weather.DefaultThermalK when 0).
-	ThermalK float64
-	// DaylightOnly, when set, excludes night samples from the
-	// percentile statistics (ablation knob; the paper's NT covers
-	// all measures).
-	DaylightOnly bool
 	// Horizon tunes horizon-map construction.
 	Horizon horizon.Options
 	// SharedHorizon, when non-nil, is a prebuilt horizon map covering
@@ -159,10 +138,7 @@ type Config struct {
 	// Cache, when non-nil, is the persistent artifact cache: horizon
 	// maps and per-cell statistics are looked up by composite
 	// fingerprint before being computed, and stored after. Cached
-	// artifacts are bit-identical to cold computation. Statistics
-	// caching additionally requires the Weather provider to implement
-	// weather.Fingerprinter (both bundled providers do); otherwise
-	// only horizon maps are cached.
+	// artifacts are bit-identical to cold computation.
 	Cache *fieldcache.Cache
 }
 
@@ -219,7 +195,7 @@ type skyState struct {
 	up        bool
 	sector    int32
 	tanElev   float64
-	beamPart  float64 // shadow-sensitive POA irradiance (beam + circumsolar)
+	beamPart  float64 // shadow-sensitive POA beam irradiance
 	diffPart  float64 // SVF-scaled diffuse POA irradiance
 	reflected float64
 	ambient   float64
@@ -237,12 +213,6 @@ func New(cfg Config) (*Evaluator, error) {
 		return nil, fmt.Errorf("field: suitable mask %dx%d does not match roof region %dx%d",
 			cfg.Suitable.W(), cfg.Suitable.H(), roof.W(), roof.H())
 	}
-	if cfg.Albedo == 0 {
-		cfg.Albedo = 0.2
-	}
-	if cfg.ThermalK == 0 {
-		cfg.ThermalK = weather.DefaultThermalK
-	}
 	esra, err := clearsky.New(cfg.Site, cfg.MonthlyTL)
 	if err != nil {
 		return nil, err
@@ -254,8 +224,6 @@ func New(cfg Config) (*Evaluator, error) {
 	plane := poa.Plane{
 		SlopeRad:   cfg.Scene.RoofPlane.SlopeRad(),
 		AzimuthRad: cfg.Scene.RoofPlane.AspectRad(),
-		Albedo:     cfg.Albedo,
-		Model:      cfg.Sky,
 	}
 	if err := plane.Validate(); err != nil {
 		return nil, err
@@ -312,20 +280,14 @@ func (e *Evaluator) skyFromAstro(t time.Time, a astroStep) skyState {
 	if ghi <= 0 {
 		return st
 	}
-	var split decomp.Split
-	switch e.cfg.Decomposition {
-	case DecompEngerer:
-		split = decomp.Engerer(ghi, a.ghiClear, a.pos, decomp.Engerer2)
-	default:
-		split = decomp.Erbs(ghi, a.pos)
-	}
+	split := decomp.Erbs(ghi, a.pos)
 	comps := e.plane.Transpose(a.pos, split.DNI, split.DHI, ghi)
 
 	st.up = true
 	st.sector = int32(e.hmap.SectorOf(a.pos.AzimuthRad))
 	st.tanElev = math.Tan(a.pos.ElevRad)
-	st.beamPart = comps.Beam + comps.Circumsolar
-	st.diffPart = comps.Diffuse - comps.Circumsolar
+	st.beamPart = comps.Beam
+	st.diffPart = comps.Diffuse
 	st.reflected = comps.Reflected
 	return st
 }
@@ -368,17 +330,8 @@ func (e *Evaluator) cellIrr(st *skyState, cellIdx int) float64 {
 	return g
 }
 
-// Ambient returns the ambient temperature at calendar step i.
-func (e *Evaluator) Ambient(i int) float64 { return e.sky[i].ambient }
-
-// ThermalK returns the configured irradiance→temperature coupling.
-func (e *Evaluator) ThermalK() float64 { return e.cfg.ThermalK }
-
 // Grid returns the simulation calendar.
 func (e *Evaluator) Grid() *timegrid.Grid { return e.cfg.Grid }
-
-// Plane returns the roof plane-of-array configuration.
-func (e *Evaluator) Plane() poa.Plane { return e.plane }
 
 // CellStats holds the per-cell distribution summaries the suitability
 // metric consumes. Arrays are row-major over the roof region; entries
@@ -444,10 +397,9 @@ func (e *Evaluator) CachedStats() (*CellStats, error) {
 // for every worker count. Night steps — identical for all cells — are
 // folded in from the shared aggregate computed at construction.
 //
-// With Config.Cache set (and a fingerprintable weather provider), the
-// result is first looked up in the persistent artifact cache and, on
-// a miss, stored after computation; cache hits are bit-identical to
-// cold computation.
+// With Config.Cache set, the result is first looked up in the
+// persistent artifact cache and, on a miss, stored after computation;
+// cache hits are bit-identical to cold computation.
 func (e *Evaluator) StatsPercentile(pct float64) (*CellStats, error) {
 	if cs, ok := e.loadCachedStats(pct); ok {
 		return cs, nil
@@ -480,10 +432,7 @@ func (e *Evaluator) statsFrame(pct float64) (*CellStats, error) {
 	if len(e.suitIdx) == 0 {
 		return cs, nil
 	}
-	cs.Samples = e.daySteps
-	if !e.cfg.DaylightOnly {
-		cs.Samples += e.night.count
-	}
+	cs.Samples = e.daySteps + e.night.count
 	return cs, nil
 }
 
@@ -523,7 +472,7 @@ func (e *Evaluator) StreamTraces(cells []geom.Cell, fn func(step int, g, tact []
 	}
 	g := make([]float64, len(cells))
 	tact := make([]float64, len(cells))
-	k := e.cfg.ThermalK
+	const k = weather.DefaultThermalK
 	for step := range e.sky {
 		st := &e.sky[step]
 		if !st.up {

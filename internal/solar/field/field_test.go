@@ -8,7 +8,6 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/geom"
 	"repro/internal/solar/clearsky"
-	"repro/internal/solar/poa"
 	"repro/internal/solar/sunpos"
 	"repro/internal/timegrid"
 	"repro/internal/weather"
@@ -56,7 +55,6 @@ func testEvaluator(t *testing.T, mutate func(*Config)) *Evaluator {
 		Weather:   wx,
 		Grid:      testGrid(t),
 		MonthlyTL: clearsky.TurinMonthlyTL,
-		Sky:       poa.Isotropic,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -195,28 +193,6 @@ func TestStatsShadowGradient(t *testing.T) {
 	}
 }
 
-func TestDaylightOnlyRaisesPercentiles(t *testing.T) {
-	all := testEvaluator(t, nil)
-	day := testEvaluator(t, func(c *Config) { c.DaylightOnly = true })
-	csAll, err := all.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	csDay, err := day.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := geom.Cell{X: 10, Y: 10}
-	pAll, _, _ := csAll.At(c)
-	pDay, _, _ := csDay.At(c)
-	if !(pDay > pAll) {
-		t.Errorf("daylight-only p75 %.1f should exceed all-samples p75 %.1f", pDay, pAll)
-	}
-	if csDay.Samples >= csAll.Samples {
-		t.Error("daylight-only must accumulate fewer samples")
-	}
-}
-
 func TestStreamTracesMatchesCellIrradiance(t *testing.T) {
 	ev := testEvaluator(t, nil)
 	cells := []geom.Cell{{X: 5, Y: 5}, {X: 31, Y: 9}, {X: 20, Y: 20}}
@@ -227,7 +203,7 @@ func TestStreamTracesMatchesCellIrradiance(t *testing.T) {
 			if math.Abs(g[j]-want) > 1e-12 {
 				t.Fatalf("step %d cell %v: stream %g vs direct %g", step, c, g[j], want)
 			}
-			wantT := ev.Ambient(step) + ev.ThermalK()*want
+			wantT := ev.sky[step].ambient + weather.DefaultThermalK*want
 			if math.Abs(tact[j]-wantT) > 1e-12 {
 				t.Fatalf("step %d cell %v: tact %g vs %g", step, c, tact[j], wantT)
 			}
@@ -255,29 +231,6 @@ func TestStreamTracesRejectsOutOfRegion(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("unsuitable cell must be rejected")
-	}
-}
-
-func TestHayDaviesAndEngererVariants(t *testing.T) {
-	// The alternative models must run and give totals in the same
-	// ballpark as the defaults (within 25%).
-	base := testEvaluator(t, nil)
-	alt := testEvaluator(t, func(c *Config) {
-		c.Sky = poa.HayDavies
-		c.Decomposition = DecompEngerer
-	})
-	c := geom.Cell{X: 10, Y: 10}
-	var sumBase, sumAlt float64
-	for i := 0; i < base.Grid().Len(); i++ {
-		sumBase += base.CellIrradiance(i, c)
-		sumAlt += alt.CellIrradiance(i, c)
-	}
-	if sumBase <= 0 || sumAlt <= 0 {
-		t.Fatal("annual sums must be positive")
-	}
-	ratio := sumAlt / sumBase
-	if ratio < 0.75 || ratio > 1.35 {
-		t.Errorf("model-variant ratio = %.2f, want within [0.75,1.35]", ratio)
 	}
 }
 

@@ -173,7 +173,7 @@ func TestStatsParallelMatchesSerial(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"default", nil},
-		{"daylight-only", func(c *Config) { c.DaylightOnly = true }},
+		{"uniform-turbidity", func(c *Config) { c.MonthlyTL = clearsky.UniformTL(5) }},
 		{"three-workers", func(c *Config) { c.Workers = 3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

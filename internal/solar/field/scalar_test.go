@@ -1,6 +1,9 @@
 package field
 
-import "repro/internal/stats"
+import (
+	"repro/internal/stats"
+	"repro/internal/weather"
+)
 
 // statsPercentileScalar runs the pre-sector-sweep scalar reference on
 // the calling goroutine: the calendar-ordered per-(cell, timestep)
@@ -28,7 +31,7 @@ func (e *Evaluator) statsChunkScalar(cs *CellStats, cells []int32) {
 	tBank := stats.NewHistogramBank(len(cells), tLo, tHi, tBins)
 	gSum := make([]float64, len(cells))
 
-	k := e.cfg.ThermalK
+	const k = weather.DefaultThermalK
 	for i := range e.sky {
 		st := &e.sky[i]
 		if !st.up {
@@ -42,7 +45,7 @@ func (e *Evaluator) statsChunkScalar(cs *CellStats, cells []int32) {
 		}
 	}
 
-	withNight := !e.cfg.DaylightOnly && e.night.count > 0
+	withNight := e.night.count > 0
 	for j, idx := range cells {
 		if withNight {
 			// Nights contribute irradiance 0 and the shared ambient

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/stats"
+	"repro/internal/weather"
 )
 
 // dayTable is the SoA (structure-of-arrays) form of the sky states the
@@ -121,17 +122,14 @@ func (e *Evaluator) statsSectorChunk(cs *CellStats, cells []int32, scratch *stat
 	gRow, tRow := scratch.g, scratch.t
 	gb := stats.NewBinning(gLo, gHi, gBins)
 	tb := stats.NewBinning(tLo, tHi, tBins)
-	k := e.cfg.ThermalK
+	const k = weather.DefaultThermalK
 
-	withNight := !e.cfg.DaylightOnly && e.night.count > 0
+	withNight := e.night.count > 0
 	var nightTact []uint32
 	if withNight {
 		nightTact = e.night.tact.Counts()
 	}
-	n := e.daySteps
-	if withNight {
-		n += e.night.count
-	}
+	n := e.daySteps + e.night.count
 	zeroBin := gb.Index(0)
 
 	for _, idx := range cells {

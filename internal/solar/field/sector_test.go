@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/solar/clearsky"
 )
 
 // TestDayTableShape: the SoA table must hold exactly the day steps,
@@ -89,10 +90,8 @@ func TestSectorKernelMatchesScalar(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"default", nil},
-		{"daylight-only", func(c *Config) { c.DaylightOnly = true }},
-		{"hay-davies-engerer", func(c *Config) {
-			c.Decomposition = DecompEngerer
-		}},
+		{"uniform-turbidity", func(c *Config) { c.MonthlyTL = clearsky.UniformTL(5) }},
+		{"three-workers", func(c *Config) { c.Workers = 3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ev := testEvaluator(t, tc.mutate)

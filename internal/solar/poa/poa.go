@@ -1,9 +1,8 @@
 // Package poa transposes decomposed irradiance (DNI, DHI, GHI) onto a
 // tilted plane of array — the roof surface carrying the PV modules.
-// It supports the isotropic sky model and the Hay–Davies anisotropic
-// model, plus ground-reflected irradiance with a configurable albedo,
-// following the GIS solar-model chain of Šúri & Hofierka (paper ref.
-// [17]).
+// It uses the isotropic sky model plus ground-reflected irradiance
+// with the standard urban albedo, following the GIS solar-model chain
+// of Šúri & Hofierka (paper ref. [17]).
 package poa
 
 import (
@@ -13,29 +12,9 @@ import (
 	"repro/internal/solar/sunpos"
 )
 
-// SkyModel selects the diffuse transposition model.
-type SkyModel int
-
-const (
-	// Isotropic treats the sky dome as uniformly bright.
-	Isotropic SkyModel = iota
-	// HayDavies adds a circumsolar component weighted by the
-	// anisotropy index DNI/E0; overcast skies degrade gracefully to
-	// isotropic.
-	HayDavies
-)
-
-// String implements fmt.Stringer.
-func (s SkyModel) String() string {
-	switch s {
-	case Isotropic:
-		return "isotropic"
-	case HayDavies:
-		return "hay-davies"
-	default:
-		return fmt.Sprintf("SkyModel(%d)", int(s))
-	}
-}
+// albedo is the ground reflectance feeding the reflected component
+// (the standard urban default).
+const albedo = 0.2
 
 // Plane describes the receiving surface.
 type Plane struct {
@@ -45,20 +24,12 @@ type Plane struct {
 	// the azimuth of the surface normal's horizontal projection),
 	// radians clockwise from north.
 	AzimuthRad float64
-	// Albedo is the ground reflectance feeding the reflected
-	// component (0.2 is the standard urban default).
-	Albedo float64
-	// Model selects the diffuse transposition model.
-	Model SkyModel
 }
 
 // Validate checks physical plausibility.
 func (p Plane) Validate() error {
 	if p.SlopeRad < 0 || p.SlopeRad > math.Pi/2 {
 		return fmt.Errorf("poa: slope %g rad outside [0, π/2]", p.SlopeRad)
-	}
-	if p.Albedo < 0 || p.Albedo > 1 {
-		return fmt.Errorf("poa: albedo %g outside [0,1]", p.Albedo)
 	}
 	return nil
 }
@@ -81,12 +52,8 @@ func (p Plane) CosIncidence(pos sunpos.Position) float64 {
 type Components struct {
 	// Beam is the direct component on the plane.
 	Beam float64
-	// Diffuse is the sky-diffuse component on the plane (for
-	// HayDavies this includes the circumsolar share).
+	// Diffuse is the sky-diffuse component on the plane.
 	Diffuse float64
-	// Circumsolar is the part of Diffuse that travels with the beam
-	// direction; shading removes it together with the beam.
-	Circumsolar float64
 	// Reflected is the ground-reflected component.
 	Reflected float64
 }
@@ -103,38 +70,8 @@ func (p Plane) Transpose(pos sunpos.Position, dni, dhi, ghi float64) Components 
 	if pos.Up() && cosI > 0 {
 		out.Beam = dni * cosI
 	}
-
 	svfTilt := (1 + math.Cos(p.SlopeRad)) / 2
-	switch p.Model {
-	case HayDavies:
-		if pos.Up() && dhi > 0 {
-			ai := dni / pos.ExtraterrestrialNormal() // anisotropy index
-			if ai < 0 {
-				ai = 0
-			}
-			if ai > 1 {
-				ai = 1
-			}
-			iso := dhi * (1 - ai) * svfTilt
-			var circ float64
-			if sinH := math.Sin(pos.ElevRad); sinH > 0.03 && cosI > 0 {
-				// Cap the beam ratio cosI/sinH: near sunrise/sunset the
-				// geometric amplification diverges and transposition
-				// models are known to overestimate; 5 is a customary
-				// engineering cap.
-				rb := cosI / sinH
-				if rb > 5 {
-					rb = 5
-				}
-				circ = dhi * ai * rb
-			}
-			out.Diffuse = iso + circ
-			out.Circumsolar = circ
-		}
-	default: // Isotropic
-		out.Diffuse = dhi * svfTilt
-	}
-
-	out.Reflected = ghi * p.Albedo * (1 - math.Cos(p.SlopeRad)) / 2
+	out.Diffuse = dhi * svfTilt
+	out.Reflected = ghi * albedo * (1 - math.Cos(p.SlopeRad)) / 2
 	return out
 }

@@ -13,8 +13,8 @@ var (
 	turin = sunpos.Site{LatDeg: 45.07, LonDeg: 7.69, AltitudeM: 240}
 )
 
-func southPlane(model SkyModel) Plane {
-	return Plane{SlopeRad: 26 * math.Pi / 180, AzimuthRad: math.Pi, Albedo: 0.2, Model: model}
+func southPlane() Plane {
+	return Plane{SlopeRad: 26 * math.Pi / 180, AzimuthRad: math.Pi}
 }
 
 func noon(t *testing.T) sunpos.Position {
@@ -27,14 +27,12 @@ func noon(t *testing.T) sunpos.Position {
 }
 
 func TestValidate(t *testing.T) {
-	if err := southPlane(Isotropic).Validate(); err != nil {
+	if err := southPlane().Validate(); err != nil {
 		t.Errorf("valid plane rejected: %v", err)
 	}
 	bad := []Plane{
 		{SlopeRad: -0.1},
 		{SlopeRad: math.Pi},
-		{SlopeRad: 0.1, Albedo: -0.2},
-		{SlopeRad: 0.1, Albedo: 1.5},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -54,7 +52,7 @@ func TestCosIncidenceGeometry(t *testing.T) {
 	// must beat the horizontal plane in June at Turin (sun elev 68°,
 	// normal tilt brings incidence closer to 0).
 	horiz := Plane{SlopeRad: 0, AzimuthRad: 0}
-	south := southPlane(Isotropic)
+	south := southPlane()
 	ci := south.CosIncidence(pos)
 	ch := horiz.CosIncidence(pos)
 	if ci <= ch {
@@ -73,12 +71,12 @@ func TestCosIncidenceGeometry(t *testing.T) {
 }
 
 func TestTransposeHorizontalIdentity(t *testing.T) {
-	// On a horizontal plane with zero albedo the POA total must
-	// reconstruct GHI = DNI*sin(h) + DHI exactly (isotropic).
+	// On a horizontal plane, which sees no ground, the POA total must
+	// reconstruct GHI = DNI*sin(h) + DHI exactly.
 	pos := noon(t)
 	dni, dhi := 800.0, 120.0
 	ghi := dni*math.Sin(pos.ElevRad) + dhi
-	horiz := Plane{SlopeRad: 0, AzimuthRad: 0, Albedo: 0, Model: Isotropic}
+	horiz := Plane{SlopeRad: 0, AzimuthRad: 0}
 	c := horiz.Transpose(pos, dni, dhi, ghi)
 	if math.Abs(c.Total()-ghi) > 1e-9 {
 		t.Errorf("horizontal POA = %.3f, want GHI %.3f", c.Total(), ghi)
@@ -94,8 +92,8 @@ func TestTransposeSouthTiltGainsInWinter(t *testing.T) {
 	pos := sunpos.At(time.Date(2017, 12, 21, 12, 30, 0, 0, cet), turin)
 	dni, dhi := 500.0, 60.0
 	ghi := dni*math.Sin(pos.ElevRad) + dhi
-	tilt := southPlane(Isotropic).Transpose(pos, dni, dhi, ghi)
-	horiz := Plane{Model: Isotropic}.Transpose(pos, dni, dhi, ghi)
+	tilt := southPlane().Transpose(pos, dni, dhi, ghi)
+	horiz := Plane{}.Transpose(pos, dni, dhi, ghi)
 	if tilt.Beam <= horiz.Beam {
 		t.Errorf("winter beam: tilted %.1f should exceed horizontal %.1f", tilt.Beam, horiz.Beam)
 	}
@@ -103,7 +101,7 @@ func TestTransposeSouthTiltGainsInWinter(t *testing.T) {
 
 func TestTransposeNightIsZero(t *testing.T) {
 	night := sunpos.At(time.Date(2017, 6, 21, 1, 0, 0, 0, cet), turin)
-	c := southPlane(HayDavies).Transpose(night, 0, 0, 0)
+	c := southPlane().Transpose(night, 0, 0, 0)
 	if c.Total() != 0 {
 		t.Errorf("night POA = %+v", c)
 	}
@@ -115,7 +113,7 @@ func TestSunBehindPlaneNoBeam(t *testing.T) {
 	if !pos.Up() {
 		t.Skip("sun already set")
 	}
-	east := Plane{SlopeRad: 70 * math.Pi / 180, AzimuthRad: math.Pi / 2, Albedo: 0.2}
+	east := Plane{SlopeRad: 70 * math.Pi / 180, AzimuthRad: math.Pi / 2}
 	c := east.Transpose(pos, 400, 80, 300)
 	if c.Beam != 0 {
 		t.Errorf("beam on back side = %.1f, want 0", c.Beam)
@@ -129,7 +127,7 @@ func TestIsotropicDiffuseTiltFactor(t *testing.T) {
 	pos := noon(t)
 	dhi := 100.0
 	for _, slopeDeg := range []float64{0, 26, 45, 90} {
-		p := Plane{SlopeRad: slopeDeg * math.Pi / 180, AzimuthRad: math.Pi, Model: Isotropic}
+		p := Plane{SlopeRad: slopeDeg * math.Pi / 180, AzimuthRad: math.Pi}
 		c := p.Transpose(pos, 0, dhi, dhi)
 		want := dhi * (1 + math.Cos(p.SlopeRad)) / 2
 		if math.Abs(c.Diffuse-want) > 1e-9 {
@@ -138,44 +136,14 @@ func TestIsotropicDiffuseTiltFactor(t *testing.T) {
 	}
 }
 
-func TestHayDaviesVsIsotropic(t *testing.T) {
-	pos := noon(t)
-	dni, dhi := 800.0, 120.0
-	ghi := dni*math.Sin(pos.ElevRad) + dhi
-	iso := southPlane(Isotropic).Transpose(pos, dni, dhi, ghi)
-	hd := southPlane(HayDavies).Transpose(pos, dni, dhi, ghi)
-	// Clear sky, sun in front of plane: Hay-Davies shifts diffuse
-	// toward the circumsolar direction, increasing POA diffuse.
-	if hd.Diffuse <= iso.Diffuse {
-		t.Errorf("clear-sky Hay-Davies diffuse %.1f should exceed isotropic %.1f", hd.Diffuse, iso.Diffuse)
-	}
-	if hd.Circumsolar <= 0 || hd.Circumsolar > hd.Diffuse {
-		t.Errorf("circumsolar %.1f outside (0, diffuse]", hd.Circumsolar)
-	}
-	// Overcast (no beam): the models coincide.
-	isoOC := southPlane(Isotropic).Transpose(pos, 0, 200, 200)
-	hdOC := southPlane(HayDavies).Transpose(pos, 0, 200, 200)
-	if math.Abs(isoOC.Diffuse-hdOC.Diffuse) > 1e-9 {
-		t.Errorf("overcast: iso %.2f vs hd %.2f must match", isoOC.Diffuse, hdOC.Diffuse)
-	}
-	if hdOC.Circumsolar != 0 {
-		t.Error("overcast circumsolar must be 0")
-	}
-}
-
 func TestReflectedComponent(t *testing.T) {
 	pos := noon(t)
-	p := southPlane(Isotropic)
+	p := southPlane()
 	ghi := 900.0
 	c := p.Transpose(pos, 800, 100, ghi)
 	want := ghi * 0.2 * (1 - math.Cos(p.SlopeRad)) / 2
 	if math.Abs(c.Reflected-want) > 1e-9 {
 		t.Errorf("reflected = %.3f, want %.3f", c.Reflected, want)
-	}
-	// Zero albedo kills it.
-	p.Albedo = 0
-	if p.Transpose(pos, 800, 100, ghi).Reflected != 0 {
-		t.Error("zero albedo must zero the reflected component")
 	}
 }
 
@@ -183,9 +151,9 @@ func TestComponentsNonNegativeSweep(t *testing.T) {
 	// Sweep a full day × several planes; no component may go
 	// negative and totals stay below ~1.4 kW/m².
 	planes := []Plane{
-		southPlane(Isotropic),
-		southPlane(HayDavies),
-		{SlopeRad: 1.2, AzimuthRad: 4.5, Albedo: 0.5, Model: HayDavies},
+		southPlane(),
+		{SlopeRad: 1.2, AzimuthRad: 4.5},
+		{SlopeRad: math.Pi / 2, AzimuthRad: 0},
 	}
 	day := time.Date(2017, 3, 20, 0, 0, 0, 0, cet)
 	for m := 0; m < 24*60; m += 20 {
@@ -197,21 +165,12 @@ func TestComponentsNonNegativeSweep(t *testing.T) {
 		ghi := dni*math.Max(0, math.Sin(pos.ElevRad)) + dhi
 		for i, p := range planes {
 			c := p.Transpose(pos, dni, dhi, ghi)
-			if c.Beam < 0 || c.Diffuse < 0 || c.Reflected < 0 || c.Circumsolar < 0 {
+			if c.Beam < 0 || c.Diffuse < 0 || c.Reflected < 0 {
 				t.Fatalf("plane %d minute %d: negative component %+v", i, m, c)
 			}
 			if c.Total() > 1400 {
 				t.Fatalf("plane %d minute %d: unphysical POA %.0f", i, m, c.Total())
 			}
 		}
-	}
-}
-
-func TestSkyModelString(t *testing.T) {
-	if Isotropic.String() != "isotropic" || HayDavies.String() != "hay-davies" {
-		t.Error("SkyModel strings")
-	}
-	if SkyModel(9).String() != "SkyModel(9)" {
-		t.Error("unknown SkyModel string")
 	}
 }

@@ -60,9 +60,6 @@ func Year(year int, loc *time.Location) *Grid {
 	return g
 }
 
-// Step returns the sampling interval.
-func (g *Grid) Step() time.Duration { return g.step }
-
 // StepsPerDay returns the number of samples per simulated day.
 func (g *Grid) StepsPerDay() int { return g.stepsDay }
 

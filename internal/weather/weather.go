@@ -4,12 +4,11 @@
 //
 // The paper retrieves these from personal/third-party weather stations
 // (Weather Underground, ref. [16]); those traces are not
-// redistributable, so the primary implementation is a deterministic
+// redistributable, so this package implements a deterministic
 // synthetic generator with a parameterised climate: seasonal and
 // diurnal temperature harmonics, an autocorrelated cloud process with
 // distinct day types (clear / mixed / overcast), and reproducible
-// seeding. A CSV codec imports/exports station traces so real data
-// can be dropped in unchanged.
+// seeding.
 package weather
 
 import (
@@ -26,23 +25,6 @@ type Sample struct {
 	ClearSkyIndex float64
 	// AmbientC is the ambient air temperature in °C.
 	AmbientC float64
-}
-
-// Provider yields weather samples for arbitrary instants. Providers
-// must be deterministic: the same instant always returns the same
-// sample (the pipeline streams the calendar multiple times).
-type Provider interface {
-	Sample(t time.Time) Sample
-}
-
-// Fingerprinter is implemented by providers whose whole realisation
-// can be identified by a compact, stable string: equal fingerprints
-// imply identical Sample results for every instant. The persistent
-// field-artifact cache keys per-cell statistics on it; providers that
-// do not implement it simply opt out of statistics caching (horizon
-// maps, which are weather-independent, stay cacheable).
-type Fingerprinter interface {
-	Fingerprint() string
 }
 
 // Climate parameterises the synthetic generator.
@@ -100,9 +82,12 @@ func NewSynthetic(seed int64, climate Climate) (*Synthetic, error) {
 	return &Synthetic{seed: uint64(seed), climate: climate}, nil
 }
 
-// Fingerprint implements Fingerprinter: a Synthetic realisation is a
-// pure function of the seed and the climate parameters, so encoding
-// them exactly (float bit patterns via 'x' formatting) identifies it.
+// Fingerprint identifies the realisation by a compact, stable string:
+// equal fingerprints imply identical Sample results for every instant,
+// and the persistent field-artifact cache keys per-cell statistics on
+// it. A Synthetic realisation is a pure function of the seed and the
+// climate parameters, so encoding them exactly (float bit patterns
+// via 'x' formatting) identifies it.
 func (s *Synthetic) Fingerprint() string {
 	c := s.climate
 	return fmt.Sprintf("synthetic|%d|%x|%x|%x|%x|%x",
@@ -148,7 +133,9 @@ func dayIndex(t time.Time) int64 {
 	return t.Unix() / 86400
 }
 
-// Sample implements Provider.
+// Sample returns the weather at instant t. It is deterministic: the
+// same instant always returns the same sample (the pipeline streams
+// the calendar multiple times).
 func (s *Synthetic) Sample(t time.Time) Sample {
 	day := dayIndex(t)
 	doy := float64(t.YearDay())

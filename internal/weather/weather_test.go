@@ -51,6 +51,36 @@ func TestDeterminism(t *testing.T) {
 	_ = later
 }
 
+// TestFingerprint: the fingerprint keys cached field statistics, so it
+// must be equal for equal realisations and differ when the seed or any
+// climate parameter does.
+func TestFingerprint(t *testing.T) {
+	base := newTurin(t, 42).Fingerprint()
+	if again := newTurin(t, 42).Fingerprint(); again != base {
+		t.Errorf("same seed and climate: %q vs %q", again, base)
+	}
+	if other := newTurin(t, 43).Fingerprint(); other == base {
+		t.Error("a different seed must change the fingerprint")
+	}
+	for name, mutate := range map[string]func(*Climate){
+		"annual mean":  func(c *Climate) { c.AnnualMeanC += 0.5 },
+		"seasonal amp": func(c *Climate) { c.SeasonalAmpC += 0.5 },
+		"diurnal amp":  func(c *Climate) { c.DiurnalAmpC += 0.5 },
+		"season bias":  func(c *Climate) { c.CloudySeasonBias += 0.01 },
+		"clearness":    func(c *Climate) { c.MeanClearness -= 0.01 },
+	} {
+		c := Turin
+		mutate(&c)
+		s, err := NewSynthetic(42, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Fingerprint() == base {
+			t.Errorf("%s: a different climate must change the fingerprint", name)
+		}
+	}
+}
+
 func TestKcBounds(t *testing.T) {
 	s := newTurin(t, 7)
 	start := time.Date(2017, 1, 1, 0, 0, 0, 0, cet)
