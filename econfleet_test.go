@@ -387,3 +387,58 @@ func TestSyntheticNeighborhoodStable(t *testing.T) {
 		t.Fatal("synthetic neighborhood planned no roofs")
 	}
 }
+
+// TestCityReportMatchesDistrictReport holds the two report surfaces
+// to one another under a budget that admits only part of the fleet: a
+// 2×2-tiled city report and the monolithic district report must agree
+// roof row for roof row (the city row only adds its tile), in totals
+// and in dropped regions, and the city table must open with the whole
+// district table.
+func TestCityReportMatchesDistrictReport(t *testing.T) {
+	tile := loadNeighborhoodTile(t)
+	cache := openTestCache(t, t.TempDir())
+	ec := EconConfig{Enabled: true, RankBy: RankByNPV, BudgetUSD: 25000}
+	mono, err := RunDistrict(DistrictConfig{Tile: tile, Cache: cache, Economics: ec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	city, err := RunCity(CityConfig{
+		Source:    &gis.RasterSource{Raster: tile},
+		TileCells: 80, // 160×120 fixture → 2×2 tile grid
+		Cache:     cache,
+		Economics: ec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mono.Econ == nil || mono.Econ.RoofsAdmitted == 0 || mono.Econ.RoofsAdmitted >= len(mono.Plans) {
+		t.Fatalf("budget $%.0f should admit part of the %d roofs: %+v", ec.BudgetUSD, len(mono.Plans), mono.Econ)
+	}
+	jsonOf := func(v any) string {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	dr, cr := NewDistrictReport(mono), NewCityReport(city)
+	if len(cr.Roofs) != len(dr.Roofs) {
+		t.Fatalf("city report has %d roofs, district report %d", len(cr.Roofs), len(dr.Roofs))
+	}
+	for i := range dr.Roofs {
+		if c, d := jsonOf(cr.Roofs[i].RoofReport), jsonOf(dr.Roofs[i]); c != d {
+			t.Errorf("roof row %d differs:\ncity:     %s\ndistrict: %s", i, c, d)
+		}
+	}
+	if c, d := jsonOf(cr.Totals), jsonOf(dr.Totals); c != d {
+		t.Errorf("totals differ:\ncity:     %s\ndistrict: %s", c, d)
+	}
+	if c, d := jsonOf(cr.Dropped), jsonOf(dr.Dropped); c != d {
+		t.Errorf("dropped regions differ:\ncity:     %s\ndistrict: %s", c, d)
+	}
+	if ct, dt := CityTable(city), DistrictTable(mono); !strings.HasPrefix(ct, dt) {
+		t.Errorf("city table does not open with the district table:\ncity:\n%s\ndistrict:\n%s", ct, dt)
+	}
+}
