@@ -194,9 +194,9 @@ dispatch:
 func cancelledRun(i int, cfg Config, cause error) BatchRun {
 	return BatchRun{
 		Index:  i,
-		Name:   batchName(cfg),
+		Name:   cfg.Name(),
 		Config: cfg,
-		Err:    fmt.Errorf("pvfloor: batch run %d (%s): %w", i, batchName(cfg), cause),
+		Err:    fmt.Errorf("pvfloor: batch run %d (%s): %w", i, cfg.Name(), cause),
 	}
 }
 
@@ -204,7 +204,7 @@ func cancelledRun(i int, cfg Config, cause error) BatchRun {
 // group.
 func runOne(i int, cfg Config, g *fieldGroup) BatchRun {
 	start := time.Now()
-	br := BatchRun{Index: i, Name: batchName(cfg), Config: cfg}
+	br := BatchRun{Index: i, Name: cfg.Name(), Config: cfg}
 	if cfg.Scenario == nil {
 		br.Err = fmt.Errorf("pvfloor: batch run %d: nil scenario", i)
 		br.Elapsed = time.Since(start)
@@ -212,12 +212,7 @@ func runOne(i int, cfg Config, g *fieldGroup) BatchRun {
 	}
 	g.once.Do(func() {
 		g.built = int32(i)
-		g.ev, g.err = cfg.Scenario.FieldWith(scenario.FieldConfig{
-			Grid:    cfg.effectiveGrid(),
-			Fast:    cfg.Fidelity != Full,
-			Workers: g.workers,
-			Cache:   cfg.Cache,
-		})
+		g.ev, g.err = cfg.Scenario.FieldWith(cfg.fieldConfig(g.workers))
 	})
 	br.FieldBuilt = g.built == int32(i) && g.err == nil
 	if g.err != nil {
@@ -233,10 +228,7 @@ func runOne(i int, cfg Config, g *fieldGroup) BatchRun {
 // Name returns the display name batch results carry for this config:
 // Label when set, otherwise a derived "Roof 2/N=32"-style name (plus
 // optimizer-strategy and fidelity tags when non-default).
-func (cfg Config) Name() string { return batchName(cfg) }
-
-// batchName derives the display name of a batch entry.
-func batchName(cfg Config) string {
+func (cfg Config) Name() string {
 	if cfg.Label != "" {
 		return cfg.Label
 	}

@@ -1,12 +1,13 @@
 package pvfloor
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,8 +16,6 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/fieldcache"
 	"repro/internal/geom"
-	"repro/internal/scenario"
-	"repro/internal/solar/horizon"
 )
 
 // ErrInterrupted is returned by RunCity when a Drain request stopped
@@ -66,7 +65,7 @@ type CityConfig struct {
 	TileWorkers int
 
 	// The remaining knobs mirror DistrictConfig and are applied to
-	// every tile's district run.
+	// every tile's district run (see TileConfig).
 	Extract      district.Options
 	Site         district.SiteConfig
 	Modules      int
@@ -197,30 +196,24 @@ type CityResult struct {
 	// (row-major by first footprint cell, segments in order), with
 	// city-wide IDs and Building numbers.
 	Plans []CityPlan
-	// Ranked indexes Plans best-first (descending proposed net
-	// energy, ties by index; with the economics pass, the configured
-	// objective over the admitted subset).
-	Ranked []int
 	// Dropped lists rejected candidate regions in city cells, each
 	// counted once (entries a tile rejected as owned-elsewhere are
 	// the owning tile's to report), sorted by position.
 	Dropped []district.Dropped
-	// Totals sum over the successfully planned roofs (the admitted
-	// subset when a budget cap is configured).
-	TotalProposedMWh    float64
-	TotalTraditionalMWh float64
-	TotalWiringExtraM   float64
-	// Econ summarises the economics pass (nil when disabled).
-	Econ *FleetEcon
+	// Fleet ranks and totals Plans. The economics pass runs once over
+	// the stitched city, so a budget spans the whole city and
+	// checkpoint-restored tiles price identically to live ones.
+	Fleet
 }
 
-// CityGainPct returns the aggregate net-energy gain of the proposed
-// placements over the traditional baselines, in percent.
-func (cr *CityResult) CityGainPct() float64 {
-	if cr.TotalTraditionalMWh == 0 {
-		return 0
+// roofPlans returns a pointer to every plan's RoofPlan, in Plans
+// order.
+func (cr *CityResult) roofPlans() []*RoofPlan {
+	plans := make([]*RoofPlan, len(cr.Plans))
+	for i := range cr.Plans {
+		plans[i] = &cr.Plans[i].RoofPlan
 	}
-	return (cr.TotalProposedMWh - cr.TotalTraditionalMWh) / cr.TotalTraditionalMWh * 100
+	return plans
 }
 
 // tileOutcome is one worker's raw product before stitching: the tile
@@ -261,19 +254,11 @@ func RunCity(cfg CityConfig) (*CityResult, error) {
 	if bounds.X0 != 0 || bounds.Y0 != 0 {
 		return nil, fmt.Errorf("pvfloor: city bounds %v not anchored at the origin", bounds)
 	}
-	if cfg.Modules == 0 && cfg.MaxModules != 0 && cfg.MaxModules < 8 {
-		return nil, fmt.Errorf("pvfloor: city MaxModules %d below one 8-module string (use 0 for the default)",
-			cfg.MaxModules)
-	}
-	if cfg.Modules != 0 && (cfg.Modules < 8 || cfg.Modules%8 != 0) {
-		return nil, fmt.Errorf("pvfloor: city Modules %d not a positive multiple of 8 (use 0 to auto-size)",
-			cfg.Modules)
+	if err := validateSweep(cfg.Modules, cfg.MaxModules, cfg.Economics); err != nil {
+		return nil, err
 	}
 	if cfg.Extract.Keep != nil {
 		return nil, fmt.Errorf("pvfloor: city run owns Extract.Keep (seam deduplication)")
-	}
-	if err := cfg.Economics.Validate(); err != nil {
-		return nil, err
 	}
 	tileCells := cfg.TileCells
 	if tileCells <= 0 {
@@ -370,11 +355,7 @@ func RunCity(cfg CityConfig) (*CityResult, error) {
 // options: the shadow reach in cells, rounded up. Everything a cell's
 // ray march can sample then lies inside its own window.
 func (cfg CityConfig) defaultHalo(cellSize float64) int {
-	var hopts horizon.Options
-	if cfg.Fidelity != Full {
-		hopts = scenario.FastHorizonOptions()
-	}
-	reach := hopts.Resolved(cellSize).MaxDistanceM
+	reach := cfg.Fidelity.horizonOptions().Resolved(cellSize).MaxDistanceM
 	return int(math.Ceil(reach / cellSize))
 }
 
@@ -481,28 +462,20 @@ func (cfg CityConfig) runTileAttempt(ctx context.Context, t int, core, window, b
 	}
 
 	origin := window.Anchor()
-	extract := cfg.Extract
-	extract.SeamEdges = district.Edges{
+	dc := cfg.TileConfig()
+	dc.Tile, dc.NoData, dc.Context = win, mask, ctx
+	dc.Extract.SeamEdges = district.Edges{
 		Left: window.X0 > bounds.X0, Top: window.Y0 > bounds.Y0,
 		Right: window.X1 < bounds.X1, Bottom: window.Y1 < bounds.Y1,
 	}
-	extract.Keep = func(_ geom.Rect, cells []geom.Cell) bool {
+	dc.Extract.Keep = func(_ geom.Rect, cells []geom.Cell) bool {
 		return centroidOwned(cells, origin, core)
 	}
-
-	res, err := RunDistrict(DistrictConfig{
-		Tile: win, NoData: mask,
-		Extract: extract, Site: cfg.Site,
-		Modules: cfg.Modules, MaxModules: cfg.MaxModules,
-		Fidelity:  cfg.Fidelity,
-		Optimizer: cfg.Optimizer, SkipBaseline: cfg.SkipBaseline,
-		Cache: cfg.Cache, Concurrency: cfg.Concurrency, FieldWorkers: cfg.FieldWorkers,
-		Context: ctx,
-		Progress: func(ev DistrictEvent) {
-			ev.Roof.Rect = offsetRect(ev.Roof.Rect, origin)
-			emit(ev)
-		},
-	})
+	dc.Progress = func(ev DistrictEvent) {
+		ev.Roof.Rect = offsetRect(ev.Roof.Rect, origin)
+		emit(ev)
+	}
+	res, err := RunDistrict(dc)
 	if err != nil {
 		return nil, err
 	}
@@ -511,6 +484,20 @@ func (cfg CityConfig) runTileAttempt(ctx context.Context, t int, core, window, b
 	out.info.GroundZ = res.Extraction.GroundZ
 	out.info.Roofs = len(res.Extraction.Roofs)
 	return out, nil
+}
+
+// TileConfig returns the district config every work tile runs with:
+// the ten sweep knobs the two configs share, copied. Tile, NoData,
+// Economics, Context and Progress stay unset — RunCity wires them per
+// tile and prices the stitched city, never a tile. A district front
+// end can start from it too: a district is a one-window city.
+func (cfg CityConfig) TileConfig() DistrictConfig {
+	return DistrictConfig{
+		Extract: cfg.Extract, Site: cfg.Site,
+		Modules: cfg.Modules, MaxModules: cfg.MaxModules,
+		Fidelity: cfg.Fidelity, Optimizer: cfg.Optimizer, SkipBaseline: cfg.SkipBaseline,
+		Cache: cfg.Cache, Concurrency: cfg.Concurrency, FieldWorkers: cfg.FieldWorkers,
+	}
 }
 
 // centroidOwned reports whether the footprint's centroid lies inside
@@ -583,7 +570,7 @@ func stitchCity(cfg CityConfig, bounds geom.Rect, cellSize float64, tileCells, h
 				index[key] = g
 				groups = append(groups, g)
 			}
-			if f := firstFootprintCell(rp.Roof); cellBefore(f, g.first) {
+			if f := firstFootprintCell(rp.Roof); compareCells(f, g.first) < 0 {
 				g.first = f
 			}
 			g.members = append(g.members, CityPlan{RoofPlan: rp, Tile: out.info.Index})
@@ -596,10 +583,10 @@ func stitchCity(cfg CityConfig, bounds geom.Rect, cellSize float64, tileCells, h
 			cr.Dropped = append(cr.Dropped, d)
 		}
 	}
-	sort.SliceStable(groups, func(a, b int) bool { return cellBefore(groups[a].first, groups[b].first) })
+	slices.SortStableFunc(groups, func(a, b *group) int { return compareCells(a.first, b.first) })
 	for gi, g := range groups {
-		sort.SliceStable(g.members, func(a, b int) bool {
-			return g.members[a].Roof.Segment < g.members[b].Roof.Segment
+		slices.SortStableFunc(g.members, func(a, b CityPlan) int {
+			return cmp.Compare(a.Roof.Segment, b.Roof.Segment)
 		})
 		for _, m := range g.members {
 			m.Roof.Building = gi + 1
@@ -607,69 +594,29 @@ func stitchCity(cfg CityConfig, bounds geom.Rect, cellSize float64, tileCells, h
 			cr.Plans = append(cr.Plans, m)
 		}
 	}
-	sort.SliceStable(cr.Dropped, func(a, b int) bool {
-		ra, rb := cr.Dropped[a].Rect, cr.Dropped[b].Rect
-		if ra.Y0 != rb.Y0 {
-			return ra.Y0 < rb.Y0
-		}
-		if ra.X0 != rb.X0 {
-			return ra.X0 < rb.X0
-		}
-		return cr.Dropped[a].Reason < cr.Dropped[b].Reason
+	slices.SortStableFunc(cr.Dropped, func(a, b district.Dropped) int {
+		return cmp.Or(cmp.Compare(a.Rect.Y0, b.Rect.Y0), cmp.Compare(a.Rect.X0, b.Rect.X0),
+			cmp.Compare(a.Reason, b.Reason))
 	})
 
-	// Totals and ranking read the flattened Outcome so live and
+	// The fleet pass reads the flattened Outcome, so live and
 	// checkpoint-restored plans stitch identically.
-	net := make([]float64, len(cr.Plans))
-	for i := range cr.Plans {
-		cp := &cr.Plans[i]
-		o := cp.Outcome()
-		if !o.Planned {
-			continue
-		}
-		net[i] = o.ProposedMWh
-		cr.Ranked = append(cr.Ranked, i)
-		cr.TotalProposedMWh += o.ProposedMWh
-		cr.TotalTraditionalMWh += o.TraditionalMWh
-		cr.TotalWiringExtraM += o.WiringExtraM
-	}
-	sort.SliceStable(cr.Ranked, func(a, b int) bool {
-		ea, eb := net[cr.Ranked[a]], net[cr.Ranked[b]]
-		if ea != eb {
-			return ea > eb
-		}
-		return cr.Ranked[a] < cr.Ranked[b]
-	})
-	if cfg.Economics.Enabled {
-		if err := cr.applyEconomics(cfg.Economics); err != nil {
-			return nil, err
-		}
+	var err error
+	if cr.Fleet, err = rankFleet(cr.roofPlans(), cfg.Economics); err != nil {
+		return nil, err
 	}
 	return cr, nil
 }
 
-func cellBefore(a, b geom.Cell) bool {
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	return a.X < b.X
+// compareCells orders cells row-major.
+func compareCells(a, b geom.Cell) int {
+	return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
 }
 
 // CityTable renders the ranked city report: the district table's
 // format with tile provenance, plus per-tile and aggregate totals.
 func CityTable(cr *CityResult) string {
-	dr := &DistrictResult{
-		Plans:               make([]RoofPlan, len(cr.Plans)),
-		Ranked:              cr.Ranked,
-		TotalProposedMWh:    cr.TotalProposedMWh,
-		TotalTraditionalMWh: cr.TotalTraditionalMWh,
-		TotalWiringExtraM:   cr.TotalWiringExtraM,
-		Econ:                cr.Econ,
-	}
-	for i, cp := range cr.Plans {
-		dr.Plans[i] = cp.RoofPlan
-	}
-	out := DistrictTable(dr)
+	out := fleetTable(cr.roofPlans(), &cr.Fleet)
 	ran, failed := 0, 0
 	for _, ti := range cr.Tiles {
 		switch {

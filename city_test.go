@@ -238,13 +238,7 @@ func TestRunCityWarmCache(t *testing.T) {
 		t.Errorf("warm city run: %d hits / %d misses / %d stores on the shared handle, want %d / 0 / 0",
 			hits, misses, stores, coldM.Stores)
 	}
-	requireCityMatchesDistrict(t, warm, &DistrictResult{
-		Plans:               plansOf(cold),
-		Ranked:              cold.Ranked,
-		TotalProposedMWh:    cold.TotalProposedMWh,
-		TotalTraditionalMWh: cold.TotalTraditionalMWh,
-		TotalWiringExtraM:   cold.TotalWiringExtraM,
-	})
+	requireCityMatchesDistrict(t, warm, &DistrictResult{Plans: plansOf(cold), Fleet: cold.Fleet})
 }
 
 func plansOf(cr *CityResult) []RoofPlan {

@@ -41,7 +41,7 @@ func main() {
 	log.SetPrefix("pvbatch: ")
 	roofs := flag.String("roofs", "all", "comma list of scenarios: all, 1, 2, 3, residential")
 	counts := flag.String("n", "16,32", "comma list of module counts (multiples of 8)")
-	full := flag.Bool("full", false, "full fidelity (15-minute full year) — minutes per roof")
+	full := flag.Bool("full", false, "full fidelity (15-minute full year) — about ten times Fast's cost, seconds per roof")
 	runs := flag.Int("runs", 0, "concurrent runs (0 = one per CPU)")
 	workers := flag.Int("workers", 0, "solar-field workers per shared field (0 = one per CPU, 1 = serial)")
 	noBaseline := flag.Bool("nobaseline", false, "skip the compact baseline placement")

@@ -68,7 +68,7 @@ func main() {
 	tilePath := flag.String("tile", "", "ESRI ASCII grid DSM tile to sweep")
 	demo := flag.Bool("demo", false, "use the built-in synthetic neighborhood tile instead of -tile")
 	asJSON := flag.Bool("json", false, "emit the district report as JSON")
-	full := flag.Bool("full", false, "full fidelity (15-minute full year) — minutes per roof")
+	full := flag.Bool("full", false, "full fidelity (15-minute full year) — about ten times Fast's cost, seconds per roof")
 	modules := flag.Int("n", 0, "fixed module count per roof (0 = auto-size from each roof's area)")
 	maxModules := flag.Int("maxn", 32, "auto-size cap on modules per roof")
 	optName := flag.String("opt", "greedy", "optimizer strategy: greedy, multistart, bnb")
@@ -118,49 +118,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *city {
-		runCity(cityFlags{
-			tilePath: *tilePath, demo: *demo, asJSON: *asJSON,
-			tileSize: *tileSize, halo: *halo, memBudgetMiB: *memBudget, tileWorkers: *tileWorkers,
-			checkpoint: *checkpoint,
-			cfg: pvfloor.CityConfig{
-				TileRetries: *tileRetries,
-				TileTimeout: *tileTimeout,
-				Backoff:     *retryBackoff,
-				Extract: district.Options{
-					MinHeightM:          *minHeight,
-					MinAreaCells:        *minArea,
-					MinRectangularity:   *minRect,
-					MaxFitRMSM:          *maxRMS,
-					KeepBorder:          *keepBorder,
-					MaxRoofs:            *maxRoofs,
-					SuitableMarginCells: *margin,
-				},
-				Modules:      *modules,
-				MaxModules:   *maxModules,
-				Fidelity:     fid,
-				SkipBaseline: *noBaseline,
-				Economics:    econCfg,
-				Cache:        cache,
-				Concurrency:  *runs,
-				FieldWorkers: *workers,
-				Optimizer: pvfloor.OptimizerConfig{
-					Strategy: strat,
-					Seed:     *seed,
-					Restarts: *restarts,
-				},
-			},
-		})
-		return
-	}
-
-	tile, nodata, err := loadTile(*tilePath, *demo)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := pvfloor.DistrictConfig{
-		Tile:   tile,
-		NoData: nodata,
+	// One config carries the sweep knobs; a district run takes them
+	// through TileConfig, a city run as they are.
+	sweep := pvfloor.CityConfig{
 		Extract: district.Options{
 			MinHeightM:          *minHeight,
 			MinAreaCells:        *minArea,
@@ -184,6 +144,25 @@ func main() {
 			Restarts: *restarts,
 		},
 	}
+	if *city {
+		sweep.TileRetries = *tileRetries
+		sweep.TileTimeout = *tileTimeout
+		sweep.Backoff = *retryBackoff
+		runCity(cityFlags{
+			tilePath: *tilePath, demo: *demo, asJSON: *asJSON,
+			tileSize: *tileSize, halo: *halo, memBudgetMiB: *memBudget, tileWorkers: *tileWorkers,
+			checkpoint: *checkpoint,
+			cfg:        sweep,
+		})
+		return
+	}
+
+	tile, nodata, err := loadTile(*tilePath, *demo)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := sweep.TileConfig()
+	cfg.Tile, cfg.NoData, cfg.Economics = tile, nodata, sweep.Economics
 
 	start := time.Now()
 	res, err := pvfloor.RunDistrict(cfg)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/district"
@@ -12,10 +11,8 @@ import (
 	"repro/internal/fieldcache"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
-	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/solar/field"
-	"repro/internal/solar/horizon"
 )
 
 // DistrictConfig parameterises one whole-tile district run: automatic
@@ -188,28 +185,17 @@ type DistrictResult struct {
 	Extraction *district.Extraction
 	// Plans holds one entry per extracted roof, in roof-ID order.
 	Plans []RoofPlan
-	// Ranked indexes Plans best-first: successfully planned roofs by
-	// descending proposed net energy, ties by roof ID. With the
-	// economics pass enabled, the order follows EconConfig.RankBy and
-	// a budget restricts it to the admitted subset.
-	Ranked []int
-	// TotalProposedMWh / TotalTraditionalMWh / TotalWiringExtraM sum
-	// over the successfully planned roofs (the admitted subset when a
-	// budget cap is configured).
-	TotalProposedMWh    float64
-	TotalTraditionalMWh float64
-	TotalWiringExtraM   float64
-	// Econ summarises the economics pass (nil when disabled).
-	Econ *FleetEcon
+	// Fleet ranks and totals Plans.
+	Fleet
 }
 
-// DistrictGainPct returns the aggregate net-energy gain of the
-// proposed placements over the traditional baselines, in percent.
-func (dr *DistrictResult) DistrictGainPct() float64 {
-	if dr.TotalTraditionalMWh == 0 {
-		return 0
+// roofPlans returns a pointer to every plan, in Plans order.
+func (dr *DistrictResult) roofPlans() []*RoofPlan {
+	plans := make([]*RoofPlan, len(dr.Plans))
+	for i := range dr.Plans {
+		plans[i] = &dr.Plans[i]
 	}
-	return (dr.TotalProposedMWh - dr.TotalTraditionalMWh) / dr.TotalTraditionalMWh * 100
+	return plans
 }
 
 // RunDistrict executes the district pipeline: extract every roof from
@@ -227,15 +213,7 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 	if cfg.Tile == nil {
 		return nil, fmt.Errorf("pvfloor: district run without a tile")
 	}
-	if cfg.Modules == 0 && cfg.MaxModules != 0 && cfg.MaxModules < 8 {
-		return nil, fmt.Errorf("pvfloor: district MaxModules %d below one 8-module string (use 0 for the default)",
-			cfg.MaxModules)
-	}
-	if cfg.Modules != 0 && (cfg.Modules < 8 || cfg.Modules%8 != 0) {
-		return nil, fmt.Errorf("pvfloor: district Modules %d not a positive multiple of 8 (use 0 to auto-size)",
-			cfg.Modules)
-	}
-	if err := cfg.Economics.Validate(); err != nil {
+	if err := validateSweep(cfg.Modules, cfg.MaxModules, cfg.Economics); err != nil {
 		return nil, err
 	}
 	ctx := cfg.Context
@@ -260,15 +238,11 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 	// tile artifact when the cache is enabled, so a warm district run
 	// restores a single entry instead of one map per roof.
 	if len(ex.Roofs) > 0 {
-		var hopts horizon.Options
-		if cfg.Fidelity != Full {
-			hopts = scenario.FastHorizonOptions()
-		}
 		rects := make([]geom.Rect, len(ex.Roofs))
 		for i := range ex.Roofs {
 			rects[i] = ex.Roofs[i].Rect
 		}
-		tileH, _, err := field.TileHorizon(cfg.Tile, rects, hopts, cfg.FieldWorkers, cfg.Cache)
+		tileH, _, err := field.TileHorizon(cfg.Tile, rects, cfg.Fidelity.horizonOptions(), cfg.FieldWorkers, cfg.Cache)
 		if err != nil {
 			return nil, err
 		}
@@ -363,29 +337,9 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 		}
 	}
 
-	// Rank and aggregate.
-	for i := range res.Plans {
-		rp := &res.Plans[i]
-		if !rp.Planned() {
-			continue
-		}
-		res.Ranked = append(res.Ranked, i)
-		res.TotalProposedMWh += rp.Run.Result.ProposedEval.NetMWh()
-		res.TotalTraditionalMWh += rp.Run.Result.TraditionalEval.NetMWh()
-		res.TotalWiringExtraM += rp.Run.Result.ProposedEval.WiringExtraM
-	}
-	sort.SliceStable(res.Ranked, func(a, b int) bool {
-		ea := res.Plans[res.Ranked[a]].Run.Result.ProposedEval.NetMWh()
-		eb := res.Plans[res.Ranked[b]].Run.Result.ProposedEval.NetMWh()
-		if ea != eb {
-			return ea > eb
-		}
-		return res.Ranked[a] < res.Ranked[b]
-	})
-	if cfg.Economics.Enabled {
-		if err := res.applyEconomics(cfg.Economics); err != nil {
-			return nil, err
-		}
+	res.Fleet, err = rankFleet(res.roofPlans(), cfg.Economics)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -398,12 +352,7 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 // replaces rp.Run.
 func (cfg DistrictConfig) retryShrinking(rp *RoofPlan) {
 	start := time.Now()
-	ev, err := rp.Scenario.FieldWith(scenario.FieldConfig{
-		Grid:    cfg.roofConfig(rp.Scenario, rp.Modules).effectiveGrid(),
-		Fast:    cfg.Fidelity != Full,
-		Workers: cfg.FieldWorkers,
-		Cache:   cfg.Cache,
-	})
+	ev, err := rp.Scenario.FieldWith(cfg.roofConfig(rp.Scenario, rp.Modules).fieldConfig(cfg.FieldWorkers))
 	if err != nil {
 		rp.Run.Err = fmt.Errorf("pvfloor: district retry (%s): field: %w", rp.Run.Name, err)
 		rp.Run.Elapsed += time.Since(start)
@@ -413,7 +362,7 @@ func (cfg DistrictConfig) retryShrinking(rp *RoofPlan) {
 		rp.Modules -= 8
 		c := cfg.roofConfig(rp.Scenario, rp.Modules)
 		result, err := RunWithField(c, ev)
-		rp.Run.Name = batchName(c)
+		rp.Run.Name = c.Name()
 		rp.Run.Config = c
 		rp.Run.Result = result
 		rp.Run.Err = err
@@ -468,58 +417,5 @@ func autoModules(sc *scenario.Scenario, maxModules int) int {
 // plus aggregate totals — the district-scale analogue of the paper's
 // Table I.
 func DistrictTable(res *DistrictResult) string {
-	tbl := report.NewTable("Rank", "Roof", "Bldg", "WxL", "Suit", "Slope", "Aspect", "N",
-		"Trad MWh", "Prop MWh", "Gain%", "Wire m")
-	addRow := func(rank string, rp *RoofPlan) {
-		name := fmt.Sprintf("roof%02d", rp.Roof.ID)
-		// Segmented buildings read "1.2" (building 1, plane 2) so the
-		// two halves of a gable are recognisably one house.
-		bldg := fmt.Sprint(rp.Roof.Building)
-		if rp.Roof.Segment > 0 {
-			bldg = fmt.Sprintf("%d.%d", rp.Roof.Building, rp.Roof.Segment)
-		}
-		dims := fmt.Sprintf("%dx%d", rp.Roof.Rect.W(), rp.Roof.Rect.H())
-		slope := fmt.Sprintf("%.1f", rp.Roof.Plane.SlopeDeg)
-		aspect := fmt.Sprintf("%.0f", rp.Roof.Plane.AspectDeg)
-		o := rp.Outcome()
-		if o.Planned {
-			tbl.AddRow(rank, name, bldg, dims, fmt.Sprint(rp.Roof.Suitable.Count()), slope, aspect,
-				fmt.Sprint(rp.Modules),
-				fmt.Sprintf("%.3f", o.TraditionalMWh),
-				fmt.Sprintf("%.3f", o.ProposedMWh),
-				fmt.Sprintf("%+.2f", o.GainPct),
-				fmt.Sprintf("%.1f", o.WiringExtraM))
-			return
-		}
-		why := rp.Skipped
-		if why == "" && o.RunErr != "" {
-			why = "failed: " + o.RunErr
-		}
-		tbl.AddRow(rank, name, bldg, dims, fmt.Sprint(rp.Roof.Suitable.Count()), slope, aspect,
-			"-", why)
-	}
-	for rank, pi := range res.Ranked {
-		addRow(fmt.Sprint(rank+1), &res.Plans[pi])
-	}
-	ranked := make(map[int]bool, len(res.Ranked))
-	for _, pi := range res.Ranked {
-		ranked[pi] = true
-	}
-	for i := range res.Plans {
-		if !ranked[i] {
-			addRow("-", &res.Plans[i])
-		}
-	}
-	out := tbl.String()
-	out += fmt.Sprintf("\nDistrict totals: %d/%d roofs planned, traditional %.3f MWh, proposed %.3f MWh (%+.2f%%), extra wiring %.1f m\n",
-		len(res.Ranked), len(res.Plans), res.TotalTraditionalMWh, res.TotalProposedMWh,
-		res.DistrictGainPct(), res.TotalWiringExtraM)
-	if res.Econ != nil {
-		plans := make([]*RoofPlan, len(res.Plans))
-		for i := range res.Plans {
-			plans[i] = &res.Plans[i]
-		}
-		out += econTable(plans, res.Ranked, res.Econ)
-	}
-	return out
+	return fleetTable(res.roofPlans(), &res.Fleet)
 }

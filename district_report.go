@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/district"
 	"repro/internal/geom"
 	"repro/internal/solar/field"
 )
@@ -123,55 +124,70 @@ func NewDistrictReport(res *DistrictResult) DistrictReport {
 	out := DistrictReport{
 		GroundZ:   res.Extraction.GroundZ,
 		CellSizeM: res.Extraction.CellSizeM,
-		Totals: TotalsReport{
-			RoofsExtracted:  len(res.Plans),
-			RoofsPlanned:    len(res.Ranked),
-			ProposedMWh:     res.TotalProposedMWh,
-			TraditionalMWh:  res.TotalTraditionalMWh,
-			DistrictGainPct: res.DistrictGainPct(),
-			WiringExtraM:    res.TotalWiringExtraM,
-			Econ:            NewEconTotalsReport(res.Econ),
-		},
+		Dropped:   newDroppedReports(res.Extraction.Dropped),
+		Totals:    res.totalsReport(len(res.Plans)),
 	}
-	rank := make(map[int]int, len(res.Ranked))
-	for i, pi := range res.Ranked {
-		rank[pi] = i + 1
-	}
+	rank := res.ranks()
 	for i := range res.Plans {
-		rp := &res.Plans[i]
-		rj := RoofReport{
-			ID:            rp.Roof.ID,
-			Building:      rp.Roof.Building,
-			Segment:       rp.Roof.Segment,
-			Rect:          NewRectReport(rp.Roof.Rect),
-			Cells:         rp.Roof.Cells,
-			SuitableCells: rp.Roof.Suitable.Count(),
-			SlopeDeg:      rp.Roof.Plane.SlopeDeg,
-			AspectDeg:     rp.Roof.Plane.AspectDeg,
-			FitRMSM:       rp.Roof.FitRMSM,
-			MeanHeightM:   rp.Roof.MeanHeightM,
-			Rank:          rank[i],
-			Skipped:       rp.Skipped,
-		}
-		if o := rp.Outcome(); o.Planned {
-			gain := o.GainPct
-			rj.Modules = rp.Modules
-			rj.ProposedMWh = o.ProposedMWh
-			rj.TraditionalMWh = o.TraditionalMWh
-			rj.GainPct = &gain
-			rj.WiringExtraM = o.WiringExtraM
-			rj.Econ = rp.Econ
-		} else if o.RunErr != "" {
-			rj.Error = o.RunErr
-		}
-		out.Roofs = append(out.Roofs, rj)
+		out.Roofs = append(out.Roofs, newRoofReport(&res.Plans[i], rank[i]))
 	}
-	for _, d := range res.Extraction.Dropped {
-		out.Dropped = append(out.Dropped, DroppedReport{
+	return out
+}
+
+// newRoofReport flattens one roof plan into its report row.
+func newRoofReport(rp *RoofPlan, rank int) RoofReport {
+	rj := RoofReport{
+		ID:            rp.Roof.ID,
+		Building:      rp.Roof.Building,
+		Segment:       rp.Roof.Segment,
+		Rect:          NewRectReport(rp.Roof.Rect),
+		Cells:         rp.Roof.Cells,
+		SuitableCells: rp.Roof.Suitable.Count(),
+		SlopeDeg:      rp.Roof.Plane.SlopeDeg,
+		AspectDeg:     rp.Roof.Plane.AspectDeg,
+		FitRMSM:       rp.Roof.FitRMSM,
+		MeanHeightM:   rp.Roof.MeanHeightM,
+		Rank:          rank,
+		Skipped:       rp.Skipped,
+	}
+	if o := rp.Outcome(); o.Planned {
+		gain := o.GainPct
+		rj.Modules = rp.Modules
+		rj.ProposedMWh = o.ProposedMWh
+		rj.TraditionalMWh = o.TraditionalMWh
+		rj.GainPct = &gain
+		rj.WiringExtraM = o.WiringExtraM
+		rj.Econ = rp.Econ
+	} else if o.RunErr != "" {
+		rj.Error = o.RunErr
+	}
+	return rj
+}
+
+// newDroppedReports converts rejected candidate regions (nil for
+// none).
+func newDroppedReports(dropped []district.Dropped) []DroppedReport {
+	var out []DroppedReport
+	for _, d := range dropped {
+		out = append(out, DroppedReport{
 			Rect: NewRectReport(d.Rect), Cells: d.Cells, Reason: string(d.Reason),
 		})
 	}
 	return out
+}
+
+// totalsReport summarises the fleet of a run that extracted roofs
+// roofs.
+func (f *Fleet) totalsReport(roofs int) TotalsReport {
+	return TotalsReport{
+		RoofsExtracted:  roofs,
+		RoofsPlanned:    len(f.Ranked),
+		ProposedMWh:     f.TotalProposedMWh,
+		TraditionalMWh:  f.TotalTraditionalMWh,
+		DistrictGainPct: f.GainPct(),
+		WiringExtraM:    f.TotalWiringExtraM,
+		Econ:            NewEconTotalsReport(f.Econ),
+	}
 }
 
 // CityTileReport summarises one work tile of a city report.
@@ -223,15 +239,8 @@ func NewCityReport(cr *CityResult) CityReport {
 		CellSizeM: cr.CellSizeM,
 		TileCells: cr.TileCells,
 		HaloCells: cr.HaloCells,
-		Totals: TotalsReport{
-			RoofsExtracted:  len(cr.Plans),
-			RoofsPlanned:    len(cr.Ranked),
-			ProposedMWh:     cr.TotalProposedMWh,
-			TraditionalMWh:  cr.TotalTraditionalMWh,
-			DistrictGainPct: cr.CityGainPct(),
-			WiringExtraM:    cr.TotalWiringExtraM,
-			Econ:            NewEconTotalsReport(cr.Econ),
-		},
+		Dropped:   newDroppedReports(cr.Dropped),
+		Totals:    cr.totalsReport(len(cr.Plans)),
 	}
 	for _, ti := range cr.Tiles {
 		tr := CityTileReport{
@@ -247,43 +256,10 @@ func NewCityReport(cr *CityResult) CityReport {
 		}
 		out.Tiles = append(out.Tiles, tr)
 	}
-	rank := make(map[int]int, len(cr.Ranked))
-	for i, pi := range cr.Ranked {
-		rank[pi] = i + 1
-	}
+	rank := cr.ranks()
 	for i := range cr.Plans {
 		cp := &cr.Plans[i]
-		rj := RoofReport{
-			ID:            cp.Roof.ID,
-			Building:      cp.Roof.Building,
-			Segment:       cp.Roof.Segment,
-			Rect:          NewRectReport(cp.Roof.Rect),
-			Cells:         cp.Roof.Cells,
-			SuitableCells: cp.Roof.Suitable.Count(),
-			SlopeDeg:      cp.Roof.Plane.SlopeDeg,
-			AspectDeg:     cp.Roof.Plane.AspectDeg,
-			FitRMSM:       cp.Roof.FitRMSM,
-			MeanHeightM:   cp.Roof.MeanHeightM,
-			Rank:          rank[i],
-			Skipped:       cp.Skipped,
-		}
-		if o := cp.Outcome(); o.Planned {
-			gain := o.GainPct
-			rj.Modules = cp.Modules
-			rj.ProposedMWh = o.ProposedMWh
-			rj.TraditionalMWh = o.TraditionalMWh
-			rj.GainPct = &gain
-			rj.WiringExtraM = o.WiringExtraM
-			rj.Econ = cp.Econ
-		} else if o.RunErr != "" {
-			rj.Error = o.RunErr
-		}
-		out.Roofs = append(out.Roofs, CityRoofReport{RoofReport: rj, Tile: cp.Tile})
-	}
-	for _, d := range cr.Dropped {
-		out.Dropped = append(out.Dropped, DroppedReport{
-			Rect: NewRectReport(d.Rect), Cells: d.Cells, Reason: string(d.Reason),
-		})
+		out.Roofs = append(out.Roofs, CityRoofReport{RoofReport: newRoofReport(&cp.RoofPlan, rank[i]), Tile: cp.Tile})
 	}
 	return out
 }

@@ -326,10 +326,10 @@ func TestDistrictReportEconSurfaces(t *testing.T) {
 	}
 }
 
-// TestApplyEconomicsIdempotent pins the contract assessFleet documents:
-// re-running the economics pass over the same plans reproduces the
-// same report, and re-pricing at another budget leaves no trace once
-// the original budget is applied again.
+// TestApplyEconomicsIdempotent pins the contract rankFleet documents:
+// re-running the fleet pass with economics over the same plans
+// reproduces the same report, and re-pricing at another budget leaves
+// no trace once the original budget is applied again.
 func TestApplyEconomicsIdempotent(t *testing.T) {
 	res, err := RunDistrict(DistrictConfig{Tile: district.SyntheticNeighborhood()})
 	if err != nil {
@@ -337,7 +337,8 @@ func TestApplyEconomicsIdempotent(t *testing.T) {
 	}
 	report := func(ec EconConfig) []byte {
 		t.Helper()
-		if err := res.applyEconomics(ec); err != nil {
+		var err error
+		if res.Fleet, err = rankFleet(res.roofPlans(), ec); err != nil {
 			t.Fatal(err)
 		}
 		out, err := json.Marshal(NewDistrictReport(res))

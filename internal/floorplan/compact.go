@@ -1,8 +1,9 @@
 package floorplan
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -221,15 +222,11 @@ func fillShortfall(slots []geom.Cell, suit *Suitability, mask *geom.Mask, opts O
 
 	cands := scoreCandidates(suit, avail, opts)
 	// Prefer proximity to the block, then score.
-	sort.SliceStable(cands, func(i, j int) bool {
-		xi, yi := opts.Shape.Rect(cands[i].anchor).Center()
-		xj, yj := opts.Shape.Rect(cands[j].anchor).Center()
-		di := math.Hypot(xi-cx, yi-cy)
-		dj := math.Hypot(xj-cx, yj-cy)
-		if di != dj {
-			return di < dj
-		}
-		return cands[i].score > cands[j].score
+	slices.SortStableFunc(cands, func(a, b candidate) int {
+		xa, ya := opts.Shape.Rect(a.anchor).Center()
+		xb, yb := opts.Shape.Rect(b.anchor).Center()
+		return cmp.Or(cmp.Compare(math.Hypot(xa-cx, ya-cy), math.Hypot(xb-cx, yb-cy)),
+			cmp.Compare(b.score, a.score))
 	})
 	filled := append([]geom.Cell{}, slots...)
 	for _, cd := range cands {
@@ -247,11 +244,8 @@ func fillShortfall(slots []geom.Cell, suit *Suitability, mask *geom.Mask, opts O
 		return nil, &ErrNoSpace{Placed: len(filled), Wanted: n}
 	}
 	// Re-sort row-major so series strings stay spatially coherent.
-	sort.Slice(filled, func(i, j int) bool {
-		if filled[i].Y != filled[j].Y {
-			return filled[i].Y < filled[j].Y
-		}
-		return filled[i].X < filled[j].X
+	slices.SortFunc(filled, func(a, b geom.Cell) int {
+		return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
 	})
 	return placementFromSlots(filled, suit, opts, nil)
 }

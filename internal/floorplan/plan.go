@@ -1,9 +1,10 @@
 package floorplan
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/panel"
@@ -228,17 +229,10 @@ func scoreCandidates(suit *Suitability, mask *geom.Mask, opts Options) []candida
 			}
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		if cands[i].anchor.Y != cands[j].anchor.Y {
-			return cands[i].anchor.Y < cands[j].anchor.Y
-		}
-		if cands[i].anchor.X != cands[j].anchor.X {
-			return cands[i].anchor.X < cands[j].anchor.X
-		}
-		return cands[i].shape.W > cands[j].shape.W // stable: landscape first
+	slices.SortStableFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(b.score, a.score),
+			cmp.Compare(a.anchor.Y, b.anchor.Y), cmp.Compare(a.anchor.X, b.anchor.X),
+			cmp.Compare(b.shape.W, a.shape.W)) // stable: landscape first
 	})
 	return cands
 }

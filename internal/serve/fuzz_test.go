@@ -71,7 +71,7 @@ func FuzzRequestConfig(f *testing.F) {
 		var dr DistrictRequest
 		if decodeStrict(data, &dr) == nil {
 			_ = dr.validateTileChoice()
-			if cfg, err := s.districtConfig(dr, nil, nil); err == nil {
+			if cfg, err := s.districtConfig(dr); err == nil {
 				checkModules(t, "district", cfg.Modules, true)
 				checkOptimizer(t, "district", cfg.Optimizer)
 			}

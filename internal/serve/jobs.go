@@ -87,7 +87,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// request fails the submit, not the background run. A tile_ref is
 	// resolved too: a ref the store has never seen should 404 here,
 	// not fail a job hours later.
-	if err := s.validateTile(req.City.DistrictRequest); err != nil {
+	if _, err := s.cityRun(*req.City); err != nil {
 		writeTileError(w, err)
 		return
 	}
@@ -96,10 +96,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			writeTileError(w, err)
 			return
 		}
-	}
-	if _, err := s.cityConfig(*req.City); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
 	}
 	raw, err := json.Marshal(req)
 	if err != nil {
@@ -227,11 +223,7 @@ func (s *Server) runJob(j *jobs.Job) {
 	// A stored request may come from an earlier server: one naming an
 	// inline tile_asc grid (no longer decoded) has no tile left, and a
 	// tile_ref needs a tile store this process may lack.
-	if err := s.validateTile(req.City.DistrictRequest); err != nil {
-		fail(err)
-		return
-	}
-	cfg, err := s.cityConfig(*req.City)
+	cfg, err := s.cityRun(*req.City)
 	if err != nil {
 		fail(err)
 		return
@@ -239,15 +231,12 @@ func (s *Server) runJob(j *jobs.Job) {
 	// A tile_ref job re-opens the uploaded tile through the windowed
 	// reader — the manifest persists only the ref, so a resumed job on
 	// a restarted process rebuilds its source from the tile store.
-	src, closeSrc, err := s.citySource(req.City.DistrictRequest)
+	closeSrc, err := s.openCitySource(&cfg, req.City.DistrictRequest)
 	if err != nil {
 		fail(err)
 		return
 	}
-	if closeSrc != nil {
-		defer closeSrc.Close()
-	}
-	cfg.Source = src
+	defer closeSrc()
 	ck, err := pvfloor.NewDirCheckpoint(filepath.Join(j.Dir(), "tiles"))
 	if err != nil {
 		fail(err)

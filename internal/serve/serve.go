@@ -44,7 +44,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sync"
@@ -344,7 +343,7 @@ func (s *Server) handleDistrict(w http.ResponseWriter, r *http.Request) {
 		writeTileError(w, err)
 		return
 	}
-	cfg, err := s.districtConfig(req, nil, nil)
+	cfg, err := s.districtConfig(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -384,19 +383,15 @@ func (s *Server) handleDistrict(w http.ResponseWriter, r *http.Request) {
 // tile provenance in city coordinates, then a final deterministic
 // "result" event embedding the shared pvfloor.CityReport. A tile_ref
 // city is read through the windowed reader over the stored upload
-// (see citySource), so its memory stays O(window).
+// (see openCitySource), so its memory stays O(window).
 func (s *Server) handleCity(w http.ResponseWriter, r *http.Request) {
 	var req CityRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if err := s.validateTile(req.DistrictRequest); err != nil {
-		writeTileError(w, err)
-		return
-	}
-	cfg, err := s.cityConfig(req)
+	cfg, err := s.cityRun(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeTileError(w, err)
 		return
 	}
 	release, err := s.pool.acquire(r.Context())
@@ -405,15 +400,12 @@ func (s *Server) handleCity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	src, closeSrc, err := s.citySource(req.DistrictRequest)
+	closeSrc, err := s.openCitySource(&cfg, req.DistrictRequest)
 	if err != nil {
 		writeTileError(w, err)
 		return
 	}
-	if closeSrc != nil {
-		defer closeSrc.Close()
-	}
-	cfg.Source = src
+	defer closeSrc()
 
 	stream := newStream(w)
 	start := time.Now()
@@ -544,23 +536,35 @@ func (s *Server) tile(dr DistrictRequest) (*dsm.Raster, *geom.Mask, error) {
 	return tile, nodata, nil
 }
 
-// citySource materialises the request's DSM as a CitySource for the
-// tiled pipeline. The demo tile wraps its in-memory raster and has no
-// closer. A tile_ref request is served through gis.OpenWindowed over
-// the stored (gzipped) upload — the true out-of-core path, O(window)
-// memory however large the upload — and the returned closer releases
-// the reader when the run finishes.
-func (s *Server) citySource(dr DistrictRequest) (pvfloor.CitySource, io.Closer, error) {
+// cityRun validates a city request without materialising its tile:
+// the tile choice, then every field. handleCity and the job runner
+// both start here, wait for their run slot, then openCitySource.
+func (s *Server) cityRun(req CityRequest) (pvfloor.CityConfig, error) {
+	if err := s.validateTile(req.DistrictRequest); err != nil {
+		return pvfloor.CityConfig{}, err
+	}
+	return s.cityConfig(req)
+}
+
+// openCitySource materialises the request's DSM as cfg.Source for the
+// tiled pipeline. The demo tile wraps its in-memory raster. A tile_ref
+// request is served through gis.OpenWindowed over the stored
+// (gzipped) upload — the true out-of-core path, O(window) memory
+// however large the upload. The returned func releases the source
+// when the run finishes.
+func (s *Server) openCitySource(cfg *pvfloor.CityConfig, dr DistrictRequest) (func(), error) {
 	if dr.Demo {
-		return &gis.RasterSource{Raster: district.SyntheticNeighborhood()}, nil, nil
+		cfg.Source = &gis.RasterSource{Raster: district.SyntheticNeighborhood()}
+		return func() {}, nil
 	}
 	path, err := s.tiles.Path(dr.TileRef)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	wr, err := gis.OpenWindowed(path, gis.WindowOptions{})
 	if err != nil {
-		return nil, nil, fmt.Errorf("opening tile %s: %w", dr.TileRef, err)
+		return nil, fmt.Errorf("opening tile %s: %w", dr.TileRef, err)
 	}
-	return wr, wr, nil
+	cfg.Source = wr
+	return func() { wr.Close() }, nil
 }

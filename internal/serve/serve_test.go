@@ -319,7 +319,7 @@ func TestEconRequestMapping(t *testing.T) {
 	s := newTestServer(t, Options{})
 	cfg, err := s.districtConfig(DistrictRequest{
 		Econ: &EconRequest{RankBy: "npv", BudgetUSD: 5000, TariffUSDPerKWh: 0.3},
-	}, nil, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestEconRequestMapping(t *testing.T) {
 		t.Errorf("partial override lost the defaults: %+v", ec.Financials)
 	}
 
-	plain, err := s.districtConfig(DistrictRequest{}, nil, nil)
+	plain, err := s.districtConfig(DistrictRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,7 @@ import (
 
 	pvfloor "repro"
 	"repro/internal/district"
-	"repro/internal/dsm"
 	"repro/internal/econ"
-	"repro/internal/geom"
 	"repro/internal/scenario"
 )
 
@@ -254,30 +252,71 @@ func (s *Server) runConfig(req RunRequest) (pvfloor.Config, error) {
 }
 
 // districtConfig validates a DistrictRequest into a district config
-// bound to the server's pools and artifact cache (Context and
-// Progress are attached by the handler).
-func (s *Server) districtConfig(req DistrictRequest, tile *dsm.Raster, nodata *geom.Mask) (pvfloor.DistrictConfig, error) {
+// bound to the server's pools and artifact cache (Tile, NoData,
+// Context and Progress are attached by the handler). A district is a
+// one-window city: the sweep fields go through cityConfig.
+func (s *Server) districtConfig(req DistrictRequest) (pvfloor.DistrictConfig, error) {
+	c, err := s.cityConfig(CityRequest{DistrictRequest: req})
+	if err != nil {
+		return pvfloor.DistrictConfig{}, err
+	}
+	cfg := c.TileConfig()
+	cfg.Economics = c.Economics
+	return cfg, nil
+}
+
+// Caps on the untrusted city retry policy: the millisecond fields
+// become time.Duration nanoseconds, which overflow into negative
+// durations long before the int range ends, and every retry replans a
+// whole tile.
+const (
+	maxTileDurationMS = 3_600_000 // 1 h, for tile_timeout_ms and backoff_ms
+	maxTileRetries    = 16
+)
+
+// cityConfig validates a CityRequest into a city config bound to the
+// server's pools and artifact cache (Source, Context and Progress are
+// attached by the handler).
+func (s *Server) cityConfig(req CityRequest) (pvfloor.CityConfig, error) {
 	if req.Modules != 0 && (req.Modules < 8 || req.Modules%8 != 0) {
-		return pvfloor.DistrictConfig{}, fmt.Errorf("modules %d must be a multiple of 8 (or 0 to auto-size)", req.Modules)
+		return pvfloor.CityConfig{}, fmt.Errorf("modules %d must be a multiple of 8 (or 0 to auto-size)", req.Modules)
 	}
 	fid, err := parseFidelity(req.Fidelity)
 	if err != nil {
-		return pvfloor.DistrictConfig{}, err
+		return pvfloor.CityConfig{}, err
 	}
 	opt, err := req.Optimizer.config()
 	if err != nil {
-		return pvfloor.DistrictConfig{}, err
+		return pvfloor.CityConfig{}, err
 	}
 	var ec pvfloor.EconConfig
 	if req.Econ != nil {
 		ec = req.Econ.config()
 		if err := ec.Validate(); err != nil {
-			return pvfloor.DistrictConfig{}, err
+			return pvfloor.CityConfig{}, err
 		}
 	}
-	return pvfloor.DistrictConfig{
-		Tile:   tile,
-		NoData: nodata,
+	if req.TileCells < 0 {
+		return pvfloor.CityConfig{}, fmt.Errorf("tile_cells %d must not be negative (0 = default)", req.TileCells)
+	}
+	if req.TileWorkers < 0 {
+		return pvfloor.CityConfig{}, fmt.Errorf("tile_workers %d must not be negative (0 = sequential)", req.TileWorkers)
+	}
+	switch {
+	case req.TileRetries < 0 || req.TileRetries > maxTileRetries:
+		return pvfloor.CityConfig{}, fmt.Errorf("tile_retries %d outside [0, %d]", req.TileRetries, maxTileRetries)
+	case req.TileTimeoutMS < 0 || req.TileTimeoutMS > maxTileDurationMS:
+		return pvfloor.CityConfig{}, fmt.Errorf("tile_timeout_ms %d outside [0, %d]", req.TileTimeoutMS, maxTileDurationMS)
+	case req.BackoffMS < 0 || req.BackoffMS > maxTileDurationMS:
+		return pvfloor.CityConfig{}, fmt.Errorf("backoff_ms %d outside [0, %d]", req.BackoffMS, maxTileDurationMS)
+	}
+	return pvfloor.CityConfig{
+		TileCells:   req.TileCells,
+		HaloCells:   req.HaloCells,
+		TileWorkers: req.TileWorkers,
+		TileRetries: req.TileRetries,
+		TileTimeout: time.Duration(req.TileTimeoutMS) * time.Millisecond,
+		Backoff:     time.Duration(req.BackoffMS) * time.Millisecond,
 		Extract: district.Options{
 			MinHeightM:          req.Extract.MinHeightM,
 			GroundPercentile:    req.Extract.GroundPercentile,
@@ -299,57 +338,6 @@ func (s *Server) districtConfig(req DistrictRequest, tile *dsm.Raster, nodata *g
 		Cache:        s.cache,
 		Concurrency:  s.opts.Concurrency,
 		FieldWorkers: s.opts.FieldWorkers,
-	}, nil
-}
-
-// Caps on the untrusted city retry policy: the millisecond fields
-// become time.Duration nanoseconds, which overflow into negative
-// durations long before the int range ends, and every retry replans a
-// whole tile.
-const (
-	maxTileDurationMS = 3_600_000 // 1 h, for tile_timeout_ms and backoff_ms
-	maxTileRetries    = 16
-)
-
-// cityConfig validates a CityRequest into a city config bound to the
-// server's pools and artifact cache (Source, Context and Progress are
-// attached by the handler).
-func (s *Server) cityConfig(req CityRequest) (pvfloor.CityConfig, error) {
-	dcfg, err := s.districtConfig(req.DistrictRequest, nil, nil)
-	if err != nil {
-		return pvfloor.CityConfig{}, err
-	}
-	if req.TileCells < 0 {
-		return pvfloor.CityConfig{}, fmt.Errorf("tile_cells %d must not be negative (0 = default)", req.TileCells)
-	}
-	if req.TileWorkers < 0 {
-		return pvfloor.CityConfig{}, fmt.Errorf("tile_workers %d must not be negative (0 = sequential)", req.TileWorkers)
-	}
-	switch {
-	case req.TileRetries < 0 || req.TileRetries > maxTileRetries:
-		return pvfloor.CityConfig{}, fmt.Errorf("tile_retries %d outside [0, %d]", req.TileRetries, maxTileRetries)
-	case req.TileTimeoutMS < 0 || req.TileTimeoutMS > maxTileDurationMS:
-		return pvfloor.CityConfig{}, fmt.Errorf("tile_timeout_ms %d outside [0, %d]", req.TileTimeoutMS, maxTileDurationMS)
-	case req.BackoffMS < 0 || req.BackoffMS > maxTileDurationMS:
-		return pvfloor.CityConfig{}, fmt.Errorf("backoff_ms %d outside [0, %d]", req.BackoffMS, maxTileDurationMS)
-	}
-	return pvfloor.CityConfig{
-		TileCells:    req.TileCells,
-		HaloCells:    req.HaloCells,
-		TileWorkers:  req.TileWorkers,
-		TileRetries:  req.TileRetries,
-		TileTimeout:  time.Duration(req.TileTimeoutMS) * time.Millisecond,
-		Backoff:      time.Duration(req.BackoffMS) * time.Millisecond,
-		Extract:      dcfg.Extract,
-		Modules:      dcfg.Modules,
-		MaxModules:   dcfg.MaxModules,
-		Fidelity:     dcfg.Fidelity,
-		Optimizer:    dcfg.Optimizer,
-		SkipBaseline: dcfg.SkipBaseline,
-		Economics:    dcfg.Economics,
-		Cache:        dcfg.Cache,
-		Concurrency:  dcfg.Concurrency,
-		FieldWorkers: dcfg.FieldWorkers,
 	}, nil
 }
 

@@ -287,15 +287,15 @@ func TestBatchNameCarriesOptimizerStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Scenario: sc, Modules: 8}
-	if got := batchName(cfg); got != "Residential/N=8" {
+	if got := cfg.Name(); got != "Residential/N=8" {
 		t.Errorf("default name = %q", got)
 	}
 	cfg.Optimizer.Strategy = StrategyMultiStart
-	if got := batchName(cfg); got != "Residential/N=8/multistart" {
+	if got := cfg.Name(); got != "Residential/N=8/multistart" {
 		t.Errorf("multistart name = %q", got)
 	}
 	cfg.Optimizer.Strategy = StrategyGreedy
-	if got := batchName(cfg); got != "Residential/N=8" {
+	if got := cfg.Name(); got != "Residential/N=8" {
 		t.Errorf("explicit greedy name = %q", got)
 	}
 }
