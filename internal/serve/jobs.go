@@ -87,7 +87,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// request fails the submit, not the background run. A tile_ref is
 	// resolved too: a ref the store has never seen should 404 here,
 	// not fail a job hours later.
-	if _, err := s.cityRun(*req.City); err != nil {
+	if _, err := s.cityRunConfig(*req.City); err != nil {
 		writeTileError(w, err)
 		return
 	}
@@ -223,7 +223,7 @@ func (s *Server) runJob(j *jobs.Job) {
 	// A stored request may come from an earlier server: one naming an
 	// inline tile_asc grid (no longer decoded) has no tile left, and a
 	// tile_ref needs a tile store this process may lack.
-	cfg, err := s.cityRun(*req.City)
+	cfg, err := s.cityRunConfig(*req.City)
 	if err != nil {
 		fail(err)
 		return

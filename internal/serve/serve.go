@@ -389,7 +389,7 @@ func (s *Server) handleCity(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	cfg, err := s.cityRun(req)
+	cfg, err := s.cityRunConfig(req)
 	if err != nil {
 		writeTileError(w, err)
 		return
@@ -536,10 +536,11 @@ func (s *Server) tile(dr DistrictRequest) (*dsm.Raster, *geom.Mask, error) {
 	return tile, nodata, nil
 }
 
-// cityRun validates a city request without materialising its tile:
-// the tile choice, then every field. handleCity and the job runner
-// both start here, wait for their run slot, then openCitySource.
-func (s *Server) cityRun(req CityRequest) (pvfloor.CityConfig, error) {
+// cityRunConfig validates a city request without materialising its
+// tile: the tile choice, then every field. handleCity, the job submit
+// and the job runner start here; the two runs then wait for their run
+// slot and only then call openCitySource.
+func (s *Server) cityRunConfig(req CityRequest) (pvfloor.CityConfig, error) {
 	if err := s.validateTile(req.DistrictRequest); err != nil {
 		return pvfloor.CityConfig{}, err
 	}
