@@ -75,6 +75,28 @@ func TestGabledFixtureInSync(t *testing.T) {
 	}
 }
 
+// TestFixtureContentHashesPinned pins the content hash of each
+// committed fixture tile: the digest keys every artifact cached from
+// the tile, so a change to how it is computed or memoized would orphan
+// existing caches.
+func TestFixtureContentHashesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		load func(*testing.T) *dsm.Raster
+		want string
+	}{
+		{"neighborhood", loadNeighborhoodTile, "7378874235c472cc5f29aae127c7a9fcb3d51865fd4b083ac01e796156bc83c0"},
+		{"gabled", loadGabledTile, "14bba959426489c7b2caae5c907a8ab523985d63d21772137f31f9e92d08c0ef"},
+	} {
+		tile := c.load(t)
+		for i := 0; i < 2; i++ { // computed, then memoized
+			if got := tile.ContentHash(); got != c.want {
+				t.Errorf("%s.asc call %d: content hash %s, want %s", c.name, i+1, got, c.want)
+			}
+		}
+	}
+}
+
 // districtFingerprint reduces a district result to an exact string:
 // every placement anchor and every energy figure down to the float
 // bit pattern. Two runs agree iff their fingerprints match.

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -35,6 +36,8 @@ type Raster struct {
 	cellSize float64
 	origin   geom.Cell
 	z        []float64
+	// hash memoizes ContentHash; every mutator clears it.
+	hash atomic.Pointer[string]
 }
 
 // NewRaster allocates a w×h raster with the given cell size in
@@ -68,7 +71,10 @@ func (r *Raster) Origin() geom.Cell { return r.origin }
 // SetOrigin marks the raster as a window whose local cell (0,0) sits
 // at global cell o. Only the metric accessors and ContentHash observe
 // the origin.
-func (r *Raster) SetOrigin(o geom.Cell) { r.origin = o }
+func (r *Raster) SetOrigin(o geom.Cell) {
+	r.origin = o
+	r.hash.Store(nil)
+}
 
 // InBounds reports whether c addresses a raster cell.
 func (r *Raster) InBounds(c geom.Cell) bool {
@@ -88,7 +94,9 @@ func (r *Raster) At(c geom.Cell) float64 {
 // Elevations returns the raster's elevations in row-major local cell
 // order (index y*W()+x). The slice aliases the raster's storage and is
 // read-only: it exists so hot kernels such as the horizon ray march
-// can index samples directly instead of calling At per sample.
+// can index samples directly instead of calling At per sample. The
+// ContentHash memo relies on that contract: a write through this
+// slice would leave a stale hash, and with it stale cache keys.
 func (r *Raster) Elevations() []float64 { return r.z }
 
 // Set writes the elevation at cell c; out-of-bounds writes panic.
@@ -97,6 +105,7 @@ func (r *Raster) Set(c geom.Cell, z float64) {
 		panic("dsm: Set out of bounds: " + c.String())
 	}
 	r.z[c.Y*r.w+c.X] = z
+	r.hash.Store(nil)
 }
 
 // SetRow copies z, which must hold W() elevations, into row y; an
@@ -106,6 +115,7 @@ func (r *Raster) SetRow(y int, z []float64) {
 		panic(fmt.Sprintf("dsm: SetRow %d with %d values on a %dx%d raster", y, len(z), r.w, r.h))
 	}
 	copy(r.z[y*r.w:], z)
+	r.hash.Store(nil)
 }
 
 // AtMetres returns the elevation at the plan position (east, south)
@@ -134,7 +144,15 @@ func (r *Raster) CellCenterMetres(c geom.Cell) (xm, ym float64) {
 // persistent field-artifact cache uses it to key horizon maps — any
 // edit to the surface (a new obstacle, a changed height) invalidates
 // the cached artifacts derived from it.
+//
+// The digest is computed once and memoized until the next mutation,
+// so the many cache lookups of one tile hash its elevations once.
+// Concurrent calls are safe; they may each compute the digest, and
+// all return the same string.
 func (r *Raster) ContentHash() string {
+	if p := r.hash.Load(); p != nil {
+		return *p
+	}
 	h := sha256.New()
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(r.w))
@@ -157,13 +175,16 @@ func (r *Raster) ContentHash() string {
 		binary.LittleEndian.PutUint64(buf[:], uint64(int64(r.origin.Y)))
 		h.Write(buf[:])
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	sum := fmt.Sprintf("%x", h.Sum(nil))
+	r.hash.Store(&sum)
+	return sum
 }
 
 // Clone returns a deep copy of the raster, origin included.
 func (r *Raster) Clone() *Raster {
 	out := &Raster{w: r.w, h: r.h, cellSize: r.cellSize, origin: r.origin, z: make([]float64, len(r.z))}
 	copy(out.z, r.z)
+	out.hash.Store(r.hash.Load())
 	return out
 }
 
@@ -175,6 +196,7 @@ func (r *Raster) Raise(rect geom.Rect, dz float64) {
 			r.z[y*r.w+x] += dz
 		}
 	}
+	r.hash.Store(nil)
 }
 
 // SetRectTo writes an absolute elevation into every cell of rect
@@ -186,6 +208,7 @@ func (r *Raster) SetRectTo(rect geom.Rect, z float64) {
 			r.z[y*r.w+x] = z
 		}
 	}
+	r.hash.Store(nil)
 }
 
 // MaxAbove writes into rect the maximum of the current elevation and
@@ -200,6 +223,7 @@ func (r *Raster) MaxAbove(rect geom.Rect, z float64) {
 			}
 		}
 	}
+	r.hash.Store(nil)
 }
 
 // Gradient returns Horn's finite-difference gradient at cell c:

@@ -16,8 +16,8 @@
 // Holding the full trace matrix in memory is infeasible at the paper's
 // scale (≈12k cells × 35k steps), so the evaluator streams: Stats
 // accumulates per-cell histograms (for the suitability percentiles)
-// in one pass, and StreamTraces replays the calendar for just the
-// cells covered by a candidate placement.
+// in one pass, and StreamTraces replays the daylight steps of the
+// calendar for just the cells covered by a candidate placement.
 //
 // Only suitable cells are ever read: the statistics pass accumulates
 // them alone and every placement covers them alone. The per-roof
@@ -73,9 +73,10 @@
 //
 // Construction cost is dominated by the horizon map and the sky
 // precompute, both proportional to fidelity: the paper's full-year
-// 15-minute calendar with fine horizon sectors takes minutes per
-// roof, while the reduced calendar + coarse horizon used by the Fast
-// path of the pvfloor facade takes well under a second. The physics
+// 15-minute calendar with fine horizon sectors takes seconds per roof
+// (roughly ten times the Fast cost), while the reduced calendar +
+// coarse horizon used by the Fast path of the pvfloor facade takes
+// well under a second. The physics
 // pipeline is identical in both; only sampling density changes.
 package field
 
@@ -452,12 +453,16 @@ func (e *Evaluator) statsPercentile(pct float64, workers int) (*CellStats, error
 	return cs, nil
 }
 
-// StreamTraces replays the calendar for the given roof-local cells,
-// invoking fn once per step with the irradiance and actual module
-// temperature of each requested cell. The g and tact slices are
-// reused across invocations; fn must not retain them. Every cell must
-// be suitable: the horizon of the others is not marched, so a cell
-// outside the roof region or the Config.Suitable mask is an error.
+// StreamTraces replays the daylight steps of the calendar for the
+// given roof-local cells, invoking fn once per step with the step's
+// calendar index and the irradiance and actual module temperature of
+// each requested cell. Steps with the sun below the horizon are
+// skipped: every cell has G = 0 there, which contributes nothing to
+// any energy integral (a module at zero irradiance sits at the zero
+// operating point). The g and tact slices are reused across
+// invocations; fn must not retain them. Every cell must be suitable:
+// the horizon of the others is not marched, so a cell outside the
+// roof region or the Config.Suitable mask is an error.
 func (e *Evaluator) StreamTraces(cells []geom.Cell, fn func(step int, g, tact []float64)) error {
 	w := e.cfg.Suitable.W()
 	idxs := make([]int, len(cells))
@@ -476,16 +481,12 @@ func (e *Evaluator) StreamTraces(cells []geom.Cell, fn func(step int, g, tact []
 	for step := range e.sky {
 		st := &e.sky[step]
 		if !st.up {
-			for j := range idxs {
-				g[j] = 0
-				tact[j] = st.ambient
-			}
-		} else {
-			for j, idx := range idxs {
-				gj := e.cellIrr(st, idx)
-				g[j] = gj
-				tact[j] = st.ambient + k*gj
-			}
+			continue
+		}
+		for j, idx := range idxs {
+			gj := e.cellIrr(st, idx)
+			g[j] = gj
+			tact[j] = st.ambient + k*gj
 		}
 		fn(step, g, tact)
 	}

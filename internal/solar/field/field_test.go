@@ -2,6 +2,7 @@ package field
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,8 +197,14 @@ func TestStatsShadowGradient(t *testing.T) {
 func TestStreamTracesMatchesCellIrradiance(t *testing.T) {
 	ev := testEvaluator(t, nil)
 	cells := []geom.Cell{{X: 5, Y: 5}, {X: 31, Y: 9}, {X: 20, Y: 20}}
-	steps := 0
+	// The stream is exactly the up steps, in calendar order: dark
+	// steps (G = 0 for every cell) are skipped.
+	var streamed []int
 	err := ev.StreamTraces(cells, func(step int, g, tact []float64) {
+		if !ev.sky[step].up {
+			t.Fatalf("step %d streamed with the sun down", step)
+		}
+		streamed = append(streamed, step)
 		for j, c := range cells {
 			want := ev.CellIrradiance(step, c)
 			if math.Abs(g[j]-want) > 1e-12 {
@@ -208,13 +215,22 @@ func TestStreamTracesMatchesCellIrradiance(t *testing.T) {
 				t.Fatalf("step %d cell %v: tact %g vs %g", step, c, tact[j], wantT)
 			}
 		}
-		steps++
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps != ev.Grid().Len() {
-		t.Errorf("streamed %d steps, want %d", steps, ev.Grid().Len())
+	var up []int
+	for step := range ev.sky {
+		if ev.sky[step].up {
+			up = append(up, step)
+		}
+	}
+	if !slices.Equal(streamed, up) {
+		t.Errorf("streamed steps %v, want the up steps %v", streamed, up)
+	}
+	if uint64(len(streamed)) != ev.daySteps || ev.daySteps == 0 || ev.daySteps == uint64(ev.Grid().Len()) {
+		t.Errorf("streamed %d steps, want daySteps = %d, strictly between 0 and the calendar's %d",
+			len(streamed), ev.daySteps, ev.Grid().Len())
 	}
 }
 
