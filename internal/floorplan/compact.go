@@ -32,81 +32,103 @@ func PlanCompact(suit *Suitability, mask *geom.Mask, opts Options) (*Placement, 
 	// The baseline packs identically-oriented modules, as real
 	// installations do; rotation is a greedy-only extension.
 	opts.AllowRotation = false
-	n := opts.Topology.Modules()
+	table := newSlotTable(suit, mask, opts.Shape)
+	slots, intact := table.bestBlock(mask, opts)
+	switch {
+	case slots == nil:
+		return nil, &ErrNoSpace{Placed: 0, Wanted: opts.Topology.Modules()}
+	case intact:
+		return placementFromSlots(slots, suit, opts, nil)
+	default:
+		// Fill the shortfall greedily from the remaining candidates
+		// nearest to the block.
+		pl, err := fillShortfall(slots, table, suit, mask, opts)
+		if err != nil {
+			return nil, err
+		}
+		pl.Warnings = append(pl.Warnings,
+			"compact baseline: no intact block fits; obstacle slots skipped and refilled nearby")
+		return pl, nil
+	}
+}
 
-	// Precompute the per-anchor slot score once: the block sweep below
-	// revisits every anchor many times (once per factorisation whose
-	// lattice contains it), and re-summing the 32-cell footprint per
-	// visit used to dominate the whole Table I regeneration. The table
-	// accumulates each footprint in the same row-major order the
-	// previous per-visit scan used, so every per-slot score — and
-	// therefore every intact-block choice — is bit-identical to the
-	// lazy evaluation. (Holey-fallback candidates now sum their slots
-	// in row-major order rather than the former score-descending
-	// order; see the holey branch below.)
-	aw := mask.W() - opts.Shape.W + 1
-	ah := mask.H() - opts.Shape.H + 1
-	var scores []float64
-	if aw > 0 && ah > 0 {
-		scores = make([]float64, aw*ah)
-		area := float64(opts.Shape.W * opts.Shape.H)
-		for ay := 0; ay < ah; ay++ {
-			for ax := 0; ax < aw; ax++ {
-				scores[ay*aw+ax] = math.NaN()
-				rect := opts.Shape.Rect(geom.Cell{X: ax, Y: ay})
-				if !mask.AllSet(rect) {
-					continue
+// slotTable is the footprint-mean suitability of every module anchor
+// of the aw×ah anchor grid, row-major; NaN marks an anchor whose
+// footprint leaves the mask or covers a NaN cell.
+//
+// The block sweep revisits every anchor many times (once per
+// factorisation whose lattice contains it), and re-summing the 32-cell
+// footprint per visit used to dominate the whole Table I regeneration.
+// The table accumulates each footprint in the same row-major order
+// scoreCandidates uses, so every per-slot score — and therefore every
+// block choice and shortfall candidate — is bit-identical to summing
+// it on demand.
+type slotTable struct {
+	scores []float64
+	aw, ah int
+}
+
+func newSlotTable(suit *Suitability, mask *geom.Mask, shape ModuleShape) slotTable {
+	t := slotTable{aw: mask.W() - shape.W + 1, ah: mask.H() - shape.H + 1}
+	if t.aw <= 0 || t.ah <= 0 {
+		return t
+	}
+	t.scores = make([]float64, t.aw*t.ah)
+	area := float64(shape.W * shape.H)
+	for ay := 0; ay < t.ah; ay++ {
+		for ax := 0; ax < t.aw; ax++ {
+			t.scores[ay*t.aw+ax] = math.NaN()
+			rect := shape.Rect(geom.Cell{X: ax, Y: ay})
+			if !mask.AllSet(rect) {
+				continue
+			}
+			var sum float64
+			valid := true
+			rect.Cells(func(c geom.Cell) bool {
+				v := suit.At(c)
+				if math.IsNaN(v) {
+					valid = false
+					return false
 				}
-				var sum float64
-				valid := true
-				rect.Cells(func(c geom.Cell) bool {
-					v := suit.At(c)
-					if math.IsNaN(v) {
-						valid = false
-						return false
-					}
-					sum += v
-					return true
-				})
-				if valid {
-					scores[ay*aw+ax] = sum / area
-				}
+				sum += v
+				return true
+			})
+			if valid {
+				t.scores[ay*t.aw+ax] = sum / area
 			}
 		}
 	}
-	scoreAt := func(anchor geom.Cell) (float64, bool) {
-		if anchor.X < 0 || anchor.X >= aw || anchor.Y < 0 || anchor.Y >= ah {
-			return 0, false
-		}
-		s := scores[anchor.Y*aw+anchor.X]
-		if math.IsNaN(s) {
-			return 0, false
-		}
-		return s, true
-	}
+	return t
+}
 
+// at returns the slot score of anchor, false when the anchor is off
+// the grid or its slot is invalid.
+func (t slotTable) at(anchor geom.Cell) (float64, bool) {
+	if anchor.X < 0 || anchor.X >= t.aw || anchor.Y < 0 || anchor.Y >= t.ah {
+		return 0, false
+	}
+	s := t.scores[anchor.Y*t.aw+anchor.X]
+	if math.IsNaN(s) {
+		return 0, false
+	}
+	return s, true
+}
+
+// bestBlock slides every rows×cols = N factorisation of the block
+// over the grid and returns the module anchors (row-major) of the
+// intact position with the highest total score, intact = true. When
+// no intact block fits anywhere it returns the valid slots of the best
+// holey position instead, and nil when no position has a valid slot.
+func (t slotTable) bestBlock(mask *geom.Mask, opts Options) (slots []geom.Cell, intact bool) {
+	n := opts.Topology.Modules()
 	type blockPos struct {
-		rows, cols int
-		origin     geom.Cell
-		score      float64
-		slots      []geom.Cell // chosen module anchors, row-major
+		score float64
+		slots []geom.Cell
 	}
-	type scoredSlot struct {
-		c geom.Cell
-		s float64
-	}
-
 	var bestIntact, bestHoley *blockPos
 	// One scratch buffer serves every candidate position; slots are
 	// only copied out when a position becomes the incumbent best.
-	all := make([]scoredSlot, 0, n)
-	copySlots := func() []geom.Cell {
-		slots := make([]geom.Cell, len(all))
-		for i, sl := range all {
-			slots[i] = sl.c
-		}
-		return slots
-	}
+	all := make([]geom.Cell, 0, n)
 	for rows := 1; rows <= n; rows++ {
 		if n%rows != 0 {
 			continue
@@ -125,62 +147,43 @@ func PlanCompact(suit *Suitability, mask *geom.Mask, opts Options) (*Placement, 
 				for r := 0; r < rows; r++ {
 					for c := 0; c < cols; c++ {
 						anchor := geom.Cell{X: x0 + c*opts.Shape.W, Y: y0 + r*opts.Shape.H}
-						s, ok := scoreAt(anchor)
+						s, ok := t.at(anchor)
 						if !ok {
 							holes++
 							continue
 						}
-						all = append(all, scoredSlot{anchor, s})
+						all = append(all, anchor)
 						sum += s
 					}
 				}
 				if holes == 0 {
 					if bestIntact == nil || sum > bestIntact.score {
-						bestIntact = &blockPos{rows, cols, geom.Cell{X: x0, Y: y0}, sum, copySlots()}
+						bestIntact = &blockPos{sum, slices.Clone(all)}
 					}
 					continue
 				}
-				// Holey candidate: only useful if no intact block is
-				// ever found. Requires at least N valid slots in a
-				// slightly enlarged block — here the same block, so
-				// holes disqualify unless we widen; instead allow
-				// blocks with extra rows below (handled by the outer
-				// sweep finding larger factorisations is not possible
-				// since rows*cols == n). Keep the best "almost" block
-				// for the fallback by padding with the nearest valid
-				// slots around the block. Slot order within the block
-				// is irrelevant to the outcome (fillShortfall re-sorts
-				// the final module set row-major); the candidate score
-				// itself is summed in row-major slot order — a fixed,
-				// documented order, though not the score-descending
-				// order the pre-table implementation happened to use,
-				// so near-tied holey candidates may rank differently
-				// than they did before this optimisation.
+				// Holey candidate: only used if no intact block is
+				// ever found, padded by fillShortfall with the nearest
+				// valid slots around the block. Its score is summed in
+				// row-major slot order; the slot order itself does not
+				// matter, as fillShortfall re-sorts the final module
+				// set row-major.
 				if len(all) == 0 {
 					continue
 				}
 				if bestHoley == nil || sum > bestHoley.score {
-					bestHoley = &blockPos{rows, cols, geom.Cell{X: x0, Y: y0}, sum, copySlots()}
+					bestHoley = &blockPos{sum, slices.Clone(all)}
 				}
 			}
 		}
 	}
-
 	switch {
 	case bestIntact != nil:
-		return placementFromSlots(bestIntact.slots, suit, opts, nil)
+		return bestIntact.slots, true
 	case bestHoley != nil:
-		// Fill the shortfall greedily from the remaining candidates
-		// nearest to the block.
-		pl, err := fillShortfall(bestHoley.slots, suit, mask, opts)
-		if err != nil {
-			return nil, err
-		}
-		pl.Warnings = append(pl.Warnings,
-			"compact baseline: no intact block fits; obstacle slots skipped and refilled nearby")
-		return pl, nil
+		return bestHoley.slots, false
 	default:
-		return nil, &ErrNoSpace{Placed: 0, Wanted: n}
+		return nil, false
 	}
 }
 
@@ -204,32 +207,15 @@ func placementFromSlots(slots []geom.Cell, suit *Suitability, opts Options, warn
 // fillShortfall completes a partial compact block to N modules by
 // claiming the best remaining candidates closest to the block
 // centroid, keeping the arrangement as compact as the obstacles
-// allow.
-func fillShortfall(slots []geom.Cell, suit *Suitability, mask *geom.Mask, opts Options) (*Placement, error) {
+// allow. opts must have AllowRotation off, as PlanCompact sets it.
+func fillShortfall(slots []geom.Cell, table slotTable, suit *Suitability, mask *geom.Mask, opts Options) (*Placement, error) {
 	n := opts.Topology.Modules()
 	avail := mask.Clone()
 	for _, s := range slots {
 		avail.SetRect(opts.Shape.Rect(s), false)
 	}
-	var cx, cy float64
-	for _, s := range slots {
-		x, y := opts.Shape.Rect(s).Center()
-		cx += x
-		cy += y
-	}
-	cx /= float64(len(slots))
-	cy /= float64(len(slots))
-
-	cands := scoreCandidates(suit, avail, opts)
-	// Prefer proximity to the block, then score.
-	slices.SortStableFunc(cands, func(a, b candidate) int {
-		xa, ya := opts.Shape.Rect(a.anchor).Center()
-		xb, yb := opts.Shape.Rect(b.anchor).Center()
-		return cmp.Or(cmp.Compare(math.Hypot(xa-cx, ya-cy), math.Hypot(xb-cx, yb-cy)),
-			cmp.Compare(b.score, a.score))
-	})
 	filled := append([]geom.Cell{}, slots...)
-	for _, cd := range cands {
+	for _, cd := range table.nearest(slots, avail, suit, opts) {
 		if len(filled) >= n {
 			break
 		}
@@ -248,4 +234,60 @@ func fillShortfall(slots []geom.Cell, suit *Suitability, mask *geom.Mask, opts O
 		return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
 	})
 	return placementFromSlots(filled, suit, opts, nil)
+}
+
+// nearSlot is a shortfall candidate: a free anchor with its score and
+// its footprint center's distance to the block centroid.
+type nearSlot struct {
+	anchor      geom.Cell
+	dist, score float64
+}
+
+// nearest lists the table's valid slots that avail leaves free —
+// with opts.AnchorScore scored and filtered by the anchor cell alone,
+// as scoreCandidates does — ordered by distance to the centroid of
+// slots, then descending score, then (y, x). That key is unique per
+// anchor, so the unstable sort is deterministic.
+func (t slotTable) nearest(slots []geom.Cell, avail *geom.Mask, suit *Suitability, opts Options) []nearSlot {
+	var cx, cy float64
+	for _, s := range slots {
+		x, y := opts.Shape.Rect(s).Center()
+		cx += x
+		cy += y
+	}
+	cx /= float64(len(slots))
+	cy /= float64(len(slots))
+
+	var cands []nearSlot
+	for ay := 0; ay < t.ah; ay++ {
+		for ax := 0; ax < t.aw; ax++ {
+			anchor := geom.Cell{X: ax, Y: ay}
+			rect := opts.Shape.Rect(anchor)
+			if !avail.AllSet(rect) {
+				continue
+			}
+			score := t.scores[ay*t.aw+ax]
+			if opts.AnchorScore {
+				score = suit.At(anchor)
+			}
+			if math.IsNaN(score) {
+				continue
+			}
+			x, y := rect.Center()
+			cands = append(cands, nearSlot{anchor, math.Hypot(x-cx, y-cy), score})
+		}
+	}
+	slices.SortFunc(cands, func(a, b nearSlot) int {
+		if a.dist != b.dist {
+			return cmp.Compare(a.dist, b.dist)
+		}
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
+		}
+		if a.anchor.Y != b.anchor.Y {
+			return cmp.Compare(a.anchor.Y, b.anchor.Y)
+		}
+		return cmp.Compare(a.anchor.X, b.anchor.X)
+	})
+	return cands
 }

@@ -229,12 +229,28 @@ func scoreCandidates(suit *Suitability, mask *geom.Mask, opts Options) []candida
 			}
 		}
 	}
-	slices.SortStableFunc(cands, func(a, b candidate) int {
-		return cmp.Or(cmp.Compare(b.score, a.score),
-			cmp.Compare(a.anchor.Y, b.anchor.Y), cmp.Compare(a.anchor.X, b.anchor.X),
-			cmp.Compare(b.shape.W, a.shape.W)) // stable: landscape first
-	})
+	slices.SortFunc(cands, rankOrder)
 	return cands
+}
+
+// rankOrder ranks candidates by descending score, then by (y, x),
+// then landscape before portrait. No two candidates share an anchor
+// and a shape, so this is a total order: the unstable sort yields the
+// one order a stable sort would.
+func rankOrder(a, b candidate) int {
+	if a.score != b.score {
+		if a.score > b.score {
+			return -1
+		}
+		return 1
+	}
+	if a.anchor.Y != b.anchor.Y {
+		return cmp.Compare(a.anchor.Y, b.anchor.Y)
+	}
+	if a.anchor.X != b.anchor.X {
+		return cmp.Compare(a.anchor.X, b.anchor.X)
+	}
+	return cmp.Compare(b.shape.W, a.shape.W)
 }
 
 // ErrNoSpace reports that the greedy placer ran out of feasible
@@ -262,8 +278,12 @@ func Plan(suit *Suitability, mask *geom.Mask, opts Options) (*Placement, error) 
 	if err := prepare(suit, mask, &opts); err != nil {
 		return nil, err
 	}
+	return placeRanked(scoreCandidates(suit, mask, opts), mask, opts)
+}
+
+// placeRanked is Plan's placement loop over the ranked candidates.
+func placeRanked(cands []candidate, mask *geom.Mask, opts Options) (*Placement, error) {
 	n := opts.Topology.Modules()
-	cands := scoreCandidates(suit, mask, opts)
 	if len(cands) == 0 {
 		return nil, &ErrNoSpace{Placed: 0, Wanted: n}
 	}

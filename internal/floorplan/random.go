@@ -23,8 +23,13 @@ func PlanRandom(suit *Suitability, mask *geom.Mask, opts Options, seed int64) (*
 	if err := prepare(suit, mask, &opts); err != nil {
 		return nil, err
 	}
+	return placeRandom(scoreCandidates(suit, mask, opts), mask, opts, seed)
+}
+
+// placeRandom is PlanRandom's placement loop over the ranked
+// candidates.
+func placeRandom(cands []candidate, mask *geom.Mask, opts Options, seed int64) (*Placement, error) {
 	n := opts.Topology.Modules()
-	cands := scoreCandidates(suit, mask, opts)
 	if len(cands) == 0 {
 		return nil, &ErrNoSpace{Placed: 0, Wanted: n}
 	}
