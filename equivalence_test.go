@@ -1,9 +1,14 @@
 package pvfloor
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
@@ -494,6 +499,104 @@ func TestDistrictSharedHorizonEquivalence(t *testing.T) {
 		}
 		if planned == 0 {
 			t.Fatalf("workers %d: no planned roof; the test has lost its point", w)
+		}
+	}
+}
+
+// resultKey renders a run's planning outcome exactly: both placements
+// (every rect, the suitability sum, the warnings) and both
+// evaluations. %v prints each float in its shortest round-trip form,
+// signed zeros included, so equal keys mean bit-identical results.
+func resultKey(res *Result) string {
+	var trad floorplan.Placement
+	if res.Traditional != nil {
+		trad = *res.Traditional
+	}
+	return fmt.Sprintf("proposed %+v\n%+v\ntraditional %+v\n%+v",
+		*res.Proposed, res.ProposedEval, trad, res.TraditionalEval)
+}
+
+// TestRunWithFieldPlanningBranchEquivalence holds the concurrent
+// planning branch to the serial reference: RunWithField with Workers 1
+// (baseline planned after the proposed placement, on the calling
+// goroutine) and Workers 4 (baseline on its own goroutine) give
+// byte-identical placements, evaluations and warnings on the Table I
+// roofs, and with SkipBaseline.
+func TestRunWithFieldPlanningBranchEquivalence(t *testing.T) {
+	for _, mk := range []struct {
+		name  string
+		build func() (*scenario.Scenario, error)
+	}{
+		{"Roof1", Roof1},
+		{"Roof2", Roof2},
+		{"Roof3", Roof3},
+	} {
+		t.Run(mk.name, func(t *testing.T) {
+			sc, err := mk.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := sc.FieldWith(Config{Scenario: sc}.fieldConfig(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgs := []Config{
+				{Scenario: sc, Modules: 16},
+				{Scenario: sc, Modules: 32},
+			}
+			if mk.name == "Roof2" {
+				cfgs = append(cfgs, Config{Scenario: sc, Modules: 16, SkipBaseline: true})
+			}
+			for _, cfg := range cfgs {
+				var keys [2]string
+				for i, workers := range []int{1, 4} {
+					cfg.Workers = workers
+					res, err := RunWithField(cfg, ev)
+					if err != nil {
+						t.Fatalf("N=%d workers %d: %v", cfg.Modules, workers, err)
+					}
+					if (res.Traditional == nil) != cfg.SkipBaseline {
+						t.Fatalf("N=%d workers %d: baseline %v with SkipBaseline %v",
+							cfg.Modules, workers, res.Traditional, cfg.SkipBaseline)
+					}
+					keys[i] = resultKey(res)
+				}
+				if keys[0] != keys[1] {
+					t.Errorf("N=%d SkipBaseline=%v: concurrent result differs from serial\nserial:\n%s\nconcurrent:\n%s",
+						cfg.Modules, cfg.SkipBaseline, keys[0], keys[1])
+				}
+			}
+		})
+	}
+}
+
+// TestRunWithFieldBothBranchesFail asks for more modules than the
+// roof holds, so the proposed and the baseline placement both run out
+// of space: every worker count reports the proposed placement's
+// ErrNoSpace, and the concurrent branch does not outlive the call.
+func TestRunWithFieldBothBranchesFail(t *testing.T) {
+	sc, err := Residential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := sc.FieldWith(Config{Scenario: sc}.fieldConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		res, err := RunWithField(Config{Scenario: sc, Modules: 400, Workers: workers}, ev)
+		var noSpace *floorplan.ErrNoSpace
+		if res != nil || !errors.As(err, &noSpace) || !strings.Contains(err.Error(), "proposed placement") {
+			t.Fatalf("workers %d: got %v, %v; want the proposed placement's ErrNoSpace", workers, res, err)
+		}
+		// A goroutine that has signalled its completion may take a
+		// moment to exit; one still running after that is a leak.
+		for i := 0; runtime.NumGoroutine() > before; i++ {
+			if i == 100 {
+				t.Fatalf("workers %d: %d goroutines after the call, %d before", workers, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -57,13 +57,15 @@
 // The solar-field engine underneath Run is parallel by default and
 // deterministic for every worker count (see internal/solar/field).
 // Config.Workers bounds its worker pool, which also marches the
-// roof's horizon map: 0 uses one worker per CPU, 1 forces the serial
-// reference path — useful when embedding runs in an outer parallel
-// harness. For simulating fleets of roofs, prefer
-// RunBatch (or the cmd/pvbatch tool) over looping on Run: it fans
-// whole scenarios out concurrently and amortises both field
-// construction and the statistics pass across the config variants of
-// each roof (within a batch, the shared engine runs with
+// roof's horizon map, and the planning branch: unless Workers is 1,
+// the traditional baseline is planned and evaluated on its own
+// goroutine while the proposed placement is searched. 0 uses one
+// worker per CPU, 1 forces the serial reference path — useful when
+// embedding runs in an outer parallel harness. For simulating fleets
+// of roofs, prefer RunBatch (or the cmd/pvbatch tool) over looping on
+// Run: it fans whole scenarios out concurrently and amortises both
+// field construction and the statistics pass across the config
+// variants of each roof (within a batch, the shared engine runs with
 // BatchOptions.FieldWorkers rather than per-run Workers — a shared
 // field cannot honour conflicting per-run settings).
 //
@@ -82,6 +84,7 @@ package pvfloor
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/fieldcache"
 	"repro/internal/floorplan"
@@ -139,9 +142,12 @@ type Config struct {
 	// only the proposed placement is wanted).
 	SkipBaseline bool
 	// Workers bounds the concurrency of this run — the roof's horizon
-	// march, the sky precompute, the statistics pass and the
-	// multistart restart pool: 0 = one worker per CPU, 1 = serial
-	// reference path.
+	// march, the sky precompute, the statistics pass, the multistart
+	// restart pool and the planning branch: 0 = one worker per CPU,
+	// 1 = serial reference path. Unless Workers is 1, the traditional
+	// baseline is planned and evaluated on one goroutine of its own
+	// beside the proposed placement search (with the multistart
+	// strategy, one goroutine more than the restart pool's Workers).
 	// Results are identical for every value (see the package
 	// documentation's Concurrency section). Within RunBatch, shared
 	// field groups use BatchOptions.FieldWorkers instead.
@@ -280,7 +286,11 @@ func Run(cfg Config) (*Result, error) {
 // construction across many planning runs). It plans with the paper's
 // setup: the p75 temperature-corrected suitability, the scenario's
 // module footprint in strings of 8, the PV-MF165EB3 module and AWG 10
-// cable.
+// cable. Unless cfg.Workers is 1, the traditional baseline is planned
+// and evaluated on its own goroutine beside the proposed placement
+// search, with an identical result; the call returns only once both
+// are done, and when both fail it reports the proposed placement's
+// error.
 func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 	if cfg.Scenario == nil || ev == nil {
 		return nil, fmt.Errorf("pvfloor: nil scenario or field")
@@ -314,6 +324,27 @@ func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The baseline does not depend on the proposed placement, and both
+	// branches only read the suitability, the mask and the immutable
+	// field, so they may run side by side.
+	var baseErr error
+	baseline := func() {
+		res.Traditional, baseErr = floorplan.PlanCompact(suit, cfg.Scenario.Suitable, planOpts)
+		if baseErr != nil {
+			baseErr = fmt.Errorf("pvfloor: traditional placement: %w", baseErr)
+			return
+		}
+		res.TraditionalEval, baseErr = floorplan.Evaluate(ev, mod, res.Traditional, spec)
+	}
+	concurrent := !cfg.SkipBaseline && cfg.Workers != 1
+	var wg sync.WaitGroup
+	if concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			baseline()
+		}()
+	}
 	res.Proposed, res.ProposedEval, err = placer.Place(optimize.Problem{
 		Suit: suit,
 		Mask: cfg.Scenario.Suitable,
@@ -323,18 +354,15 @@ func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 			return floorplan.Evaluate(ev, mod, pl, spec)
 		},
 	})
+	wg.Wait()
 	if err != nil {
 		return nil, fmt.Errorf("pvfloor: proposed placement (%s): %w", placer.Name(), err)
 	}
-	if !cfg.SkipBaseline {
-		res.Traditional, err = floorplan.PlanCompact(suit, cfg.Scenario.Suitable, planOpts)
-		if err != nil {
-			return nil, fmt.Errorf("pvfloor: traditional placement: %w", err)
-		}
-		res.TraditionalEval, err = floorplan.Evaluate(ev, mod, res.Traditional, spec)
-		if err != nil {
-			return nil, err
-		}
+	if !cfg.SkipBaseline && !concurrent {
+		baseline()
+	}
+	if baseErr != nil {
+		return nil, baseErr
 	}
 	return res, nil
 }
