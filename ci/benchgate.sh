@@ -8,10 +8,12 @@
 # Run it from anywhere inside the checkout. The base is checked out
 # into a temporary git worktree; each side runs its own bench/run.sh.
 #
-# - Time and allocations: table1 and district_cold run in alternating
-#   pairs (odd pairs base first, even pairs change first, one seed per
-#   pair), and the verdict is `bench/run.sh --compare base.json
-#   change.json`. That command applies the bounds in BENCHMARK.json,
+# - Time and allocations: table1, district_cold, district_local and
+#   serve run in alternating pairs (odd pairs base first, even pairs
+#   change first, one seed per pair), and the verdict is `bench/run.sh
+#   --compare base.json change.json`. serve runs for 10 s: in a shorter
+#   run a rare request class may see no request at all, and bench/
+#   then writes a NaN median that fails the run. That command applies the bounds in BENCHMARK.json,
 #   reads a metric as "unresolved" when either side spreads wider than
 #   its bound and exits 1 on "regressed".
 # - Counters: one traced pass per side on table1, district_cold,
@@ -28,7 +30,8 @@ set -euo pipefail
 base_ref=${1:?usage: bash ci/benchgate.sh <base-ref>}
 pairs=5
 seconds=3
-timed=(table1 district_cold)
+serve_seconds=10
+timed=(table1 district_cold district_local serve)
 counted=(table1 district_cold district_local city)
 # At this length each of the five rounds runs exactly one operation,
 # so both sides trace the same two seeded operations and the per-op
@@ -65,8 +68,10 @@ for p in $(seq 1 "$pairs"); do
 	order=(base change)
 	[ $((p % 2)) -eq 0 ] && order=(change base)
 	for w in "${timed[@]}"; do
+		secs=$seconds
+		[ "$w" = serve ] && secs=$serve_seconds
 		for side in "${order[@]}"; do
-			line=$(bench "$side" --workload "$w" --seed "$p" --seconds "$seconds" --trace 0 --out "$out/$side.json")
+			line=$(bench "$side" --workload "$w" --seed "$p" --seconds "$secs" --trace 0 --out "$out/$side.json")
 			echo "pair $p/$pairs $w $side: $line"
 		done
 	done
@@ -79,7 +84,7 @@ done
 echo "benchgate: measured in $((SECONDS - start)) s"
 
 echo
-echo "== time and allocations ($pairs alternating pairs, --seconds $seconds)"
+echo "== time and allocations ($pairs alternating pairs, --seconds $seconds, serve $serve_seconds)"
 status=0
 bash bench/run.sh --compare "$out/base.json" "$out/change.json" || status=1
 
