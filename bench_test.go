@@ -245,20 +245,27 @@ func BenchmarkOverheadAssessment(b *testing.B) {
 
 // BenchmarkPlacementScaling measures the §V-B claim that placement
 // time scales with Ng and N (the paper reports <120 s at ≈12k cells
-// on a 2017 server; the greedy here runs in milliseconds).
+// on a 2017 server; the greedy here runs in milliseconds), for the
+// greedy planner and the compact baseline beside it.
 func BenchmarkPlacementScaling(b *testing.B) {
 	b.ReportAllocs()
+	planners := []struct {
+		name string
+		plan func(*floorplan.Suitability, *geom.Mask, floorplan.Options) (*floorplan.Placement, error)
+	}{{"greedy", floorplan.Plan}, {"compact", floorplan.PlanCompact}}
 	for _, st := range roofStates(b) {
 		for _, n := range []int{8, 16, 32} {
-			b.Run(fmt.Sprintf("%s/Ng=%d/N=%d", slugify(st.sc.Name), st.sc.Ng(), n), func(b *testing.B) {
-				b.ReportAllocs()
-				opts := planOpts(b, st, n)
-				for i := 0; i < b.N; i++ {
-					if _, err := floorplan.Plan(st.suit, st.sc.Suitable, opts); err != nil {
-						b.Fatal(err)
+			for _, p := range planners {
+				b.Run(fmt.Sprintf("%s/Ng=%d/N=%d/%s", slugify(st.sc.Name), st.sc.Ng(), n, p.name), func(b *testing.B) {
+					b.ReportAllocs()
+					opts := planOpts(b, st, n)
+					for i := 0; i < b.N; i++ {
+						if _, err := p.plan(st.suit, st.sc.Suitable, opts); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/panel"
@@ -175,82 +174,93 @@ func (p *Placement) CoveredCells() []geom.Cell {
 	return out
 }
 
-// candidate is a scored anchor position (with its footprint
-// orientation when rotation is enabled).
-type candidate struct {
-	anchor geom.Cell
-	score  float64
-	shape  ModuleShape
+// candidates is the greedy's candidate set: every anchor (x, y) whose
+// footprint of shapes[s] lies inside the mask with a valid score,
+// named by its code (y·W + x)·len(shapes) + s. shapes lists landscape
+// before portrait, so ascending codes order candidates by (y, x),
+// landscape first. score holds every code's score, NaN for a code that
+// names no candidate; rank holds the candidates' codes, ranked by
+// descending score, then ascending code. No two candidates share a
+// code, so that order is total.
+type candidates struct {
+	w      int
+	shapes []ModuleShape
+	score  []float64
+	rank   *ranked[int32]
 }
 
-// scoreCandidates enumerates all anchors whose footprint lies fully
-// inside the mask and scores them (footprint-mean or anchor-cell
-// suitability), returning them sorted by descending score with a
-// stable (y,x) tie order.
-func scoreCandidates(suit *Suitability, mask *geom.Mask, opts Options) []candidate {
-	shapes := []ModuleShape{opts.Shape}
-	if opts.AllowRotation && opts.Shape.W != opts.Shape.H {
-		shapes = append(shapes, ModuleShape{W: opts.Shape.H, H: opts.Shape.W})
-	}
-	var cands []candidate
-	area := float64(opts.Shape.W * opts.Shape.H)
-	for _, shape := range shapes {
-		for y := 0; y+shape.H <= mask.H(); y++ {
-			for x := 0; x+shape.W <= mask.W(); x++ {
-				anchor := geom.Cell{X: x, Y: y}
-				rect := shape.Rect(anchor)
-				if !mask.AllSet(rect) {
-					continue
-				}
-				var score float64
-				if opts.AnchorScore {
-					score = suit.At(anchor)
-				} else {
-					sum := 0.0
-					ok := true
-					rect.Cells(func(c geom.Cell) bool {
-						v := suit.At(c)
-						if math.IsNaN(v) {
-							ok = false
-							return false
-						}
-						sum += v
-						return true
-					})
-					if !ok {
-						continue
-					}
-					score = sum / area
-				}
-				if math.IsNaN(score) {
-					continue
-				}
-				cands = append(cands, candidate{anchor: anchor, score: score, shape: shape})
-			}
+// scoreCandidates scores every anchor whose footprint lies fully
+// inside the mask (footprint-mean or anchor-cell suitability) and
+// ranks the valid ones. The ranking sorts on demand: the greedy reads
+// a few hundred of several thousand candidates.
+func scoreCandidates(suit *Suitability, mask *geom.Mask, opts Options) *candidates {
+	c := &candidates{w: mask.W(), shapes: candidateShapes(opts)}
+	for s, shape := range c.shapes {
+		var table []float64
+		if opts.AnchorScore {
+			table = anchorScores(suit, mask, shape)
+		} else {
+			table = FootprintMeans(suit, mask, shape)
+		}
+		if len(c.shapes) == 1 {
+			c.score = table
+			break
+		}
+		if c.score == nil {
+			c.score = make([]float64, len(c.shapes)*len(table))
+		}
+		for i, v := range table {
+			c.score[i*len(c.shapes)+s] = v
 		}
 	}
-	slices.SortFunc(cands, rankOrder)
-	return cands
+	count := 0
+	for _, v := range c.score {
+		if !math.IsNaN(v) {
+			count++
+		}
+	}
+	codes := make([]int32, 0, count)
+	for code, v := range c.score {
+		if !math.IsNaN(v) {
+			codes = append(codes, int32(code))
+		}
+	}
+	c.rank = &ranked[int32]{items: codes, chunk: 16 * opts.Topology.Modules(), key: c.key, order: c.order}
+	return c
 }
 
-// rankOrder ranks candidates by descending score, then by (y, x),
-// then landscape before portrait. No two candidates share an anchor
-// and a shape, so this is a total order: the unstable sort yields the
-// one order a stable sort would.
-func rankOrder(a, b candidate) int {
-	if a.score != b.score {
-		if a.score > b.score {
+func (c *candidates) key(code int32) float64 { return -c.score[code] }
+
+// order ranks codes by descending score, then ascending code.
+func (c *candidates) order(a, b int32) int {
+	if sa, sb := c.score[a], c.score[b]; sa != sb {
+		if sa > sb {
 			return -1
 		}
 		return 1
 	}
-	if a.anchor.Y != b.anchor.Y {
-		return cmp.Compare(a.anchor.Y, b.anchor.Y)
+	return cmp.Compare(a, b)
+}
+
+// footprint returns the module footprint a code names.
+func (c *candidates) footprint(code int32) geom.Rect {
+	k := len(c.shapes)
+	i := int(code) / k
+	return c.shapes[int(code)%k].Rect(geom.Cell{X: i % c.w, Y: i / c.w})
+}
+
+// candidateShapes returns the footprints the greedy places, landscape
+// first: the module shape, and its rotation when opts allows it.
+func candidateShapes(opts Options) []ModuleShape {
+	s := opts.Shape
+	switch {
+	case !opts.AllowRotation || s.W == s.H:
+		return []ModuleShape{s}
+	case s.W > s.H:
+		return []ModuleShape{s, {W: s.H, H: s.W}}
+	default:
+		return []ModuleShape{{W: s.H, H: s.W}, s}
 	}
-	if a.anchor.X != b.anchor.X {
-		return cmp.Compare(a.anchor.X, b.anchor.X)
-	}
-	return cmp.Compare(b.shape.W, a.shape.W)
 }
 
 // ErrNoSpace reports that the greedy placer ran out of feasible
@@ -282,38 +292,69 @@ func Plan(suit *Suitability, mask *geom.Mask, opts Options) (*Placement, error) 
 }
 
 // placeRanked is Plan's placement loop over the ranked candidates.
-func placeRanked(cands []candidate, mask *geom.Mask, opts Options) (*Placement, error) {
+func placeRanked(cands *candidates, mask *geom.Mask, opts Options) (*Placement, error) {
 	n := opts.Topology.Modules()
-	if len(cands) == 0 {
+	if len(cands.rank.items) == 0 {
 		return nil, &ErrNoSpace{Placed: 0, Wanted: n}
 	}
 
-	avail := mask.Clone()
+	occ := newOccupancy(mask.W(), mask.H(), cands.shapes)
 	pl := &Placement{Topology: opts.Topology, Shape: opts.Shape}
 	var centers [][2]float64
 
 	for k := 0; k < n; k++ {
-		idx := pickCandidate(cands, avail, centers, opts, true)
-		if idx < 0 {
+		code := pickCandidate(cands, occ, centers, opts, true)
+		if code < 0 {
 			// Threshold too tight: fall back to the unconstrained
 			// best and say so.
-			idx = pickCandidate(cands, avail, centers, opts, false)
-			if idx < 0 {
+			code = pickCandidate(cands, occ, centers, opts, false)
+			if code < 0 {
 				return nil, &ErrNoSpace{Placed: k, Wanted: n}
 			}
 			pl.Warnings = append(pl.Warnings,
 				fmt.Sprintf("module %d: no candidate within distance threshold; nearest best used", k))
 		}
-		chosen := cands[idx]
-		rect := chosen.shape.Rect(chosen.anchor)
-		avail.SetRect(rect, false)
+		rect := cands.footprint(code)
+		occ.place(rect)
 		pl.Rects = append(pl.Rects, rect)
-		pl.SuitabilitySum += chosen.score
+		pl.SuitabilitySum += cands.score[code]
 		cx, cy := rect.Center()
 		centers = append(centers, [2]float64{cx, cy})
 	}
 	return pl, nil
 }
+
+// occupancy records which candidate footprints overlap a placed
+// module, by candidate code (see candidates) over a w×h grid. Every
+// candidate footprint lies inside the mask, so a candidate is
+// available exactly when its code is not marked: placing a module
+// marks the (W+w−1)×(H+h−1) anchors around it for each w×h shape, and
+// an availability test is one lookup.
+type occupancy struct {
+	w, h   int
+	shapes []ModuleShape
+	dead   []bool
+}
+
+func newOccupancy(w, h int, shapes []ModuleShape) *occupancy {
+	return &occupancy{w: w, h: h, shapes: shapes, dead: make([]bool, len(shapes)*w*h)}
+}
+
+// place marks every code whose footprint overlaps r.
+func (o *occupancy) place(r geom.Rect) {
+	k := len(o.shapes)
+	for s, shape := range o.shapes {
+		for y := max(r.Y0-shape.H+1, 0); y < min(r.Y1, o.h); y++ {
+			for x := max(r.X0-shape.W+1, 0); x < min(r.X1, o.w); x++ {
+				o.dead[(y*o.w+x)*k+s] = true
+			}
+		}
+	}
+}
+
+// free reports whether the footprint code names overlaps no placed
+// module.
+func (o *occupancy) free(code int32) bool { return !o.dead[code] }
 
 func prepare(suit *Suitability, mask *geom.Mask, opts *Options) error {
 	if suit == nil || mask == nil {
@@ -333,38 +374,38 @@ func prepare(suit *Suitability, mask *geom.Mask, opts *Options) error {
 	return nil
 }
 
-// pickCandidate scans the ranked list and returns the index of the
-// best available candidate, resolving suitability ties by the
-// distance policy; with enforceThreshold set, candidates beyond the
-// distance threshold are skipped. Returns -1 if none qualifies.
-func pickCandidate(cands []candidate, avail *geom.Mask, centers [][2]float64, opts Options, enforceThreshold bool) int {
+// pickCandidate scans the ranked candidates and returns the code of
+// the best available one, resolving suitability ties by the distance
+// policy; with enforceThreshold set, candidates beyond the distance
+// threshold are skipped. Returns -1 if none qualifies.
+func pickCandidate(cands *candidates, occ *occupancy, centers [][2]float64, opts Options, enforceThreshold bool) int32 {
 	threshold := math.Inf(1)
 	if enforceThreshold && opts.Policy != PolicyNone && len(centers) > 0 {
 		threshold = opts.DistanceFactor * thresholdBase(centers, opts.Shape)
 	}
-	best := -1
+	best := int32(-1)
 	bestScore := math.NaN()
 	bestDist := math.Inf(1)
-	for i := range cands {
-		cd := &cands[i]
-		if !math.IsNaN(bestScore) && cd.score < bestScore-opts.TieEpsilonRel*math.Abs(bestScore) {
+	for i := 0; cands.rank.has(i); i++ {
+		code := cands.rank.items[i]
+		score := cands.score[code]
+		if !math.IsNaN(bestScore) && score < bestScore-opts.TieEpsilonRel*math.Abs(bestScore) {
 			break // ranked list: no better-scoring candidate follows
 		}
-		rect := cd.shape.Rect(cd.anchor)
-		if !avail.AllSet(rect) {
+		if !occ.free(code) {
 			continue
 		}
-		d := candidateDistance(rect, centers, opts.Policy)
+		d := candidateDistance(cands.footprint(code), centers, opts.Policy)
 		if d > threshold {
 			continue
 		}
 		if math.IsNaN(bestScore) {
 			// First qualifying candidate pins the tie band.
-			best, bestScore, bestDist = i, cd.score, d
+			best, bestScore, bestDist = code, score, d
 			continue
 		}
 		if d < bestDist {
-			best, bestDist = i, d
+			best, bestDist = code, d
 		}
 	}
 	return best

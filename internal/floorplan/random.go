@@ -28,28 +28,29 @@ func PlanRandom(suit *Suitability, mask *geom.Mask, opts Options, seed int64) (*
 
 // placeRandom is PlanRandom's placement loop over the ranked
 // candidates.
-func placeRandom(cands []candidate, mask *geom.Mask, opts Options, seed int64) (*Placement, error) {
+func placeRandom(cands *candidates, mask *geom.Mask, opts Options, seed int64) (*Placement, error) {
 	n := opts.Topology.Modules()
-	if len(cands) == 0 {
+	ranked := cands.rank.all()
+	if len(ranked) == 0 {
 		return nil, &ErrNoSpace{Placed: 0, Wanted: n}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	order := rng.Perm(len(cands))
+	order := rng.Perm(len(ranked))
 
-	avail := mask.Clone()
+	occ := newOccupancy(mask.W(), mask.H(), cands.shapes)
 	pl := &Placement{Topology: opts.Topology, Shape: opts.Shape}
 	for _, idx := range order {
 		if len(pl.Rects) == n {
 			break
 		}
-		cd := cands[idx]
-		rect := cd.shape.Rect(cd.anchor)
-		if !avail.AllSet(rect) {
+		code := ranked[idx]
+		if !occ.free(code) {
 			continue
 		}
-		avail.SetRect(rect, false)
+		rect := cands.footprint(code)
+		occ.place(rect)
 		pl.Rects = append(pl.Rects, rect)
-		pl.SuitabilitySum += cd.score
+		pl.SuitabilitySum += cands.score[code]
 	}
 	if len(pl.Rects) < n {
 		return nil, &ErrNoSpace{Placed: len(pl.Rects), Wanted: n}

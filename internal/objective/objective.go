@@ -74,7 +74,7 @@ type Objective struct {
 
 	// Immutable after New, shared across forks.
 	aw, ah int       // anchor lattice dimensions
-	table  []float64 // per-anchor footprint-mean score; NaN = infeasible
+	table  []float64 // footprint-mean score of anchor (x, y) at y·W + x; NaN = infeasible
 
 	// wPerCell = WiringWeight · Spec.CellSizeM, hoisted for DeltaMove
 	// (only the delta uses it; Value/FromScratch keep the documented
@@ -88,10 +88,11 @@ type Objective struct {
 	gaps   []int      // per-string wiring gap cells
 }
 
-// New precomputes the per-anchor score table: every anchor whose
-// footprint lies fully inside the mask with no NaN suitability cell
-// gets its footprint-mean score; every other anchor is NaN. Cost is
-// one pass over the grid, paid once and amortised over every
+// New precomputes the per-anchor score table with
+// floorplan.FootprintMeans, the table the planners rank: every anchor
+// whose footprint lies fully inside the mask with no NaN suitability
+// cell gets its footprint-mean score; every other anchor is NaN. Cost
+// is one pass over the grid, paid once and amortised over every
 // subsequent lookup, move and search node.
 func New(suit *floorplan.Suitability, mask *geom.Mask, p Params) (*Objective, error) {
 	if suit == nil || mask == nil {
@@ -114,23 +115,17 @@ func New(suit *floorplan.Suitability, mask *geom.Mask, p Params) (*Objective, er
 		return nil, fmt.Errorf("objective: module %dx%d does not fit the %dx%d grid",
 			p.Shape.W, p.Shape.H, mask.W(), mask.H())
 	}
-	o := &Objective{suit: suit, mask: mask, p: p, aw: aw, ah: ah,
-		wPerCell: p.WiringWeight * p.Spec.CellSizeM}
-	o.table = make([]float64, aw*ah)
-	area := float64(p.Shape.W * p.Shape.H)
-	for y := 0; y < ah; y++ {
-		for x := 0; x < aw; x++ {
-			o.table[y*aw+x] = footprintScore(suit, mask, p.Shape.Rect(geom.Cell{X: x, Y: y}), area)
-		}
-	}
-	return o, nil
+	return &Objective{suit: suit, mask: mask, p: p, aw: aw, ah: ah,
+		table:    floorplan.FootprintMeans(suit, mask, p.Shape),
+		wPerCell: p.WiringWeight * p.Spec.CellSizeM}, nil
 }
 
-// footprintScore is the canonical candidate score: the row-major sum
-// of the footprint's suitability cells divided by the footprint area,
-// or NaN when the footprint leaves the mask or covers a NaN cell.
-// FromScratch uses the identical computation, so table entries and
-// from-scratch scores agree to the bit.
+// footprintScore is FromScratch's own footprint score, kept apart
+// from the table as its independent check: the row-major sum of the
+// footprint's suitability cells divided by the footprint area, or NaN
+// when the footprint leaves the mask or covers a NaN cell. It sums in
+// the table's order, so table entries and from-scratch scores agree
+// to the bit.
 func footprintScore(suit *floorplan.Suitability, mask *geom.Mask, rect geom.Rect, area float64) float64 {
 	if !mask.AllSet(rect) {
 		return math.NaN()
@@ -170,7 +165,7 @@ func (o *Objective) ScoreAt(anchor geom.Cell) float64 {
 	if anchor.X < 0 || anchor.X >= o.aw || anchor.Y < 0 || anchor.Y >= o.ah {
 		return math.NaN()
 	}
-	return o.table[anchor.Y*o.aw+anchor.X]
+	return o.table[anchor.Y*o.mask.W()+anchor.X]
 }
 
 // AnchorDims returns the anchor lattice dimensions (the valid anchor
@@ -183,7 +178,7 @@ func (o *Objective) AnchorDims() (w, h int) { return o.aw, o.ah }
 func (o *Objective) ForEachAnchor(fn func(anchor geom.Cell, score float64)) {
 	for y := 0; y < o.ah; y++ {
 		for x := 0; x < o.aw; x++ {
-			if s := o.table[y*o.aw+x]; !math.IsNaN(s) {
+			if s := o.table[y*o.mask.W()+x]; !math.IsNaN(s) {
 				fn(geom.Cell{X: x, Y: y}, s)
 			}
 		}
@@ -321,7 +316,7 @@ func (o *Objective) Prepare(k int, anchor geom.Cell) (m Move, ok bool) {
 	if anchor.X < 0 || anchor.X >= o.aw || anchor.Y < 0 || anchor.Y >= o.ah {
 		return Move{}, false
 	}
-	score := o.table[anchor.Y*o.aw+anchor.X]
+	score := o.table[anchor.Y*o.mask.W()+anchor.X]
 	if math.IsNaN(score) {
 		return Move{}, false
 	}

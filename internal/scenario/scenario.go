@@ -102,12 +102,22 @@ func FastGrid() *timegrid.Grid {
 }
 
 // FastHorizonOptions returns the reduced-fidelity horizon options
-// selected by FieldConfig.Fast (32 sectors, 40 m rays). District runs
-// that prebuild a tile-level horizon use this to march the tile with
-// exactly the options the per-roof evaluators will ask for, so the
-// shared map's provenance check passes.
+// selected by FieldConfig.Fast (32 sectors, 40 m rays).
 func FastHorizonOptions() horizon.Options {
 	return horizon.Options{Sectors: 32, MaxDistanceM: 40}
+}
+
+// HorizonOptions maps a fidelity to its horizon options: the
+// reduced-fidelity FastHorizonOptions when fast is set, the paper's
+// full-fidelity defaults otherwise. FieldWith marches every roof with
+// it, and district runs that prebuild a tile-level horizon march the
+// tile with it, so the shared map carries exactly the options the
+// per-roof evaluators ask for and its provenance check passes.
+func HorizonOptions(fast bool) horizon.Options {
+	if fast {
+		return FastHorizonOptions()
+	}
+	return horizon.Options{}
 }
 
 // FieldConfig tunes solar-field construction for a scenario beyond
@@ -151,10 +161,6 @@ func (s *Scenario) FieldWith(cfg FieldConfig) (*field.Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hopts horizon.Options
-	if cfg.Fast {
-		hopts = FastHorizonOptions()
-	}
 	return field.New(field.Config{
 		Site:          s.Site,
 		Scene:         s.Scene,
@@ -162,7 +168,7 @@ func (s *Scenario) FieldWith(cfg FieldConfig) (*field.Evaluator, error) {
 		Weather:       wx,
 		Grid:          cfg.Grid,
 		MonthlyTL:     s.MonthlyTL,
-		Horizon:       hopts,
+		Horizon:       HorizonOptions(cfg.Fast),
 		Workers:       cfg.Workers,
 		Cache:         cfg.Cache,
 		SharedHorizon: s.SharedHorizon,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pvmodel"
 	"repro/internal/solar/field"
+	"repro/internal/solar/horizon"
 	"repro/internal/wiring"
 )
 
@@ -71,6 +72,18 @@ func TestRoof1HasFewestValidCells(t *testing.T) {
 	if !(rs[0].Ng() < rs[1].Ng() && rs[0].Ng() < rs[2].Ng()) {
 		t.Errorf("Roof 1 Ng=%d should be the smallest (%d, %d)",
 			rs[0].Ng(), rs[1].Ng(), rs[2].Ng())
+	}
+}
+
+// TestHorizonOptionsByFidelity pins the one fidelity → horizon
+// options mapping that FieldWith and the tile-level district march
+// share.
+func TestHorizonOptionsByFidelity(t *testing.T) {
+	if got, want := HorizonOptions(true), FastHorizonOptions(); got != want {
+		t.Errorf("HorizonOptions(fast) = %+v, want %+v", got, want)
+	}
+	if got := HorizonOptions(false); got != (horizon.Options{}) {
+		t.Errorf("HorizonOptions(full) = %+v, want the defaults", got)
 	}
 }
 

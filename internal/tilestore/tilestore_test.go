@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -139,4 +141,85 @@ func TestPathUnknownRef(t *testing.T) {
 	if _, err := s.Path("../escape"); err == nil || errors.Is(err, ErrNotFound) {
 		t.Fatalf("traversal ref = %v, want validation error", err)
 	}
+}
+
+// FuzzTilePut feeds Put arbitrary uploads: plain bytes, gzip streams
+// of them, and gzip bombs that repeat them up to 8 MiB from a few
+// kilobytes. Put must return an error or a ref whose Info matches the
+// uncompressed content, never panic, and allocate in proportion to
+// the uncompressed bytes it may read — at most MaxTileBytes+1 — plus a
+// fixed allowance for the gzip codecs, never by a header's claim. The
+// factor is 16: the read buffer, the line scanner's buffer and the
+// parsed values come to 5–10 times the uncompressed bytes. (The 1 GiB
+// cap itself is too large to exercise here.)
+func FuzzTilePut(f *testing.F) {
+	f.Add([]byte(sampleASC), uint16(0), uint8(0))
+	f.Add([]byte(sampleASC), uint16(0), uint8(1))
+	f.Add([]byte("ncols 100000000\nnrows 100000000\ncellsize 1\n"), uint16(0), uint8(0))
+	f.Add([]byte("0 "), uint16(8191), uint8(2))
+	f.Add([]byte("ncols 2\nnrows 1\ncellsize 1\n1 2\n"), uint16(4096), uint8(2))
+	f.Add([]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}, uint16(0), uint8(0))
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bombKB uint16, mode uint8) {
+		body := data
+		switch mode % 3 {
+		case 1:
+			body = gzBytes(t, data)
+		case 2:
+			if len(data) == 0 {
+				return
+			}
+			n := (int(bombKB)%8192 + 1) << 10 / len(data)
+			body = gzBytes(t, bytes.Repeat(data, n+1))
+		}
+		plain := uncompressedLen(body)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		info, err := s.Put(bytes.NewReader(body))
+		runtime.ReadMemStats(&after)
+		if limit := 16*plain + 16<<20; after.TotalAlloc-before.TotalAlloc > uint64(limit) {
+			t.Fatalf("Put allocated %d bytes for %d uncompressed bytes (limit %d)",
+				after.TotalAlloc-before.TotalAlloc, plain, limit)
+		}
+		if err != nil {
+			return
+		}
+		if !strings.HasPrefix(info.Ref, refPrefix) || info.Cells != info.NCols*info.NRows || info.NoData > info.Cells {
+			t.Fatalf("info = %+v", info)
+		}
+		if _, err := s.Path(info.Ref); err != nil {
+			t.Fatalf("stored tile %s: %v", info.Ref, err)
+		}
+	})
+}
+
+func gzBytes(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// uncompressedLen returns how many bytes Put may read from body: its
+// gunzipped length when it carries the gzip magic, capped at
+// MaxTileBytes+1.
+func uncompressedLen(body []byte) int {
+	if len(body) < 2 || body[0] != 0x1f || body[1] != 0x8b {
+		return len(body)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(body))
+	if err != nil {
+		return 0
+	}
+	n, _ := io.Copy(io.Discard, io.LimitReader(zr, MaxTileBytes+1))
+	return int(n)
 }

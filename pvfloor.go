@@ -199,10 +199,7 @@ func (cfg Config) fieldConfig(workers int) scenario.FieldConfig {
 
 // horizonOptions returns the horizon-map options of the fidelity.
 func (f Fidelity) horizonOptions() horizon.Options {
-	if f == Full {
-		return horizon.Options{}
-	}
-	return scenario.FastHorizonOptions()
+	return scenario.HorizonOptions(f != Full)
 }
 
 // Result carries every artifact of a pipeline run.
