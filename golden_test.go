@@ -313,11 +313,27 @@ func TestGoldenRunTable1(t *testing.T) {
 		t.Fatal(err)
 	}
 	var golden []goldenRun
+	var warnings []goldenWarnings
 	for _, br := range runs {
 		if br.Err != nil {
 			t.Fatalf("%s: %v", br.Name, br.Err)
 		}
 		golden = append(golden, goldenFromResult(br.Name, br.Config.Modules, br.Result))
+		warnings = append(warnings, goldenWarnings{
+			Name:        br.Name,
+			Proposed:    br.Result.Proposed.Warnings,
+			Traditional: br.Result.Traditional.Warnings,
+		})
 	}
 	checkGolden(t, "run_table1.json", golden)
+	checkGolden(t, "run_table1_warnings.json", warnings)
+}
+
+// goldenWarnings pins the planner warnings of one run: the
+// distance-threshold fallbacks of the proposed placement and the
+// holey-block refill note of the compact baseline.
+type goldenWarnings struct {
+	Name        string   `json:"name"`
+	Proposed    []string `json:"proposed"`
+	Traditional []string `json:"traditional"`
 }
