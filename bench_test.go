@@ -619,53 +619,13 @@ func BenchmarkMonthlyProfile(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOrientation compares fixed-orientation against
-// free-rotation placement (extension study), reporting the
-// suitability gain rotation buys.
-func BenchmarkAblationOrientation(b *testing.B) {
-	b.ReportAllocs()
-	st := roofStates(b)[2]
-	for _, rotate := range []bool{false, true} {
-		name := "fixed"
-		if rotate {
-			name = "rotating"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			opts := planOpts(b, st, 32)
-			opts.AllowRotation = rotate
-			var suitSum float64
-			for i := 0; i < b.N; i++ {
-				pl, err := floorplan.Plan(st.suit, st.sc.Suitable, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				suitSum = pl.SuitabilitySum
-			}
-			b.ReportMetric(suitSum, "suit_sum")
-		})
-	}
-}
-
-// BenchmarkBaselineHierarchy places random, compact and greedy on the
-// same roof, reporting each one's suitability total — the sanity
-// ordering random <= compact <= greedy.
+// BenchmarkBaselineHierarchy places compact and greedy on the same
+// roof, reporting each one's suitability total — the sanity ordering
+// compact <= greedy.
 func BenchmarkBaselineHierarchy(b *testing.B) {
 	b.ReportAllocs()
 	st := roofStates(b)[1]
 	opts := planOpts(b, st, 16)
-	b.Run("random", func(b *testing.B) {
-		b.ReportAllocs()
-		var s float64
-		for i := 0; i < b.N; i++ {
-			pl, err := floorplan.PlanRandom(st.suit, st.sc.Suitable, opts, int64(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			s = pl.SuitabilitySum
-		}
-		b.ReportMetric(s, "suit_sum")
-	})
 	b.Run("compact", func(b *testing.B) {
 		b.ReportAllocs()
 		var s float64

@@ -108,11 +108,6 @@ type CityConfig struct {
 	// been dispatched, in which case the completed result is
 	// returned. Context cancellation remains the hard abort.
 	Drain <-chan struct{}
-	// TileFault is a test seam for the fault-injection harness: when
-	// non-nil it is consulted at the start of every tile attempt
-	// (1-based) and a non-nil error fails that attempt as if the
-	// pipeline had.
-	TileFault func(tile, attempt int) error
 
 	// Context, when non-nil, bounds the run: once cancelled no new
 	// tile starts and in-flight tiles stop between roofs.
@@ -421,7 +416,7 @@ func (cfg CityConfig) runTileRetrying(ctx context.Context, t, tiles int, core, w
 			}
 		}
 		emit(DistrictEvent{Kind: CityTileStarted})
-		out, err := cfg.runTileAttempt(ctx, t, core, window, bounds, attempt, emit)
+		out, err := cfg.runTileAttempt(ctx, t, core, window, bounds, emit)
 		if err == nil {
 			out.info.Attempts = attempt
 			return out, nil
@@ -437,14 +432,10 @@ func (cfg CityConfig) runTileRetrying(ctx context.Context, t, tiles int, core, w
 	}}, nil
 }
 
-// runTileAttempt materialises one work tile's window and sweeps it
-// through the district pipeline, bounded by TileTimeout when set.
-func (cfg CityConfig) runTileAttempt(ctx context.Context, t int, core, window, bounds geom.Rect, attempt int, emit func(DistrictEvent)) (*tileOutcome, error) {
-	if cfg.TileFault != nil {
-		if err := cfg.TileFault(t, attempt); err != nil {
-			return nil, err
-		}
-	}
+// runTileAttempt materialises one work tile's window, reading it from
+// Source once per attempt, and sweeps it through the district
+// pipeline, bounded by TileTimeout when set.
+func (cfg CityConfig) runTileAttempt(ctx context.Context, t int, core, window, bounds geom.Rect, emit func(DistrictEvent)) (*tileOutcome, error) {
 	if cfg.TileTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.TileTimeout)

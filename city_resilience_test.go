@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dsm"
 	"repro/internal/faultfs"
+	"repro/internal/geom"
 	"repro/internal/gis"
 	"repro/internal/solar/horizon"
 )
@@ -61,6 +63,37 @@ func (c *countingCheckpoint) Commit(tile int, rec *TileRecord) error {
 	return c.inner.Commit(tile, rec)
 }
 
+// faultHalo keeps the four tiles' windows of the neighborhood fixture
+// distinct, so faultySource can tell the tiles apart; the default halo
+// clips every window to the whole grid.
+const faultHalo = 40
+
+// faultySource wraps a CitySource and consults fault before every
+// Window call. RunCity reads a tile's window once per attempt, so
+// attempt counts the calls per window (1-based), and a non-nil error
+// fails that attempt as if the pipeline had.
+type faultySource struct {
+	CitySource
+	fault func(window geom.Rect, attempt int) error
+
+	mu    sync.Mutex
+	calls map[geom.Rect]int
+}
+
+func (s *faultySource) Window(rect geom.Rect) (*dsm.Raster, *geom.Mask, error) {
+	s.mu.Lock()
+	if s.calls == nil {
+		s.calls = map[geom.Rect]int{}
+	}
+	s.calls[rect]++
+	attempt := s.calls[rect]
+	s.mu.Unlock()
+	if err := s.fault(rect, attempt); err != nil {
+		return nil, nil, err
+	}
+	return s.CitySource.Window(rect)
+}
+
 // TestCityTileRetrySucceeds pins the retry contract: a tile failing
 // its first N−1 attempts succeeds on attempt N, the capped
 // exponential backoff is observed between attempts, and the final
@@ -70,6 +103,7 @@ func TestCityTileRetrySucceeds(t *testing.T) {
 	baseline, err := RunCity(CityConfig{
 		Source:    &gis.RasterSource{Raster: tile},
 		TileCells: 80,
+		HaloCells: faultHalo,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,23 +112,27 @@ func TestCityTileRetrySucceeds(t *testing.T) {
 	const backoff = 20 * time.Millisecond
 	var mu sync.Mutex
 	var stamps []time.Time
+	flaky := baseline.Tiles[1].Window
 	city, err := RunCity(CityConfig{
-		Source:      &gis.RasterSource{Raster: tile},
+		Source: &faultySource{
+			CitySource: &gis.RasterSource{Raster: tile},
+			fault: func(window geom.Rect, attempt int) error {
+				if window != flaky {
+					return nil
+				}
+				mu.Lock()
+				stamps = append(stamps, time.Now())
+				mu.Unlock()
+				if attempt <= 2 {
+					return fmt.Errorf("injected flake (attempt %d)", attempt)
+				}
+				return nil
+			},
+		},
 		TileCells:   80,
+		HaloCells:   faultHalo,
 		TileRetries: 2,
 		Backoff:     backoff,
-		TileFault: func(tileIdx, attempt int) error {
-			if tileIdx != 1 {
-				return nil
-			}
-			mu.Lock()
-			stamps = append(stamps, time.Now())
-			mu.Unlock()
-			if attempt <= 2 {
-				return fmt.Errorf("injected flake (attempt %d)", attempt)
-			}
-			return nil
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,22 +179,27 @@ func TestCityTileExhaustedRetriesDegrades(t *testing.T) {
 	baseline, err := RunCity(CityConfig{
 		Source:    &gis.RasterSource{Raster: tile},
 		TileCells: 80,
+		HaloCells: faultHalo,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	broken := baseline.Tiles[1].Window
 	city, err := RunCity(CityConfig{
-		Source:      &gis.RasterSource{Raster: tile},
+		Source: &faultySource{
+			CitySource: &gis.RasterSource{Raster: tile},
+			fault: func(window geom.Rect, attempt int) error {
+				if window == broken {
+					return errors.New("injected permanent fault")
+				}
+				return nil
+			},
+		},
 		TileCells:   80,
+		HaloCells:   faultHalo,
 		TileRetries: 1,
 		Backoff:     time.Millisecond,
-		TileFault: func(tileIdx, attempt int) error {
-			if tileIdx == 1 {
-				return errors.New("injected permanent fault")
-			}
-			return nil
-		},
 	})
 	if err != nil {
 		t.Fatalf("exhausted tile must degrade, not abort: %v", err)

@@ -29,9 +29,6 @@ func PlanCompact(suit *Suitability, mask *geom.Mask, opts Options) (*Placement, 
 	if err := prepare(suit, mask, &opts); err != nil {
 		return nil, err
 	}
-	// The baseline packs identically-oriented modules, as real
-	// installations do; rotation is a greedy-only extension.
-	opts.AllowRotation = false
 	table := newSlotTable(suit, mask, opts.Shape)
 	slots, intact := table.bestBlock(mask, opts)
 	switch {
@@ -279,19 +276,15 @@ func placementFromSlots(slots []geom.Cell, suit *Suitability, opts Options, warn
 // fillShortfall completes a partial compact block to N modules by
 // claiming the best remaining candidates closest to the block
 // centroid, keeping the arrangement as compact as the obstacles
-// allow. opts must have AllowRotation off, as PlanCompact sets it.
+// allow.
 func fillShortfall(slots []geom.Cell, table slotTable, suit *Suitability, mask *geom.Mask, opts Options) (*Placement, error) {
 	n := opts.Topology.Modules()
-	occ := newOccupancy(mask.W(), mask.H(), []ModuleShape{opts.Shape})
+	occ := newOccupancy(mask.W(), mask.H(), opts.Shape)
 	for _, s := range slots {
 		occ.place(opts.Shape.Rect(s))
 	}
 	filled := append(make([]geom.Cell, 0, n), slots...)
-	scores := table.scores
-	if opts.AnchorScore {
-		scores = anchorScores(suit, mask, opts.Shape)
-	}
-	near := table.nearest(slots, occ, scores, opts)
+	near := table.nearest(slots, occ, opts)
 	for i := 0; len(filled) < n && near.has(i); i++ {
 		anchor := near.items[i].anchor
 		if !occ.free(int32(anchor.Y*mask.W() + anchor.X)) {
@@ -333,12 +326,10 @@ func nearOrder(a, b nearSlot) int {
 	return cmp.Compare(a.anchor.X, b.anchor.X)
 }
 
-// nearest ranks the slots valid in scores (the table's own, or the
-// anchor-cell scores with opts.AnchorScore, as scoreCandidates ranks)
-// that occ leaves free in nearOrder from the centroid of slots. The
-// ranking sorts on demand: the fill usually reads a few dozen of
-// several thousand slots.
-func (t slotTable) nearest(slots []geom.Cell, occ *occupancy, scores []float64, opts Options) *ranked[nearSlot] {
+// nearest ranks the valid slots that occ leaves free in nearOrder
+// from the centroid of slots. The ranking sorts on demand: the fill
+// usually reads a few dozen of several thousand slots.
+func (t slotTable) nearest(slots []geom.Cell, occ *occupancy, opts Options) *ranked[nearSlot] {
 	var cx, cy float64
 	for _, s := range slots {
 		x, y := opts.Shape.Rect(s).Center()
@@ -349,13 +340,13 @@ func (t slotTable) nearest(slots []geom.Cell, occ *occupancy, scores []float64, 
 	cy /= float64(len(slots))
 
 	count := 0
-	for i, s := range scores {
+	for i, s := range t.scores {
 		if !math.IsNaN(s) && occ.free(int32(i)) {
 			count++
 		}
 	}
 	cands := make([]nearSlot, 0, count)
-	for i, s := range scores {
+	for i, s := range t.scores {
 		if !math.IsNaN(s) && occ.free(int32(i)) {
 			anchor := geom.Cell{X: i % t.w, Y: i / t.w}
 			x, y := opts.Shape.Rect(anchor).Center()

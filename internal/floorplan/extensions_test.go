@@ -1,172 +1,6 @@
 package floorplan
 
-import (
-	"testing"
-
-	"repro/internal/geom"
-)
-
-// narrowBandSuit builds a field whose hot region is a tall narrow
-// column that only fits rotated (4x8) modules.
-func narrowBandSuit(w, h int) (*Suitability, *geom.Mask) {
-	s := &Suitability{W: w, H: h, S: make([]float64, w*h)}
-	m := geom.NewMask(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := 10.0
-			if x >= 20 && x < 26 {
-				v = 100 // 6-cell-wide hot column: too narrow for 8-wide
-			}
-			s.S[y*w+x] = v
-		}
-	}
-	m.Fill(true)
-	return s, m
-}
-
-func TestAllowRotationReachesNarrowRegions(t *testing.T) {
-	suit, mask := narrowBandSuit(48, 32)
-	fixed := defaultOpts(2, 2)
-	rot := defaultOpts(2, 2)
-	rot.AllowRotation = true
-
-	plFixed, err := Plan(suit, mask, fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plRot, err := Plan(suit, mask, rot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hot column is 6 wide: an 8x4 module cannot sit fully
-	// inside it, a rotated 4x8 can.
-	if !(plRot.SuitabilitySum > plFixed.SuitabilitySum) {
-		t.Errorf("rotation should reach the narrow hot column: fixed %.1f vs rot %.1f",
-			plFixed.SuitabilitySum, plRot.SuitabilitySum)
-	}
-	sawRotated := false
-	for _, r := range plRot.Rects {
-		if r.W() == 4 && r.H() == 8 {
-			sawRotated = true
-		}
-	}
-	if !sawRotated {
-		t.Error("expected at least one rotated footprint")
-	}
-	if !plRot.OverlapFree() || !plRot.WithinMask(mask) {
-		t.Error("rotated placement infeasible")
-	}
-}
-
-func TestAllowRotationCoveredCellsConsistent(t *testing.T) {
-	suit, mask := narrowBandSuit(48, 32)
-	opts := defaultOpts(4, 2)
-	opts.AllowRotation = true
-	pl, err := Plan(suit, mask, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := pl.CoveredCells()
-	if len(cells) != 4*32 {
-		t.Errorf("covered cells = %d, want %d (area invariant under rotation)", len(cells), 4*32)
-	}
-	seen := map[geom.Cell]bool{}
-	for _, c := range cells {
-		if seen[c] {
-			t.Fatalf("cell %v covered twice", c)
-		}
-		seen[c] = true
-	}
-}
-
-func TestRotationSquareShapeNoDuplicates(t *testing.T) {
-	// Square modules must not double-enumerate candidates.
-	suit := gradientSuit(30, 30)
-	mask := fullMask(30, 30)
-	opts := Options{
-		Shape:    ModuleShape{W: 4, H: 4},
-		Topology: defaultOpts(2, 2).Topology,
-	}
-	opts.AllowRotation = true
-	a, err := Plan(suit, mask, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.AllowRotation = false
-	b, err := Plan(suit, mask, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SuitabilitySum != b.SuitabilitySum {
-		t.Errorf("square rotation changed the result: %.3f vs %.3f", a.SuitabilitySum, b.SuitabilitySum)
-	}
-}
-
-func TestPlanRandomFeasibleAndSeeded(t *testing.T) {
-	suit := gradientSuit(60, 30)
-	mask := fullMask(60, 30)
-	mask.SetRect(geom.Rect{X0: 20, Y0: 10, X1: 30, Y1: 20}, false)
-	opts := defaultOpts(6, 3)
-
-	a, err := PlanRandom(suit, mask, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rects) != 6 || !a.OverlapFree() || !a.WithinMask(mask) {
-		t.Fatal("random placement infeasible")
-	}
-	b, err := PlanRandom(suit, mask, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Rects {
-		if a.Rects[i] != b.Rects[i] {
-			t.Fatal("same seed produced different placements")
-		}
-	}
-	c, err := PlanRandom(suit, mask, opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range a.Rects {
-		if a.Rects[i] != c.Rects[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds should almost surely differ")
-	}
-}
-
-func TestGreedyBeatsRandomOnSuitability(t *testing.T) {
-	// The hierarchy the baselines establish: greedy >= random on the
-	// suitability objective, across seeds.
-	suit := gradientSuit(60, 30)
-	mask := fullMask(60, 30)
-	opts := defaultOpts(6, 3)
-	greedy, err := Plan(suit, mask, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 10; seed++ {
-		r, err := PlanRandom(suit, mask, opts, seed)
-		if err != nil {
-			continue
-		}
-		if r.SuitabilitySum > greedy.SuitabilitySum+1e-9 {
-			t.Errorf("seed %d: random %.1f beat greedy %.1f", seed, r.SuitabilitySum, greedy.SuitabilitySum)
-		}
-	}
-}
-
-func TestPlanRandomNoSpace(t *testing.T) {
-	suit := gradientSuit(10, 5)
-	mask := fullMask(10, 5)
-	if _, err := PlanRandom(suit, mask, defaultOpts(4, 2), 1); err == nil {
-		t.Error("expected ErrNoSpace on a tiny roof")
-	}
-}
+import "testing"
 
 func TestShapeOnGrid(t *testing.T) {
 	s, err := ShapeOnGrid(1.6, 0.8, 0.2)

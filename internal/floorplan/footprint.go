@@ -66,22 +66,6 @@ func FootprintMeans(suit *Suitability, mask *geom.Mask, shape ModuleShape) []flo
 	return out
 }
 
-// anchorScores is FootprintMeans for the AnchorScore ablation: the
-// anchor cell's own suitability wherever the footprint lies inside the
-// mask, NaN elsewhere.
-func anchorScores(suit *Suitability, mask *geom.Mask, shape ModuleShape) []float64 {
-	out := make([]float64, suit.W*suit.H)
-	fillNaN(out)
-	forEachAnchorRow(mask, shape, func(ay int, inMask []bool) {
-		for ax, ok := range inMask {
-			if ok {
-				out[ay*suit.W+ax] = suit.S[ay*suit.W+ax]
-			}
-		}
-	})
-	return out
-}
-
 // forEachAnchorRow calls fn for every row ay of shape's anchor grid
 // with inMask[ax] reporting whether the footprint anchored at (ax, ay)
 // lies inside the mask. It keeps, per column, the count of masked

@@ -61,9 +61,8 @@ type DistancePolicy int
 const (
 	// PolicyChain (the default) measures distance to the previously
 	// placed module — the series predecessor whose cable the paper's
-	// wiring tie-breaker is about — with the threshold set to
-	// DistanceFactor times the mean pairwise distance of the placed
-	// modules.
+	// wiring tie-breaker is about — with the threshold set to twice
+	// the mean pairwise distance of the placed modules.
 	PolicyChain DistancePolicy = iota
 	// PolicyCentroid measures distance to the centroid of the placed
 	// modules instead (alternative reading of §III-C; ablation A2).
@@ -93,9 +92,6 @@ type Options struct {
 	// Topology is the series/parallel interconnection (modules are
 	// placed series-first).
 	Topology panel.Topology
-	// DistanceFactor scales the distance threshold (paper: 2; 0
-	// defaults to 2).
-	DistanceFactor float64
 	// Policy selects the distance metric (default PolicyChain).
 	Policy DistancePolicy
 	// TieEpsilonRel is the relative suitability band treated as a
@@ -108,22 +104,12 @@ type Options struct {
 	// wiring short). Ablation A2 sweeps this. Set negative to force
 	// exact ties.
 	TieEpsilonRel float64
-	// AnchorScore ranks candidates by their anchor cell's
-	// suitability alone instead of the footprint mean (ablation; the
-	// paper ranks grid points, but a module covers k1·k2 of them).
-	AnchorScore bool
-	// AllowRotation also considers the 90°-rotated footprint for
-	// every candidate position — an extension beyond the paper
-	// (which fixes the orientation); "there is no particular
-	// technical difficulty" in mixing orientations any more than in
-	// sparse placement. Off by default to match the paper's figures.
-	AllowRotation bool
 }
 
+// distanceFactor scales the distance threshold: the paper's 2.
+const distanceFactor = 2
+
 func (o Options) withDefaults() Options {
-	if o.DistanceFactor == 0 {
-		o.DistanceFactor = 2
-	}
 	if o.TieEpsilonRel == 0 {
 		o.TieEpsilonRel = 0.03
 	}
@@ -175,44 +161,25 @@ func (p *Placement) CoveredCells() []geom.Cell {
 }
 
 // candidates is the greedy's candidate set: every anchor (x, y) whose
-// footprint of shapes[s] lies inside the mask with a valid score,
-// named by its code (y·W + x)·len(shapes) + s. shapes lists landscape
-// before portrait, so ascending codes order candidates by (y, x),
-// landscape first. score holds every code's score, NaN for a code that
-// names no candidate; rank holds the candidates' codes, ranked by
-// descending score, then ascending code. No two candidates share a
-// code, so that order is total.
+// module footprint lies inside the mask with a valid score, named by
+// its code y·W + x, so ascending codes order candidates by (y, x).
+// score holds every code's footprint-mean score (FootprintMeans), NaN
+// for a code that names no candidate; rank holds the candidates'
+// codes, ranked by descending score, then ascending code. No two
+// candidates share a code, so that order is total.
 type candidates struct {
-	w      int
-	shapes []ModuleShape
-	score  []float64
-	rank   *ranked[int32]
+	w     int
+	shape ModuleShape
+	score []float64
+	rank  *ranked[int32]
 }
 
 // scoreCandidates scores every anchor whose footprint lies fully
-// inside the mask (footprint-mean or anchor-cell suitability) and
-// ranks the valid ones. The ranking sorts on demand: the greedy reads
-// a few hundred of several thousand candidates.
+// inside the mask and ranks the valid ones. The ranking sorts on
+// demand: the greedy reads a few hundred of several thousand
+// candidates.
 func scoreCandidates(suit *Suitability, mask *geom.Mask, opts Options) *candidates {
-	c := &candidates{w: mask.W(), shapes: candidateShapes(opts)}
-	for s, shape := range c.shapes {
-		var table []float64
-		if opts.AnchorScore {
-			table = anchorScores(suit, mask, shape)
-		} else {
-			table = FootprintMeans(suit, mask, shape)
-		}
-		if len(c.shapes) == 1 {
-			c.score = table
-			break
-		}
-		if c.score == nil {
-			c.score = make([]float64, len(c.shapes)*len(table))
-		}
-		for i, v := range table {
-			c.score[i*len(c.shapes)+s] = v
-		}
-	}
+	c := &candidates{w: mask.W(), shape: opts.Shape, score: FootprintMeans(suit, mask, opts.Shape)}
 	count := 0
 	for _, v := range c.score {
 		if !math.IsNaN(v) {
@@ -244,23 +211,7 @@ func (c *candidates) order(a, b int32) int {
 
 // footprint returns the module footprint a code names.
 func (c *candidates) footprint(code int32) geom.Rect {
-	k := len(c.shapes)
-	i := int(code) / k
-	return c.shapes[int(code)%k].Rect(geom.Cell{X: i % c.w, Y: i / c.w})
-}
-
-// candidateShapes returns the footprints the greedy places, landscape
-// first: the module shape, and its rotation when opts allows it.
-func candidateShapes(opts Options) []ModuleShape {
-	s := opts.Shape
-	switch {
-	case !opts.AllowRotation || s.W == s.H:
-		return []ModuleShape{s}
-	case s.W > s.H:
-		return []ModuleShape{s, {W: s.H, H: s.W}}
-	default:
-		return []ModuleShape{{W: s.H, H: s.W}, s}
-	}
+	return c.shape.Rect(geom.Cell{X: int(code) % c.w, Y: int(code) / c.w})
 }
 
 // ErrNoSpace reports that the greedy placer ran out of feasible
@@ -298,7 +249,7 @@ func placeRanked(cands *candidates, mask *geom.Mask, opts Options) (*Placement, 
 		return nil, &ErrNoSpace{Placed: 0, Wanted: n}
 	}
 
-	occ := newOccupancy(mask.W(), mask.H(), cands.shapes)
+	occ := newOccupancy(mask.W(), mask.H(), opts.Shape)
 	pl := &Placement{Topology: opts.Topology, Shape: opts.Shape}
 	var centers [][2]float64
 
@@ -324,30 +275,27 @@ func placeRanked(cands *candidates, mask *geom.Mask, opts Options) (*Placement, 
 	return pl, nil
 }
 
-// occupancy records which candidate footprints overlap a placed
-// module, by candidate code (see candidates) over a w×h grid. Every
-// candidate footprint lies inside the mask, so a candidate is
-// available exactly when its code is not marked: placing a module
-// marks the (W+w−1)×(H+h−1) anchors around it for each w×h shape, and
-// an availability test is one lookup.
+// occupancy records which module footprints overlap a placed module,
+// by candidate code (see candidates) over a w×h grid. Every candidate
+// footprint lies inside the mask, so a candidate is available exactly
+// when its code is not marked: placing a module marks the
+// (2W−1)×(2H−1) anchors around it, and an availability test is one
+// lookup.
 type occupancy struct {
-	w, h   int
-	shapes []ModuleShape
-	dead   []bool
+	w, h  int
+	shape ModuleShape
+	dead  []bool
 }
 
-func newOccupancy(w, h int, shapes []ModuleShape) *occupancy {
-	return &occupancy{w: w, h: h, shapes: shapes, dead: make([]bool, len(shapes)*w*h)}
+func newOccupancy(w, h int, shape ModuleShape) *occupancy {
+	return &occupancy{w: w, h: h, shape: shape, dead: make([]bool, w*h)}
 }
 
 // place marks every code whose footprint overlaps r.
 func (o *occupancy) place(r geom.Rect) {
-	k := len(o.shapes)
-	for s, shape := range o.shapes {
-		for y := max(r.Y0-shape.H+1, 0); y < min(r.Y1, o.h); y++ {
-			for x := max(r.X0-shape.W+1, 0); x < min(r.X1, o.w); x++ {
-				o.dead[(y*o.w+x)*k+s] = true
-			}
+	for y := max(r.Y0-o.shape.H+1, 0); y < min(r.Y1, o.h); y++ {
+		for x := max(r.X0-o.shape.W+1, 0); x < min(r.X1, o.w); x++ {
+			o.dead[y*o.w+x] = true
 		}
 	}
 }
@@ -381,7 +329,7 @@ func prepare(suit *Suitability, mask *geom.Mask, opts *Options) error {
 func pickCandidate(cands *candidates, occ *occupancy, centers [][2]float64, opts Options, enforceThreshold bool) int32 {
 	threshold := math.Inf(1)
 	if enforceThreshold && opts.Policy != PolicyNone && len(centers) > 0 {
-		threshold = opts.DistanceFactor * thresholdBase(centers, opts.Shape)
+		threshold = distanceFactor * thresholdBase(centers, opts.Shape)
 	}
 	best := int32(-1)
 	bestScore := math.NaN()

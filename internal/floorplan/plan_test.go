@@ -271,20 +271,6 @@ func errorsAs(err error, target **ErrNoSpace) bool {
 	return ok
 }
 
-func TestPlanAnchorScoreVariant(t *testing.T) {
-	suit := gradientSuit(60, 30)
-	mask := fullMask(60, 30)
-	opts := defaultOpts(4, 2)
-	opts.AnchorScore = true
-	pl, err := Plan(suit, mask, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pl.Rects) != 4 || !pl.OverlapFree() || !pl.WithinMask(mask) {
-		t.Error("anchor-score placement infeasible")
-	}
-}
-
 func TestPlanPropertyFeasibility(t *testing.T) {
 	// Random masks and random fields: any successful plan is overlap
 	// free, within mask, and places exactly N modules.
@@ -353,15 +339,10 @@ func TestComputeSuitability(t *testing.T) {
 		t.Error("NaN stats must stay invalid")
 	}
 
-	// Temperature disabled: raw percentile.
-	s2, _ := ComputeSuitability(cs, SuitabilityOptions{DisableTemperature: true})
-	if s2.At(geom.Cell{X: 0, Y: 0}) != 500 {
-		t.Error("DisableTemperature should return the raw percentile")
-	}
-	// Mean variant.
-	s3, _ := ComputeSuitability(cs, SuitabilityOptions{UseMean: true, DisableTemperature: true})
-	if s3.At(geom.Cell{X: 0, Y: 0}) != 180 {
-		t.Error("UseMean should rank by the mean")
+	// Mean variant: the same temperature factor on the mean.
+	s2, _ := ComputeSuitability(cs, SuitabilityOptions{UseMean: true})
+	if want := 180 * (1.12 - 0.0048*45); math.Abs(s2.At(geom.Cell{X: 0, Y: 0})-want) > 1e-9 {
+		t.Errorf("UseMean suitability = %g, want %g", s2.At(geom.Cell{X: 0, Y: 0}), want)
 	}
 	// Hotter cells rank lower at equal irradiance.
 	csHot := &field.CellStats{
@@ -370,8 +351,8 @@ func TestComputeSuitability(t *testing.T) {
 		GMean:   []float64{180, 180},
 		TactPct: []float64{30, 60},
 	}
-	s4, _ := ComputeSuitability(csHot, SuitabilityOptions{})
-	if !(s4.At(geom.Cell{X: 0, Y: 0}) > s4.At(geom.Cell{X: 1, Y: 0})) {
+	s3, _ := ComputeSuitability(csHot, SuitabilityOptions{})
+	if !(s3.At(geom.Cell{X: 0, Y: 0}) > s3.At(geom.Cell{X: 1, Y: 0})) {
 		t.Error("hotter cell must rank below cooler cell at equal G")
 	}
 	if _, err := ComputeSuitability(nil, SuitabilityOptions{}); err == nil {

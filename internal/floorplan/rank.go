@@ -43,12 +43,6 @@ func (r *ranked[T]) has(i int) bool {
 	return i < len(r.items)
 }
 
-// all sorts the whole list and returns it.
-func (r *ranked[T]) all() []T {
-	r.has(len(r.items) - 1)
-	return r.items
-}
-
 // selectChunk moves every item of a whose key is at most the k-th
 // smallest key, 0 < k < len(a), to the front, ties with that threshold
 // included, and returns their count m ≥ k. keys is scratch space of

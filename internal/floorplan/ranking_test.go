@@ -21,45 +21,35 @@ import (
 // keep that code as the reference the ranking on demand, the O(1)
 // availability test and the prefix-table sweep must match bit for bit.
 
-// candidate is a scored anchor position with its footprint
-// orientation, as the reference ranking lists it.
+// candidate is a scored anchor position, as the reference ranking
+// lists it.
 type candidate struct {
 	anchor geom.Cell
 	score  float64
-	shape  ModuleShape
 }
 
 // refScoreCandidates is the stable-sort scoreCandidates.
 func refScoreCandidates(suit *Suitability, mask *geom.Mask, opts Options) []candidate {
-	shapes := []ModuleShape{opts.Shape}
-	if opts.AllowRotation && opts.Shape.W != opts.Shape.H {
-		shapes = append(shapes, ModuleShape{W: opts.Shape.H, H: opts.Shape.W})
-	}
 	var cands []candidate
-	area := float64(opts.Shape.W * opts.Shape.H)
-	for _, shape := range shapes {
-		for y := 0; y+shape.H <= mask.H(); y++ {
-			for x := 0; x+shape.W <= mask.W(); x++ {
-				anchor := geom.Cell{X: x, Y: y}
-				rect := shape.Rect(anchor)
-				if !mask.AllSet(rect) {
-					continue
-				}
-				score := suit.At(anchor)
-				if !opts.AnchorScore {
-					score = refFootprintMean(suit, rect, area)
-				}
-				if math.IsNaN(score) {
-					continue
-				}
-				cands = append(cands, candidate{anchor: anchor, score: score, shape: shape})
+	shape := opts.Shape
+	area := float64(shape.W * shape.H)
+	for y := 0; y+shape.H <= mask.H(); y++ {
+		for x := 0; x+shape.W <= mask.W(); x++ {
+			anchor := geom.Cell{X: x, Y: y}
+			rect := shape.Rect(anchor)
+			if !mask.AllSet(rect) {
+				continue
 			}
+			score := refFootprintMean(suit, rect, area)
+			if math.IsNaN(score) {
+				continue
+			}
+			cands = append(cands, candidate{anchor: anchor, score: score})
 		}
 	}
 	slices.SortStableFunc(cands, func(a, b candidate) int {
 		return cmp.Or(cmp.Compare(b.score, a.score),
-			cmp.Compare(a.anchor.Y, b.anchor.Y), cmp.Compare(a.anchor.X, b.anchor.X),
-			cmp.Compare(b.shape.W, a.shape.W)) // stable: landscape first
+			cmp.Compare(a.anchor.Y, b.anchor.Y), cmp.Compare(a.anchor.X, b.anchor.X))
 	})
 	return cands
 }
@@ -225,13 +215,12 @@ func refBestBlock(t slotTable, mask *geom.Mask, opts Options) (slots []geom.Cell
 // refCandidates turns the reference ranking into a candidate set whose
 // ranking is already sorted, for the placement loops.
 func refCandidates(ref []candidate, mask *geom.Mask, opts Options) *candidates {
-	c := &candidates{w: mask.W(), shapes: candidateShapes(opts)}
-	k := len(c.shapes)
-	c.score = make([]float64, k*mask.W()*mask.H())
+	c := &candidates{w: mask.W(), shape: opts.Shape}
+	c.score = make([]float64, mask.W()*mask.H())
 	fillNaN(c.score)
 	codes := make([]int32, len(ref))
 	for i, cd := range ref {
-		code := (cd.anchor.Y*mask.W()+cd.anchor.X)*k + slices.Index(c.shapes, cd.shape)
+		code := cd.anchor.Y*mask.W() + cd.anchor.X
 		c.score[code] = cd.score
 		codes[i] = int32(code)
 	}
@@ -242,8 +231,7 @@ func refCandidates(ref []candidate, mask *geom.Mask, opts Options) *candidates {
 // candidateAt decodes rank i of a candidate set.
 func candidateAt(c *candidates, i int) candidate {
 	code := c.rank.items[i]
-	r := c.footprint(code)
-	return candidate{anchor: r.Anchor(), score: c.score[code], shape: ModuleShape{W: r.W(), H: r.H()}}
+	return candidate{anchor: c.footprint(code).Anchor(), score: c.score[code]}
 }
 
 func refPlan(suit *Suitability, mask *geom.Mask, opts Options) (*Placement, error) {
@@ -253,18 +241,10 @@ func refPlan(suit *Suitability, mask *geom.Mask, opts Options) (*Placement, erro
 	return placeRanked(refCandidates(refScoreCandidates(suit, mask, opts), mask, opts), mask, opts)
 }
 
-func refPlanRandom(suit *Suitability, mask *geom.Mask, opts Options, seed int64) (*Placement, error) {
-	if err := prepare(suit, mask, &opts); err != nil {
-		return nil, err
-	}
-	return placeRandom(refCandidates(refScoreCandidates(suit, mask, opts), mask, opts), mask, opts, seed)
-}
-
 func refPlanCompact(suit *Suitability, mask *geom.Mask, opts Options) (*Placement, error) {
 	if err := prepare(suit, mask, &opts); err != nil {
 		return nil, err
 	}
-	opts.AllowRotation = false
 	slots, intact := refBestBlock(newSlotTable(suit, mask, opts.Shape), mask, opts)
 	switch {
 	case slots == nil:
@@ -321,25 +301,23 @@ func checkRanking(t *testing.T, c rankingCase, rng *rand.Rand) (pastFirstChunk b
 	}
 	for i := 0; got.rank.has(i); i++ {
 		g, w := candidateAt(got, i), want[i]
-		if g.anchor != w.anchor || g.shape != w.shape || math.Float64bits(g.score) != math.Float64bits(w.score) {
+		if g.anchor != w.anchor || math.Float64bits(g.score) != math.Float64bits(w.score) {
 			t.Fatalf("scoreCandidates[%d] = %+v, reference %+v", i, g, w)
 		}
 	}
 	greedy := scoreCandidates(c.suit, c.mask, opts)
 	first := greedy.rank.chunk
 	if pl, err := placeRanked(greedy, c.mask, opts); err == nil {
-		checkOccupancy(t, c.mask, greedy.shapes, pl.Rects)
+		checkOccupancy(t, c.mask, opts.Shape, pl.Rects)
 	}
 	pastFirstChunk = greedy.rank.sorted > first
 
 	// The shortfall ranking, from the holey block PlanCompact would
 	// fill and from random partial blocks.
-	copts := opts
-	copts.AllowRotation = false
-	table := newSlotTable(c.suit, c.mask, copts.Shape)
-	checkSlotTable(t, table, c.suit, c.mask, copts.Shape)
+	table := newSlotTable(c.suit, c.mask, opts.Shape)
+	checkSlotTable(t, table, c.suit, c.mask, opts.Shape)
 	var slotSets [][]geom.Cell
-	if slots, intact := table.bestBlock(c.mask, copts); slots != nil && !intact {
+	if slots, intact := table.bestBlock(c.mask, opts); slots != nil && !intact {
 		slotSets = append(slotSets, slots)
 	}
 	var valid []geom.Cell
@@ -353,9 +331,9 @@ func checkRanking(t *testing.T, c rankingCase, rng *rand.Rand) (pastFirstChunk b
 	for trial := 0; trial < 3 && len(valid) > 0; trial++ {
 		used := geom.NewMask(c.mask.W(), c.mask.H())
 		var slots []geom.Cell
-		want := 1 + rng.Intn(copts.Topology.Modules())
+		want := 1 + rng.Intn(opts.Topology.Modules())
 		for _, i := range rng.Perm(len(valid)) {
-			rect := copts.Shape.Rect(valid[i])
+			rect := opts.Shape.Rect(valid[i])
 			if len(slots) == want || used.AnySet(rect) {
 				continue
 			}
@@ -366,16 +344,12 @@ func checkRanking(t *testing.T, c rankingCase, rng *rand.Rand) (pastFirstChunk b
 	}
 	for _, slots := range slotSets {
 		avail := c.mask.Clone()
-		occ := newOccupancy(c.mask.W(), c.mask.H(), []ModuleShape{copts.Shape})
+		occ := newOccupancy(c.mask.W(), c.mask.H(), opts.Shape)
 		for _, s := range slots {
-			avail.SetRect(copts.Shape.Rect(s), false)
-			occ.place(copts.Shape.Rect(s))
+			avail.SetRect(opts.Shape.Rect(s), false)
+			occ.place(opts.Shape.Rect(s))
 		}
-		scores := table.scores
-		if copts.AnchorScore {
-			scores = anchorScores(c.suit, c.mask, copts.Shape)
-		}
-		gotNear, wantNear := table.nearest(slots, occ, scores, copts), refNearest(slots, avail, c.suit, copts)
+		gotNear, wantNear := table.nearest(slots, occ, opts), refNearest(slots, avail, c.suit, opts)
 		if len(gotNear.items) != len(wantNear) {
 			t.Fatalf("nearest(%v): %d candidates, reference %d", slots, len(gotNear.items), len(wantNear))
 		}
@@ -385,8 +359,8 @@ func checkRanking(t *testing.T, c rankingCase, rng *rand.Rand) (pastFirstChunk b
 				t.Fatalf("nearest(%v)[%d] = %v (%g), reference %v (%g)", slots, i, g.anchor, g.score, w.anchor, w.score)
 			}
 		}
-		g := placementKey(fillShortfall(slots, table, c.suit, c.mask, copts))
-		w := placementKey(refFillShortfall(slots, c.suit, c.mask, copts))
+		g := placementKey(fillShortfall(slots, table, c.suit, c.mask, opts))
+		w := placementKey(refFillShortfall(slots, c.suit, c.mask, opts))
 		if g != w {
 			t.Fatalf("fillShortfall(%v):\n got  %s\n want %s", slots, g, w)
 		}
@@ -402,9 +376,6 @@ func checkRanking(t *testing.T, c rankingCase, rng *rand.Rand) (pastFirstChunk b
 		{"PlanCompact",
 			func() (*Placement, error) { return PlanCompact(c.suit, c.mask, c.opts) },
 			func() (*Placement, error) { return refPlanCompact(c.suit, c.mask, c.opts) }},
-		{"PlanRandom",
-			func() (*Placement, error) { return PlanRandom(c.suit, c.mask, c.opts, 7) },
-			func() (*Placement, error) { return refPlanRandom(c.suit, c.mask, c.opts, 7) }},
 	}
 	for _, p := range planners {
 		if g, w := placementKey(p.got()), placementKey(p.want()); g != w {
@@ -416,7 +387,7 @@ func checkRanking(t *testing.T, c rankingCase, rng *rand.Rand) (pastFirstChunk b
 
 // randomRankingCase builds a tie-heavy case: suitability quantized to
 // a few levels (zeros of both signs), NaN cells and mask holes.
-func randomRankingCase(rng *rand.Rand, w, h, levels, nanPct, holePct int, shape ModuleShape, modules int, rotate, anchorScore bool) rankingCase {
+func randomRankingCase(rng *rand.Rand, w, h, levels, nanPct, holePct int, shape ModuleShape, modules int) rankingCase {
 	suit := &Suitability{W: w, H: h, S: make([]float64, w*h)}
 	negZero := math.Copysign(0, -1)
 	for i := range suit.S {
@@ -438,10 +409,8 @@ func randomRankingCase(rng *rand.Rand, w, h, levels, nanPct, holePct int, shape 
 		}
 	}
 	return rankingCase{suit: suit, mask: mask, opts: Options{
-		Shape:         shape,
-		Topology:      panel.Topology{SeriesPerString: 2, Strings: modules / 2},
-		AllowRotation: rotate,
-		AnchorScore:   anchorScore,
+		Shape:    shape,
+		Topology: panel.Topology{SeriesPerString: 2, Strings: modules / 2},
 	}}
 }
 
@@ -476,15 +445,15 @@ func TestCandidateRankingMatchesStableSort(t *testing.T) {
 	small := ModuleShape{W: 4, H: 2}
 	topo := func(n int) panel.Topology { return panel.Topology{SeriesPerString: 2, Strings: n / 2} }
 	cases := map[string]rankingCase{
-		"uniform":               {uniform(24, 12, 0.5), fullMask(24, 12), Options{Shape: small, Topology: topo(4)}},
-		"uniform rotated":       {uniform(24, 12, 0.5), fullMask(24, 12), Options{Shape: small, Topology: topo(4), AllowRotation: true}},
-		"signed zeros":          {signedZeros, fullMask(20, 12), Options{Shape: small, Topology: topo(4)}},
-		"signed zeros anchored": {signedZeros, fullMask(20, 12), Options{Shape: small, Topology: topo(4), AnchorScore: true}},
-		"gradient":              {gradientSuit(30, 12), fullMask(30, 12), Options{Shape: small, Topology: topo(6), AllowRotation: true}},
-		"portrait rotated":      {uniform(20, 14, 0.5), fullMask(20, 14), Options{Shape: ModuleShape{W: 2, H: 4}, Topology: topo(4), AllowRotation: true}},
-		"split block":           {holey, split, Options{Shape: small, Topology: topo(4)}},
-		"split block anchored":  {holey, split, Options{Shape: small, Topology: topo(4), AnchorScore: true}},
-		"paper shape":           {gradientSuit(40, 20), fullMask(40, 20), defaultOpts(8, 4)},
+		"uniform":                {uniform(24, 12, 0.5), fullMask(24, 12), Options{Shape: small, Topology: topo(4)}},
+		"uniform 8 modules":      {uniform(24, 12, 0.5), fullMask(24, 12), Options{Shape: small, Topology: topo(8)}},
+		"signed zeros":           {signedZeros, fullMask(20, 12), Options{Shape: small, Topology: topo(4)}},
+		"signed zeros centroid":  {signedZeros, fullMask(20, 12), Options{Shape: small, Topology: topo(4), Policy: PolicyCentroid}},
+		"gradient":               {gradientSuit(30, 12), fullMask(30, 12), Options{Shape: small, Topology: topo(6)}},
+		"portrait":               {uniform(20, 14, 0.5), fullMask(20, 14), Options{Shape: ModuleShape{W: 2, H: 4}, Topology: topo(4)}},
+		"split block":            {holey, split, Options{Shape: small, Topology: topo(4)}},
+		"split block exact ties": {holey, split, Options{Shape: small, Topology: topo(4), TieEpsilonRel: -1}},
+		"paper shape":            {gradientSuit(40, 20), fullMask(40, 20), defaultOpts(8, 4)},
 	}
 	past := 0
 	for name, c := range cases {
@@ -498,7 +467,7 @@ func TestCandidateRankingMatchesStableSort(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		shape := []ModuleShape{{W: 2, H: 1}, {W: 3, H: 2}, {W: 4, H: 2}}[seed%3]
 		c := randomRankingCase(rng, 8+rng.Intn(20), 6+rng.Intn(12), 1+rng.Intn(4),
-			rng.Intn(15), rng.Intn(20), shape, 2*(1+rng.Intn(4)), seed%2 == 0, seed%5 == 0)
+			rng.Intn(15), rng.Intn(20), shape, 2*(1+rng.Intn(4)))
 		t.Run(fmt.Sprintf("random/%d", seed), func(t *testing.T) {
 			if checkRanking(t, c, rng) {
 				past++
@@ -513,8 +482,10 @@ func TestCandidateRankingMatchesStableSort(t *testing.T) {
 }
 
 // FuzzCandidateRanking holds scoreCandidates, the shortfall ranking
-// and the Plan, PlanCompact and PlanRandom results to the stable-sort
-// reference on random tie-heavy grids with NaN cells and mask holes.
+// and the Plan and PlanCompact results to the stable-sort reference on
+// random tie-heavy grids with NaN cells and mask holes. Bits 0–1 of
+// flags are unused; they once chose rotation and anchor scores, and
+// the seed corpus still sets them.
 func FuzzCandidateRanking(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(10), uint8(2), uint8(5), uint8(10), uint8(0))
 	f.Add(int64(2), uint8(12), uint8(8), uint8(1), uint8(0), uint8(0), uint8(7))
@@ -528,33 +499,30 @@ func FuzzCandidateRanking(f *testing.F) {
 		// the greedy read past the first sorted chunk of 16 per module.
 		modules := 2 * (1 + int(flags>>4))
 		c := randomRankingCase(rng, 4+int(w%57), 3+int(h%38), 1+int(levels%5),
-			int(nanPct%40), int(holePct%40), shape, modules, flags&1 != 0, flags&2 != 0)
+			int(nanPct%40), int(holePct%40), shape, modules)
 		checkRanking(t, c, rng)
 	})
 }
 
-// checkOccupancy holds the anchor kill masks to a mask scan: after
+// checkOccupancy holds the anchor kill mask to a mask scan: after
 // placing rects, a candidate code is free exactly when its footprint,
 // inside the mask, overlaps none of them.
-func checkOccupancy(t *testing.T, mask *geom.Mask, shapes []ModuleShape, rects []geom.Rect) {
+func checkOccupancy(t *testing.T, mask *geom.Mask, shape ModuleShape, rects []geom.Rect) {
 	t.Helper()
-	occ := newOccupancy(mask.W(), mask.H(), shapes)
+	occ := newOccupancy(mask.W(), mask.H(), shape)
 	avail := mask.Clone()
 	for _, r := range rects {
 		occ.place(r)
 		avail.SetRect(r, false)
 	}
-	for s, shape := range shapes {
-		for y := 0; y+shape.H <= mask.H(); y++ {
-			for x := 0; x+shape.W <= mask.W(); x++ {
-				rect := shape.Rect(geom.Cell{X: x, Y: y})
-				if !mask.AllSet(rect) {
-					continue
-				}
-				code := int32((y*mask.W()+x)*len(shapes) + s)
-				if got, want := occ.free(code), avail.AllSet(rect); got != want {
-					t.Fatalf("%v after placing %v: free = %v, mask scan %v", rect, rects, got, want)
-				}
+	for y := 0; y+shape.H <= mask.H(); y++ {
+		for x := 0; x+shape.W <= mask.W(); x++ {
+			rect := shape.Rect(geom.Cell{X: x, Y: y})
+			if !mask.AllSet(rect) {
+				continue
+			}
+			if got, want := occ.free(int32(y*mask.W()+x)), avail.AllSet(rect); got != want {
+				t.Fatalf("%v after placing %v: free = %v, mask scan %v", rect, rects, got, want)
 			}
 		}
 	}

@@ -28,24 +28,14 @@ type SuitabilityOptions struct {
 	// the alternative the paper rejects because the skewed G
 	// distribution makes the average unrepresentative (ablation A1).
 	UseMean bool
-	// DisableTemperature drops the f(T) correction factor
-	// (ablation knob).
-	DisableTemperature bool
-	// TempCoef0/TempCoefPerK parameterise f(T) = TempCoef0 −
-	// TempCoefPerK·T_act; zero values default to the PV-MF165EB3
-	// power-model factor (1.12, 0.0048 — §III-B1).
-	TempCoef0, TempCoefPerK float64
 }
 
-func (o SuitabilityOptions) withDefaults() SuitabilityOptions {
-	if o.TempCoef0 == 0 {
-		o.TempCoef0 = 1.12
-	}
-	if o.TempCoefPerK == 0 {
-		o.TempCoefPerK = 0.0048
-	}
-	return o
-}
+// The temperature factor f(T) = tempCoef0 − tempCoefPerK·T_act is the
+// PV-MF165EB3 power-model factor (§III-B1).
+const (
+	tempCoef0    = 1.12
+	tempCoefPerK = 0.0048
+)
 
 // Suitability is the per-cell placement desirability matrix S[i,j]
 // (row-major; NaN marks cells without statistics).
@@ -69,7 +59,6 @@ func ComputeSuitability(cs *field.CellStats, opts SuitabilityOptions) (*Suitabil
 	if cs == nil || cs.W <= 0 || cs.H <= 0 {
 		return nil, fmt.Errorf("floorplan: nil or empty cell stats")
 	}
-	opts = opts.withDefaults()
 	out := &Suitability{W: cs.W, H: cs.H, S: make([]float64, cs.W*cs.H)}
 	for i := range out.S {
 		g := cs.GPct[i]
@@ -80,12 +69,9 @@ func ComputeSuitability(cs *field.CellStats, opts SuitabilityOptions) (*Suitabil
 			out.S[i] = math.NaN()
 			continue
 		}
-		f := 1.0
-		if !opts.DisableTemperature {
-			f = opts.TempCoef0 - opts.TempCoefPerK*cs.TactPct[i]
-			if f < 0 {
-				f = 0
-			}
+		f := tempCoef0 - tempCoefPerK*cs.TactPct[i]
+		if f < 0 {
+			f = 0
 		}
 		out.S[i] = g * f
 	}

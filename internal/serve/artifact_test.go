@@ -172,15 +172,11 @@ func TestTileRefJobKillResume(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	s.cityHook = func(cfg *pvfloor.CityConfig) {
-		inner := cfg.TileFault
-		cfg.TileFault = func(tile, attempt int) error {
+		cfg.Source = faultSource{CitySource: cfg.Source, fault: func() error {
 			once.Do(func() { close(started) })
 			time.Sleep(50 * time.Millisecond)
-			if inner != nil {
-				return inner(tile, attempt)
-			}
 			return nil
-		}
+		}}
 	}
 	m := submitCityJob(t, s, CityRequest{DistrictRequest: DistrictRequest{TileRef: ref}, TileCells: 80})
 	<-started

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	pvfloor "repro"
+	"repro/internal/dsm"
+	"repro/internal/geom"
 	"repro/internal/jobs"
 )
 
@@ -176,7 +178,7 @@ func TestJobResultConflictAndCancel(t *testing.T) {
 	var once sync.Once
 	s.cityHook = func(cfg *pvfloor.CityConfig) {
 		ctx := cfg.Context
-		cfg.TileFault = func(tile, attempt int) error {
+		cfg.Source = faultSource{CitySource: cfg.Source, fault: func() error {
 			once.Do(func() { close(started) })
 			select {
 			case <-gate:
@@ -184,7 +186,7 @@ func TestJobResultConflictAndCancel(t *testing.T) {
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-		}
+		}}
 	}
 
 	m := submitCityJob(t, s, CityRequest{DistrictRequest: DistrictRequest{Demo: true}})
@@ -232,17 +234,13 @@ func TestShutdownParksJobInterruptedThenResumes(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	s.cityHook = func(cfg *pvfloor.CityConfig) {
-		inner := cfg.TileFault
-		cfg.TileFault = func(tile, attempt int) error {
+		cfg.Source = faultSource{CitySource: cfg.Source, fault: func() error {
 			once.Do(func() { close(started) })
 			// Hold the first tile open long enough that the drain
 			// provably lands mid-run.
 			time.Sleep(50 * time.Millisecond)
-			if inner != nil {
-				return inner(tile, attempt)
-			}
 			return nil
-		}
+		}}
 	}
 	m := submitCityJob(t, s, req)
 	<-started
@@ -342,6 +340,21 @@ type funcCheckpoint struct {
 func (c funcCheckpoint) Lookup(tile int) (*pvfloor.TileRecord, error) { return c.lookup(tile) }
 func (c funcCheckpoint) Commit(tile int, rec *pvfloor.TileRecord) error {
 	return c.commit(tile, rec)
+}
+
+// faultSource runs fault before every Window call of the wrapped city
+// source. RunCity reads a tile's window once per attempt, so fault
+// can hold an attempt open, and a non-nil error fails it.
+type faultSource struct {
+	pvfloor.CitySource
+	fault func() error
+}
+
+func (s faultSource) Window(rect geom.Rect) (*dsm.Raster, *geom.Mask, error) {
+	if err := s.fault(); err != nil {
+		return nil, nil, err
+	}
+	return s.CitySource.Window(rect)
 }
 
 // tileDisconnectWriter cancels the request context once `after`

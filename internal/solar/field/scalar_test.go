@@ -24,44 +24,41 @@ func (e *Evaluator) statsPercentileScalar(pct float64) (*CellStats, error) {
 
 // statsChunkScalar is the retired hot path, kept as the equivalence
 // reference for the sector kernel: it accumulates one contiguous run
-// of suitable cells across the whole calendar in calendar order,
-// testing the horizon shadow per (cell, timestep).
+// of suitable cells into one histogram per cell and quantity across
+// the whole calendar in calendar order, testing the horizon shadow per
+// (cell, timestep). A night step adds irradiance 0 and the ambient
+// temperature.
 func (e *Evaluator) statsChunkScalar(cs *CellStats, cells []int32) {
-	gBank := stats.NewHistogramBank(len(cells), gLo, gHi, gBins)
-	tBank := stats.NewHistogramBank(len(cells), tLo, tHi, tBins)
+	gHist := make([]*stats.Histogram, len(cells))
+	tHist := make([]*stats.Histogram, len(cells))
+	for j := range cells {
+		gHist[j] = stats.NewHistogram(gLo, gHi, gBins)
+		tHist[j] = stats.NewHistogram(tLo, tHi, tBins)
+	}
 	gSum := make([]float64, len(cells))
 
 	const k = weather.DefaultThermalK
 	for i := range e.sky {
 		st := &e.sky[i]
-		if !st.up {
-			continue
-		}
 		for j, idx := range cells {
+			if !st.up {
+				gHist[j].Add(0)
+				tHist[j].Add(st.ambient)
+				continue
+			}
 			g := e.cellIrr(st, int(idx))
-			gBank.Add(j, g)
-			tBank.Add(j, st.ambient+k*g)
+			gHist[j].Add(g)
+			tHist[j].Add(st.ambient + k*g)
 			gSum[j] += g
 		}
 	}
 
-	withNight := e.night.count > 0
 	for j, idx := range cells {
-		if withNight {
-			// Nights contribute irradiance 0 and the shared ambient
-			// distribution; fold them in once per cell in O(bins).
-			gBank.AddBulk(j, 0, uint32(e.night.count))
-			if err := tBank.MergeHistogram(j, e.night.tact); err != nil {
-				// Impossible by construction (identical bin layout);
-				// skip the cell rather than corrupt it.
-				continue
-			}
-		}
-		gp, err := gBank.Percentile(j, cs.Pct)
+		gp, err := gHist[j].Percentile(cs.Pct)
 		if err != nil {
 			continue
 		}
-		tp, err := tBank.Percentile(j, cs.Pct)
+		tp, err := tHist[j].Percentile(cs.Pct)
 		if err != nil {
 			continue
 		}

@@ -94,8 +94,8 @@ func buildDayTable(sky []skyState, sectors int) dayTable {
 
 // statsScratch is the per-worker accumulation state of the sector
 // kernel: one raw histogram row per quantity, reused across every cell
-// of a chunk (and pooled across passes), replacing the per-chunk
-// HistogramBank allocations of the scalar reference.
+// of a chunk (and pooled across passes), replacing the per-cell
+// histograms of the scalar reference.
 type statsScratch struct {
 	g []uint32
 	t []uint32

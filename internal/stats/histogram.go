@@ -48,12 +48,12 @@ func (h *Histogram) binOf(v float64) int {
 	return binIndex(v, h.lo, h.hi, h.width, len(h.counts))
 }
 
-// Binning is the shared equal-width bin-layout arithmetic of Histogram
-// and HistogramBank, exported so flat accumulators (the solar field's
-// sector-sweep kernel keeps one raw count row per worker instead of a
-// bank per chunk) bin with bit-identical results. Construct with
-// NewBinning; the width must come from the same (hi-lo)/bins division
-// the histogram types perform, or counts drift by one bin at edges.
+// Binning is Histogram's equal-width bin-layout arithmetic, exported
+// so flat accumulators (the solar field's sector-sweep kernel keeps one
+// raw count row per worker instead of one Histogram per cell) bin with
+// bit-identical results. Construct with NewBinning; the width must come
+// from the same (hi-lo)/bins division Histogram performs, or counts
+// drift by one bin at edges.
 type Binning struct {
 	Lo, Hi, Width float64
 	Bins          int
@@ -73,16 +73,14 @@ func NewBinning(lo, hi float64, bins int) Binning {
 }
 
 // Index returns the clamped bin index of v — the exact arithmetic
-// Histogram.Add and HistogramBank.Add use.
+// Histogram.Add uses.
 func (b Binning) Index(v float64) int {
 	return binIndex(v, b.Lo, b.Hi, b.Width, b.Bins)
 }
 
 // binIndex maps a value to its clamped bin index for an equal-width
-// layout over [lo, hi]. Histogram and HistogramBank must bin
-// identically — MergeHistogram merges raw counts between the two and
-// can only validate the layout, not the binning arithmetic — so both
-// delegate here.
+// layout over [lo, hi]. Histogram and Binning must bin identically, so
+// both delegate here.
 func binIndex(v, lo, hi, width float64, bins int) int {
 	switch {
 	case v <= lo:
@@ -114,8 +112,8 @@ func (h *Histogram) Counts() []uint32 { return h.counts }
 
 // PercentileOfCounts estimates the p-th percentile from a raw count
 // row with n samples over the equal-width layout [lo, hi] — the same
-// interpolation Histogram.Percentile and HistogramBank.Percentile
-// perform, for callers that accumulate into flat rows.
+// interpolation Histogram.Percentile performs, for callers that
+// accumulate into flat rows.
 func PercentileOfCounts(counts []uint32, n uint64, lo, hi float64, p float64) (float64, error) {
 	width := (hi - lo) / float64(len(counts))
 	return percentileOfCounts(counts, n, lo, hi, width, p)
@@ -175,105 +173,4 @@ func (h *Histogram) Reset() {
 		h.counts[i] = 0
 	}
 	h.n = 0
-}
-
-// HistogramBank is a dense array of identically-binned histograms, one
-// per grid cell, stored as a single allocation. The field evaluator
-// adds one sample per valid cell per timestep; the bank keeps that
-// inner loop free of pointer chasing.
-type HistogramBank struct {
-	lo, hi float64
-	width  float64
-	bins   int
-	cells  int
-	counts []uint32 // cells * bins
-	n      []uint32 // samples per cell
-}
-
-// NewHistogramBank builds cells histograms over [lo, hi] with the
-// given number of bins each.
-func NewHistogramBank(cells int, lo, hi float64, bins int) *HistogramBank {
-	if cells < 0 {
-		panic("stats: negative cell count")
-	}
-	if bins <= 0 || !(hi > lo) {
-		panic("stats: invalid histogram bank shape")
-	}
-	return &HistogramBank{
-		lo: lo, hi: hi,
-		width:  (hi - lo) / float64(bins),
-		bins:   bins,
-		cells:  cells,
-		counts: make([]uint32, cells*bins),
-		n:      make([]uint32, cells),
-	}
-}
-
-// Cells returns the number of per-cell histograms in the bank.
-func (b *HistogramBank) Cells() int { return b.cells }
-
-// binOf maps a sample value to its (clamped) bin index.
-func (b *HistogramBank) binOf(v float64) int {
-	return binIndex(v, b.lo, b.hi, b.width, b.bins)
-}
-
-// Add records one sample for the given cell index.
-func (b *HistogramBank) Add(cell int, v float64) {
-	b.counts[cell*b.bins+b.binOf(v)]++
-	b.n[cell]++
-}
-
-// AddBulk records n identical samples of value v for the given cell
-// in O(1) — the degenerate-distribution fast path the field engine
-// uses for night steps, where every cell sees the same value.
-func (b *HistogramBank) AddBulk(cell int, v float64, n uint32) {
-	if n == 0 {
-		return
-	}
-	b.counts[cell*b.bins+b.binOf(v)] += n
-	b.n[cell] += n
-}
-
-// MergeHistogram adds every count of h into the given cell's
-// histogram. The bin layouts must match exactly; the field engine
-// uses this to share one cell-independent accumulation (the night
-// ambient-temperature distribution) across all cells.
-func (b *HistogramBank) MergeHistogram(cell int, h *Histogram) error {
-	if h.lo != b.lo || h.hi != b.hi || len(h.counts) != b.bins {
-		return fmt.Errorf("stats: merge of [%g,%g]x%d histogram into [%g,%g]x%d bank",
-			h.lo, h.hi, len(h.counts), b.lo, b.hi, b.bins)
-	}
-	row := b.counts[cell*b.bins : (cell+1)*b.bins]
-	for i, c := range h.counts {
-		row[i] += c
-	}
-	b.n[cell] += uint32(h.n)
-	return nil
-}
-
-// N returns the sample count of the given cell.
-func (b *HistogramBank) N(cell int) uint64 { return uint64(b.n[cell]) }
-
-// Percentile returns the p-th percentile estimate for the given cell.
-func (b *HistogramBank) Percentile(cell int, p float64) (float64, error) {
-	counts := b.counts[cell*b.bins : (cell+1)*b.bins]
-	return percentileOfCounts(counts, uint64(b.n[cell]), b.lo, b.hi, b.width, p)
-}
-
-// Mean returns the histogram-estimated mean for the given cell.
-func (b *HistogramBank) Mean(cell int) (float64, error) {
-	n := b.n[cell]
-	if n == 0 {
-		return 0, ErrNoSamples
-	}
-	counts := b.counts[cell*b.bins : (cell+1)*b.bins]
-	var sum float64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		mid := b.lo + (float64(i)+0.5)*b.width
-		sum += mid * float64(c)
-	}
-	return sum / float64(n), nil
 }

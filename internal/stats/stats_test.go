@@ -239,101 +239,6 @@ func TestHistogramMeanAndReset(t *testing.T) {
 	}
 }
 
-func TestHistogramBankAgreesWithScalarHistogram(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const cells = 17
-	bank := NewHistogramBank(cells, 0, 1400, 700)
-	scalars := make([]*Histogram, cells)
-	for i := range scalars {
-		scalars[i] = NewHistogram(0, 1400, 700)
-	}
-	for i := 0; i < 5000; i++ {
-		cell := rng.Intn(cells)
-		v := rng.Float64() * 1400
-		bank.Add(cell, v)
-		scalars[cell].Add(v)
-	}
-	for c := 0; c < cells; c++ {
-		if bank.N(c) != scalars[c].N() {
-			t.Fatalf("cell %d: N mismatch", c)
-		}
-		if bank.N(c) == 0 {
-			continue
-		}
-		for _, p := range []float64{25, 50, 75} {
-			a, err1 := bank.Percentile(c, p)
-			b, err2 := scalars[c].Percentile(p)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("cell %d p%g: errs %v %v", c, p, err1, err2)
-			}
-			if math.Abs(a-b) > 1e-9 {
-				t.Errorf("cell %d p%g: bank=%g scalar=%g", c, p, a, b)
-			}
-		}
-		ma, _ := bank.Mean(c)
-		mb, _ := scalars[c].Mean()
-		if math.Abs(ma-mb) > 1e-9 {
-			t.Errorf("cell %d mean: bank=%g scalar=%g", c, ma, mb)
-		}
-	}
-}
-
-func TestHistogramBankEmptyCell(t *testing.T) {
-	bank := NewHistogramBank(3, 0, 10, 10)
-	bank.Add(0, 5)
-	if _, err := bank.Percentile(1, 50); err != ErrNoSamples {
-		t.Errorf("untouched cell percentile err = %v", err)
-	}
-	if _, err := bank.Mean(2); err != ErrNoSamples {
-		t.Errorf("untouched cell mean err = %v", err)
-	}
-	if bank.Cells() != 3 {
-		t.Errorf("Cells = %d", bank.Cells())
-	}
-}
-
-// TestHistogramBankBulkAndMerge: AddBulk and MergeHistogram, the
-// folds the field statistics use for night steps, must leave a cell
-// exactly as adding the same samples one by one would; a merge from a
-// different bin layout is refused.
-func TestHistogramBankBulkAndMerge(t *testing.T) {
-	folded := NewHistogramBank(2, 0, 100, 50)
-	direct := NewHistogramBank(2, 0, 100, 50)
-	night := NewHistogram(0, 100, 50)
-	for _, v := range []float64{3, 7.5, 7.5, 42, 99} {
-		night.Add(v)
-		direct.Add(1, v)
-	}
-	folded.AddBulk(1, 0, 0) // no samples: no change
-	folded.AddBulk(1, 0, 4)
-	for range 4 {
-		direct.Add(1, 0)
-	}
-	if err := folded.MergeHistogram(1, night); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{12, 60} {
-		folded.Add(1, v)
-		direct.Add(1, v)
-	}
-	if folded.N(1) != 11 || direct.N(1) != 11 || folded.N(0) != 0 {
-		t.Fatalf("sample counts: folded %d, direct %d, untouched %d", folded.N(1), direct.N(1), folded.N(0))
-	}
-	for _, p := range []float64{0, 25, 50, 75, 90, 100} {
-		a, err1 := folded.Percentile(1, p)
-		b, err2 := direct.Percentile(1, p)
-		if err1 != nil || err2 != nil || a != b {
-			t.Errorf("p%g: folded %v (%v), direct %v (%v)", p, a, err1, b, err2)
-		}
-	}
-	if err := folded.MergeHistogram(0, NewHistogram(0, 100, 25)); err == nil {
-		t.Error("merging a histogram with another bin layout must fail")
-	}
-	if err := folded.MergeHistogram(0, NewHistogram(0, 50, 50)); err == nil {
-		t.Error("merging a histogram with another range must fail")
-	}
-}
-
 func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 	f := func(vals []uint16, a, b uint8) bool {
 		h := NewHistogram(0, 1400, 350)
